@@ -12,6 +12,7 @@ import numpy as np
 from .errors import (
     BadMagicError,
     CountMismatchError,
+    FormatError,
     InputError,
     TruncatedFileError,
 )
@@ -96,6 +97,8 @@ def load_idx(
     with open(images_path, "rb") as f:
         img_buf = f.read()
     count, rows, cols = _read_idx_header(img_buf, str(images_path), IDX_IMAGE_MAGIC, 3)
+    if count == 0:
+        raise FormatError(f"{images_path}: declares 0 images")
     payload = img_buf[16:]
     if len(payload) < count * rows * cols:
         raise TruncatedFileError(

@@ -26,7 +26,7 @@ from .errors import (
     TrainingError,
 )
 from .nn import Dataset, MlpArchitecture
-from .schedule import CycleConfig, cycle_minima
+from .schedule import CycleConfig
 from .snapshots import (
     Snapshot,
     SnapshotStore,
@@ -44,10 +44,13 @@ from .stacking import (
     build_ensemble,
     ensemble_predictor,
     evaluate,
+    member_probs,
     model_predictor,
+    score,
     swa_average,
     weights_equal,
     weights_temperature,
+    weighted_mean,
 )
 
 # test partitions reuse the training cluster geometry but a disjoint noise stream
@@ -79,6 +82,8 @@ class ExperimentConfig:
     weighting_source: str = "train"
 
     def __post_init__(self):
+        if not self.tau_grid:
+            raise InputError("temperature grid must not be empty")
         if any(tau <= 0.0 for tau in self.tau_grid):
             raise InputError("temperature grid values must be positive")
         if self.weighting_source not in ("train", "validation"):
@@ -229,13 +234,28 @@ def _full_plan(config: ExperimentConfig) -> dict[int, str]:
     )
 
 
-def cmd_train(config: ExperimentConfig, out_dir: str | Path, store_name: str = "store.snap") -> Path:
-    """Train once with the full capture plan; write the store and its sidecar."""
+def _prepare(
+    config: ExperimentConfig, out_dir: str | Path, store: SnapshotStore | None = None
+) -> tuple[Path, Dataset, Dataset, Dataset, MlpArchitecture]:
+    """Create out_dir and build (train, val, test, arch); warn if store saw other data."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    train, val, test, arch = build_datasets(config)
+    if store is not None and (
+        store.train_fingerprint != fingerprint(train) or store.val_fingerprint != fingerprint(val)
+    ):
+        warnings.warn(
+            "store was trained on different data than this config produces; "
+            "weights may be stale"
+        )
+    return out_dir, train, val, test, arch
+
+
+def cmd_train(config: ExperimentConfig, out_dir: str | Path, store_name: str = "store.snap") -> Path:
+    """Train once with the full capture plan; write the store and its sidecar."""
     if config.cycle.cycle_len < 4:
         warnings.warn(f"degenerate cycle_len {config.cycle.cycle_len}: schedule has almost no descent")
-    train, val, _, arch = build_datasets(config)
+    out_dir, train, val, _, arch = _prepare(config, out_dir)
     plan = _full_plan(config)
     t0 = time.perf_counter()
     store = train_with_capture(
@@ -244,23 +264,13 @@ def cmd_train(config: ExperimentConfig, out_dir: str | Path, store_name: str = "
     elapsed = time.perf_counter() - t0
     path = out_dir / store_name
     save_store(store, path)
-    for i, m in enumerate(cycle_minima(config.cycle), start=1):
-        snap = store.get(m)
-        if snap is not None:
-            print(
-                f"cycle {i:2d}  iter {m:6d}  train_nll {snap.train_nll:.4f}  "
-                f"val_nll {snap.val_nll:.4f}"
-            )
+    for i, snap in enumerate(select_min(store), start=1):
+        print(
+            f"cycle {i:2d}  iter {snap.iteration:6d}  train_nll {snap.train_nll:.4f}  "
+            f"val_nll {snap.val_nll:.4f}"
+        )
     print(f"saved {len(store.snapshots)} snapshots to {path} ({elapsed:.1f}s)")
     return path
-
-
-def _check_store_matches(store: SnapshotStore, train: Dataset, val: Dataset) -> None:
-    if store.train_fingerprint != fingerprint(train) or store.val_fingerprint != fingerprint(val):
-        warnings.warn(
-            "store was trained on different data than this config produces; "
-            "weights may be stale"
-        )
 
 
 def cmd_sweep_temperature(
@@ -269,29 +279,26 @@ def cmd_sweep_temperature(
     policy: str,
     source: str,
     out_dir: str | Path,
-    tau_grid: tuple[float, ...] | None = None,
     n_grid: tuple[int, ...] | None = None,
 ) -> Path:
     """Accuracy over the (temperature, ensemble size) grid for one policy.
 
     For each cell the LAST n snapshots of the policy (the most recent cycles)
     are stacked with temperature weights and scored on the held-out test set.
+    Each snapshot is forwarded once; a cell is a weighted mean of those outputs.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train, val, test, _ = build_datasets(config)
-    _check_store_matches(store, train, val)
+    out_dir, _, _, test, _ = _prepare(config, out_dir, store)
     snaps = policy_snapshots(store, policy, config)
-    taus = tau_grid if tau_grid is not None else config.tau_grid
+    probs = member_probs(snaps, test.features)
     sizes = n_grid if n_grid is not None else config.n_grid
     rows = []
-    for tau in taus:
+    for tau in config.tau_grid:
         for n in sizes:
             if n > len(snaps):
                 warnings.warn(f"policy {policy!r} has {len(snaps)} snapshots, skipping n={n}")
                 continue
             ens = build_ensemble(snaps[-n:], WeightingSpec("temperature", tau=tau, source=source))
-            met = evaluate(ensemble_predictor(ens), test)
+            met = score(weighted_mean(probs[-n:], ens.weights), test)
             rows.append((float(tau), n, met.accuracy, met.mean_nll, policy, source))
     path = out_dir / f"sweep_temp_{policy.replace('+', '_')}_{source}.csv"
     _write_csv(path, SWEEP_COLUMNS, rows)
@@ -307,10 +314,7 @@ def cmd_sweep_offset(
     source: str | None = None,
 ) -> Path:
     """Accuracy per capture offset from the rate minima, at a fixed temperature."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train, val, test, _ = build_datasets(config)
-    _check_store_matches(store, train, val)
+    out_dir, _, _, test, _ = _prepare(config, out_dir, store)
     offs = offsets if offsets is not None else config.offsets
     src = source if source is not None else config.weighting_source
     rows = []
@@ -328,14 +332,10 @@ def cmd_sweep_offset(
     return path
 
 
-def _best_tau(tau_grid: tuple[float, ...], test: Dataset, predict_of_tau):
-    """Scan the grid, keep the first tau with the highest accuracy."""
-    best = None
-    for tau in tau_grid:
-        met = evaluate(predict_of_tau(tau), test)
-        if best is None or met.accuracy > best[1].accuracy:
-            best = (float(tau), met)
-    return best
+def _best_tau(tau_grid: tuple[float, ...], metrics_of_tau):
+    """The first tau with the highest accuracy, and its metrics."""
+    scored = [(float(tau), metrics_of_tau(tau)) for tau in tau_grid]
+    return max(scored, key=lambda tau_met: tau_met[1].accuracy)  # max keeps the first
 
 
 def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
@@ -344,9 +344,7 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
     Every snapshot and SWA row derives from ONE capture run; only the
     independent-ensemble baseline trains additional models.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train, val, test, arch = build_datasets(config)
+    out_dir, train, val, test, arch = _prepare(config, out_dir)
 
     t0 = time.perf_counter()
     store = train_with_capture(
@@ -356,8 +354,8 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
     snapshot_train_time = time.perf_counter() - t0
 
     rows: list[tuple] = []
-    final = store.get(config.cycle.total_iters - 1)
-    single = evaluate(model_predictor(final.params), test)
+    # the full plan captures the final iteration, the store's last snapshot
+    single = evaluate(model_predictor(store.snapshots[-1].params), test)
     rows.append(("single", "-", 1, "-", single.accuracy, single.mean_nll))
 
     t0 = time.perf_counter()
@@ -368,7 +366,7 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
             arch, train, val, config.cycle, config.seed + i, {last: "window"},
             batch_size=config.batch_size,
         )
-        finals.append(run.get(last))
+        finals.append(run.snapshots[0])
     independent_train_time = time.perf_counter() - t0
     ens = build_ensemble(finals, WeightingSpec("equal"))
     met = evaluate(ensemble_predictor(ens), test)
@@ -381,13 +379,15 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
         except SelectionError as e:
             warnings.warn(f"policy {policy!r} skipped: {e}")
             continue
-        met = evaluate(ensemble_predictor(build_ensemble(snaps, WeightingSpec("equal"))), test)
+        probs = member_probs(snaps, test.features)
+
+        def metrics(spec: WeightingSpec):
+            return score(weighted_mean(probs, build_ensemble(snaps, spec).weights), test)
+
+        met = metrics(WeightingSpec("equal"))
         rows.append(("snapshot", f"{policy}, eq", len(snaps), "-", met.accuracy, met.mean_nll))
         tau, met = _best_tau(
-            config.tau_grid, test,
-            lambda tau: ensemble_predictor(
-                build_ensemble(snaps, WeightingSpec("temperature", tau=tau, source=src))
-            ),
+            config.tau_grid, lambda tau: metrics(WeightingSpec("temperature", tau=tau, source=src))
         )
         rows.append(("snapshot", f"{policy}, stack", len(snaps), tau, met.accuracy, met.mean_nll))
 
@@ -400,9 +400,9 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
     )
     rows.append(("swa", "min, eq", len(swa_snaps), "-", met.accuracy, met.mean_nll))
     tau, met = _best_tau(
-        config.tau_grid, test,
-        lambda tau: model_predictor(
-            swa_average(swa_snaps, weights_temperature(log_liks, tau))
+        config.tau_grid,
+        lambda tau: evaluate(
+            model_predictor(swa_average(swa_snaps, weights_temperature(log_liks, tau))), test
         ),
     )
     rows.append(("swa", "min, stack", len(swa_snaps), tau, met.accuracy, met.mean_nll))

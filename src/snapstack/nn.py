@@ -128,15 +128,13 @@ class Dataset:
         )
 
 
-def _layers(params: ParamVector) -> list[tuple[np.ndarray, np.ndarray]]:
-    sizes = params.arch.layer_sizes
-    v = params.values
+def _layers(values: np.ndarray, sizes: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
     out = []
     ofs = 0
     for fan_in, fan_out in zip(sizes, sizes[1:]):
-        w = v[ofs : ofs + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = values[ofs : ofs + fan_in * fan_out].reshape(fan_in, fan_out)
         ofs += fan_in * fan_out
-        b = v[ofs : ofs + fan_out]
+        b = values[ofs : ofs + fan_out]
         ofs += fan_out
         out.append((w, b))
     return out
@@ -149,6 +147,20 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _forward(layers: list[tuple[np.ndarray, np.ndarray]], features: np.ndarray) -> list[np.ndarray]:
+    """The input to each layer, then the class probabilities [m, k].
+
+    The one forward pass: prediction, scoring and backprop all run it, so
+    their numbers agree bit for bit.
+    """
+    acts = [features]
+    for w, b in layers[:-1]:
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    w, b = layers[-1]
+    acts.append(_softmax(acts[-1] @ w + b))
+    return acts
+
+
 def forward_batch(params: ParamVector, features: np.ndarray) -> np.ndarray:
     """Class probabilities for a feature matrix [m, d] -> [m, k]."""
     features = np.asarray(features, dtype=np.float64)
@@ -156,12 +168,7 @@ def forward_batch(params: ParamVector, features: np.ndarray) -> np.ndarray:
         raise InputError(
             f"expected features of shape [m, {params.arch.input_dim}], got {features.shape}"
         )
-    layers = _layers(params)
-    a = features
-    for w, b in layers[:-1]:
-        a = np.maximum(a @ w + b, 0.0)
-    w, b = layers[-1]
-    return _softmax(a @ w + b)
+    return _forward(_layers(params.values, params.arch.layer_sizes), features)[-1]
 
 
 def forward(params: ParamVector, x: np.ndarray) -> np.ndarray:
@@ -173,49 +180,9 @@ def forward(params: ParamVector, x: np.ndarray) -> np.ndarray:
 
 
 def _per_example_nll(params: ParamVector, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    probs = forward_batch(params, features)
+    probs = _forward(_layers(params.values, params.arch.layer_sizes), features)[-1]
     p_true = probs[np.arange(labels.size), labels]
     return -np.log(np.maximum(p_true, PROB_FLOOR))
-
-
-def _nll(params: ParamVector, features: np.ndarray, labels: np.ndarray) -> float:
-    return float(_per_example_nll(params, features, labels).mean())
-
-
-def _make_nll_scorer(arch: MlpArchitecture, features: np.ndarray, labels: np.ndarray):
-    """Per-example NLL evaluator with preallocated layer buffers.
-
-    For repeated scoring of the same data (snapshot capture) this avoids
-    reallocating activations on every call. The operation sequence matches
-    forward_batch exactly, so results are bit-identical to the plain path.
-    """
-    sizes = arch.layer_sizes
-    m = labels.size
-    rows = np.arange(m)
-    bufs = [np.empty((m, s)) for s in sizes[1:]]
-
-    def score(values: np.ndarray) -> np.ndarray:
-        a = features
-        ofs = 0
-        for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-            w = values[ofs : ofs + fan_in * fan_out].reshape(fan_in, fan_out)
-            ofs += fan_in * fan_out
-            b = values[ofs : ofs + fan_out]
-            ofs += fan_out
-            z = np.dot(a, w, out=bufs[i])
-            z += b
-            if i < len(bufs) - 1:
-                np.maximum(z, 0.0, out=z)
-            a = z
-        z = bufs[-1]
-        z -= z.max(axis=1, keepdims=True)
-        np.exp(z, out=z)
-        z /= z.sum(axis=1, keepdims=True)
-        p = z[rows, labels]  # fancy indexing copies, safe to overwrite
-        np.maximum(p, PROB_FLOOR, out=p)
-        return -np.log(p, out=p)
-
-    return score
 
 
 def nll_loss(params: ParamVector, data: Dataset) -> float:
@@ -225,24 +192,16 @@ def nll_loss(params: ParamVector, data: Dataset) -> float:
             f"dataset [{data.dim} features, {data.num_classes} classes] does not match "
             f"arch {params.arch.layer_sizes}"
         )
-    return _nll(params, data.features, data.labels)
+    return float(_per_example_nll(params, data.features, data.labels).mean())
 
 
-def _grad(params: ParamVector, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    layers = _layers(params)
+def _grad(
+    values: np.ndarray, layer_sizes: tuple[int, ...], features: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    layers = _layers(values, layer_sizes)
+    acts = _forward(layers, features)
     m = labels.size
-    acts = [features]  # inputs to each layer
-    zs = []  # pre-activations of hidden layers
-    a = features
-    for w, b in layers[:-1]:
-        z = a @ w + b
-        a = np.maximum(z, 0.0)
-        zs.append(z)
-        acts.append(a)
-    w_last, b_last = layers[-1]
-    probs = _softmax(a @ w_last + b_last)
-
-    g = probs  # freshly computed, safe to mutate
+    g = acts.pop()  # probabilities, freshly computed, safe to mutate
     g[np.arange(m), labels] -= 1.0
     g /= m  # gradient of the MEAN loss
 
@@ -251,7 +210,8 @@ def _grad(params: ParamVector, features: np.ndarray, labels: np.ndarray) -> np.n
         w, _ = layers[i]
         chunks_reversed.append(np.concatenate([(acts[i].T @ g).ravel(), g.sum(axis=0)]))
         if i > 0:
-            g = (g @ w.T) * (zs[i - 1] > 0.0)
+            # acts[i] = relu(z) > 0 exactly where z > 0, NaN included
+            g = (g @ w.T) * (acts[i] > 0.0)
     return np.concatenate(chunks_reversed[::-1])
 
 
@@ -262,7 +222,9 @@ def backward(params: ParamVector, batch: Dataset) -> ParamVector:
             f"batch [{batch.dim} features, {batch.num_classes} classes] does not match "
             f"arch {params.arch.layer_sizes}"
         )
-    return ParamVector(_grad(params, batch.features, batch.labels), params.arch)
+    return ParamVector(
+        _grad(params.values, params.arch.layer_sizes, batch.features, batch.labels), params.arch
+    )
 
 
 def sgd_step(params: ParamVector, gradient: ParamVector, lr: float) -> ParamVector:

@@ -28,7 +28,7 @@ from .nn import (
     MlpArchitecture,
     ParamVector,
     _grad,
-    _make_nll_scorer,
+    _per_example_nll,
     init_params,
 )
 from .schedule import CycleConfig, cycle_midpoints, cycle_minima, lr_at
@@ -101,12 +101,6 @@ class SnapshotStore:
             if snap.params.arch != self.arch:
                 raise InputError("snapshot architecture differs from store architecture")
             prev = snap.iteration
-
-    def get(self, iteration: int) -> Snapshot | None:
-        for snap in self.snapshots:
-            if snap.iteration == iteration:
-                return snap
-        return None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SnapshotStore):
@@ -215,7 +209,10 @@ def train_with_capture(
         raise InputError(f"batch_size must be positive, got {batch_size}")
     plan = _normalize_plan(capture_plan, cfg)
 
-    params = init_params(arch, seed)
+    # the loop steps a raw array: a ParamVector copies and re-checks its values,
+    # which only the planned captures need
+    values = init_params(arch, seed).values
+    sizes = arch.layer_sizes
     shuffle_rng = np.random.default_rng([seed, 1])  # stream separate from init
     m = data.num_examples
     order = shuffle_rng.permutation(m)
@@ -229,35 +226,29 @@ def train_with_capture(
         pos += batch_size
         lr = lr_at(cfg, t)
         with np.errstate(over="ignore", invalid="ignore"):  # divergence raises below
-            grad = _grad(params, data.features[idx], data.labels[idx])
-            new = params.values - lr * grad
-        if not np.all(np.isfinite(new)):
+            values = values - lr * _grad(values, sizes, data.features[idx], data.labels[idx])
+        if not np.all(np.isfinite(values)):
             raise TrainingError(f"training diverged at iteration {t}")
-        params = ParamVector(new, arch)
         if t in plan:
-            pending.append((t, lr, params))
+            pending.append((t, lr, ParamVector(values, arch)))
 
     # captured parameters are immutable, so scoring can wait until the loop is
-    # done; one fused forward per snapshot covers both evaluation sets
-    captured: list[Snapshot] = []
-    if pending:
-        score = _make_nll_scorer(
-            arch,
-            np.vstack([data.features, val.features]),
-            np.concatenate([data.labels, val.labels]),
-        )
-        for t, lr, caught in pending:
-            nlls = score(caught.values)
-            captured.append(
-                Snapshot(
-                    params=caught,
-                    iteration=t,
-                    lr_at_capture=lr,
-                    train_nll=float(nlls[:m].mean()),
-                    val_nll=float(nlls[m:].mean()),
-                    tag=plan[t],
-                )
+    # done; one forward per snapshot covers both evaluation sets
+    features = np.vstack([data.features, val.features])
+    labels = np.concatenate([data.labels, val.labels])
+    captured = []
+    for t, lr, params in pending:
+        nlls = _per_example_nll(params, features, labels)
+        captured.append(
+            Snapshot(
+                params=params,
+                iteration=t,
+                lr_at_capture=lr,
+                train_nll=float(nlls[:m].mean()),
+                val_nll=float(nlls[m:].mean()),
+                tag=plan[t],
             )
+        )
     return SnapshotStore(
         run_id=run_id if run_id is not None else f"run-{seed}",
         arch=arch,
@@ -427,9 +418,9 @@ def load_store(path: str | Path) -> SnapshotStore:
             tuple(header["arch"]["layer_sizes"]), header["arch"]["hidden_activation"]
         )
         cfg = CycleConfig(**header["cfg"])
-        snap_meta = header["snapshots"]
+        snap_meta = list(header["snapshots"])  # a non-iterable fails here, not at len()
         param_count = int(header["param_count"])
-    except (KeyError, TypeError, InputError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, InputError) as e:
         raise FormatError(f"{path}: malformed store header ({e})") from e
     if param_count != arch.num_params:
         raise ArchMismatchError(
@@ -467,5 +458,5 @@ def load_store(path: str | Path) -> SnapshotStore:
             val_fingerprint=header["val_fingerprint"],
             snapshots=tuple(snapshots),
         )
-    except (KeyError, TypeError, ValueError, InputError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, InputError) as e:
         raise FormatError(f"{path}: malformed store contents ({e})") from e

@@ -135,11 +135,19 @@ def build_ensemble(snapshots: list[Snapshot], spec: WeightingSpec) -> EnsembleMo
     return EnsembleModel(list(zip(snapshots, (float(x) for x in w))))
 
 
+def member_probs(snapshots: list[Snapshot], features: np.ndarray) -> np.ndarray:
+    """Each member's class probabilities, stacked [K, m, k]: one forward per member."""
+    return np.stack([forward_batch(s.params, features) for s in snapshots])
+
+
+def weighted_mean(probs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(1/K) * sum_k w_k * probs[k] over stacked member probabilities [K, m, k]."""
+    return (probs * weights[:, None, None]).sum(axis=0) / len(weights)
+
+
 def ensemble_predict_batch(ens: EnsembleModel, features: np.ndarray) -> np.ndarray:
     """Weighted mean of member probabilities for a feature matrix [m, d]."""
-    probs = np.stack([forward_batch(s.params, features) for s in ens.snapshots])
-    w = ens.weights
-    return (probs * w[:, None, None]).sum(axis=0) / len(ens.members)
+    return weighted_mean(member_probs(ens.snapshots, features), ens.weights)
 
 
 def ensemble_predict(ens: EnsembleModel, x: np.ndarray) -> np.ndarray:
@@ -174,7 +182,12 @@ class EvalMetrics:
 
 def evaluate(predict_fn: Callable[[np.ndarray], np.ndarray], data: Dataset) -> EvalMetrics:
     """Argmax accuracy (ties to the lowest class index) and mean NLL on data."""
-    probs = np.asarray(predict_fn(data.features), dtype=np.float64)
+    return score(predict_fn(data.features), data)
+
+
+def score(probs: np.ndarray, data: Dataset) -> EvalMetrics:
+    """Metrics of predicted class probabilities [m, k] against data's labels."""
+    probs = np.asarray(probs, dtype=np.float64)
     if probs.shape != (data.num_examples, data.num_classes):
         raise InputError(
             f"predictor returned shape {probs.shape}, expected "

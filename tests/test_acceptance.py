@@ -452,6 +452,13 @@ def test_c10_io_robustness(tmp_path):
             return bytes(out)
 
         header_len = struct.unpack_from("<I", raw, 10)[0]
+        header = json.loads(raw[14 : 14 + header_len])
+        snap_meta = header["snapshots"]
+
+        def with_header(**changes) -> bytes:
+            blob = json.dumps({**header, **changes}).encode()
+            return raw[:10] + struct.pack("<I", len(blob)) + blob + raw[14 + header_len :]
+
         corpus = {
             "store_empty": (b"", load_store),
             "store_magic": (flip(raw, 0), load_store),
@@ -460,9 +467,23 @@ def test_c10_io_robustness(tmp_path):
             "store_header_json": (flip(raw, 20), load_store),
             "store_payload_cut": (raw[:-17], load_store),
             "store_payload_extra": (raw + b"\x00" * 8, load_store),
+            "store_snapshots_not_list": (with_header(snapshots=5), load_store),
+            "store_param_count_text": (with_header(param_count="many"), load_store),
+            "store_param_count_inf": (with_header(param_count=float("inf")), load_store),
+            "store_layer_size_text": (
+                with_header(arch={"layer_sizes": [6, "eight", 3], "hidden_activation": "relu"}),
+                load_store,
+            ),
+            "store_iteration_inf": (
+                with_header(snapshots=[{**snap_meta[0], "iteration": float("inf")}, *snap_meta[1:]]),
+                load_store,
+            ),
             "idx_image_magic": (flip(img_raw, 0), lambda p: load_idx(p, lbl_path)),
             "idx_image_cut": (img_raw[:-3], lambda p: load_idx(p, lbl_path)),
             "idx_label_magic": (flip(lbl_raw, 3), lambda p: load_idx(img_path, p)),
+            "idx_zero_images": (
+                struct.pack(">IIII", 0x00000803, 0, 2, 2), lambda p: load_idx(p, lbl_path)
+            ),
             "idx_count_mismatch": (
                 struct.pack(">II", 0x00000801, 5) + bytes([0, 1, 2, 0, 1]),
                 lambda p: load_idx(img_path, p),

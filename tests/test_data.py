@@ -7,6 +7,7 @@ from conftest import write_idx_pair
 from snapstack import (
     BadMagicError,
     CountMismatchError,
+    FormatError,
     InputError,
     SplitSpec,
     TruncatedFileError,
@@ -97,6 +98,11 @@ class TestLoadIdx:
             (0x00000801).to_bytes(4, "big") + (3).to_bytes(4, "big") + bytes([0, 1, 0])
         )
         with pytest.raises(CountMismatchError):
+            load_idx(img, lbl)
+
+    def test_zero_images_rejected_naming_file(self, tmp_path):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((0, 2, 2), dtype=np.uint8), [])
+        with pytest.raises(FormatError, match="images.idx.*0 images"):
             load_idx(img, lbl)
 
     def test_bad_magic(self, tmp_path):

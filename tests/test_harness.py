@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from snapstack import FormatError, InputError, load_store
+from snapstack import FormatError, InputError, load_store, stacking
 from snapstack.harness import (
     build_datasets,
     cmd_compare,
@@ -169,6 +169,33 @@ class TestSweepTemperature:
         for policy in ("mid", "min+mid", "window", "offset"):
             rows = read_rows(cmd_sweep_temperature(cfg, store, policy, "train", tmp))
             assert rows, policy
+
+    @pytest.mark.parametrize("policy,source", [("min+mid", "train"), ("window", "validation")])
+    def test_rows_equal_reference_ensemble_path(self, setup, policy, source):
+        # the cached member forwards must reproduce ensemble_predict_batch exactly
+        cfg, store, tmp = setup
+        _, _, test, _ = build_datasets(cfg)
+        snaps = policy_snapshots(store, policy, cfg)
+        rows = read_rows(cmd_sweep_temperature(cfg, store, policy, source, tmp))
+        assert rows
+        for r in rows:
+            spec = WeightingSpec("temperature", tau=float(r["tau"]), source=source)
+            ens = build_ensemble(snaps[-int(r["n_models"]):], spec)
+            met = evaluate(ensemble_predictor(ens), test)
+            assert (float(r["accuracy"]), float(r["mean_nll"])) == (met.accuracy, met.mean_nll)
+
+    def test_each_member_forwarded_once(self, setup, monkeypatch):
+        cfg, store, tmp = setup
+        calls = []
+        forward = stacking.forward_batch
+
+        def counting(params, features):
+            calls.append(params)
+            return forward(params, features)
+
+        monkeypatch.setattr(stacking, "forward_batch", counting)
+        cmd_sweep_temperature(cfg, store, "min+mid", "train", tmp)
+        assert len(calls) == len(policy_snapshots(store, "min+mid", cfg))
 
     def test_stale_store_warns(self, setup, tmp_path):
         cfg, store, _ = setup
@@ -379,6 +406,14 @@ class TestCli:
             cycle={"alpha_min": 0.5, "alpha_max": 0.3, "cycle_len": 50, "total_iters": 150},
         )
         assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("command", ["sweep-temp", "compare"])
+    def test_empty_tau_grid_exit_code(self, tmp_path, capsys, command):
+        cfg_path = self.write_config(tmp_path, tau_grid=[])
+        args = ["--store", str(tmp_path / "store.snap")] if command == "sweep-temp" else []
+        assert main([command, "--config", str(cfg_path), "--out-dir", str(tmp_path), *args]) == 1
+        assert "temperature grid" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_missing_store_exit_code(self, tmp_path):
         cfg_path = self.write_config(tmp_path)

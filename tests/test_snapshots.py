@@ -12,12 +12,15 @@ from snapstack import (
     BadMagicError,
     BadVersionError,
     CycleConfig,
+    Dataset,
     FormatError,
     InputError,
     MlpArchitecture,
     SelectionError,
     TrainingError,
     TruncatedFileError,
+    backward,
+    init_params,
     load_store,
     plan_captures,
     save_store,
@@ -25,6 +28,7 @@ from snapstack import (
     select_min,
     select_offset,
     select_window,
+    sgd_step,
     train_with_capture,
 )
 from snapstack.schedule import cycle_midpoints, cycle_minima, lr_at
@@ -51,6 +55,25 @@ class TestTrainWithCapture:
         plan = plan_captures(CFG, include_min=True, window_halfwidth=2, offsets=[5])
         store = small_run(plan)
         assert len(store.snapshots) == len(plan)
+
+    def test_captures_equal_public_sgd_loop(self):
+        # reference: the same shuffle stream stepped through backward + sgd_step
+        train, _ = quick_split()
+        plan = plan_captures(CFG, include_min=True, include_mid=True, window_halfwidth=1)
+        store = small_run(plan, seed=5)
+        params = init_params(ARCH, 5)
+        rng = np.random.default_rng([5, 1])
+        order, pos, expected = rng.permutation(train.num_examples), 0, {}
+        for t in range(CFG.total_iters):
+            if pos >= train.num_examples:
+                order, pos = rng.permutation(train.num_examples), 0
+            idx = order[pos : pos + 16]
+            pos += 16
+            batch = Dataset(train.features[idx], train.labels[idx], train.num_classes)
+            params = sgd_step(params, backward(params, batch), lr_at(CFG, t))
+            if t in plan:
+                expected[t] = params
+        assert {s.iteration: s.params for s in store.snapshots} == expected
 
     def test_auto_tags_from_schedule(self):
         store = small_run([0, *cycle_minima(CFG), *cycle_midpoints(CFG)])
