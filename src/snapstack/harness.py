@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .data import SplitSpec, fingerprint, load_idx, make_blobs, split
 from .errors import (
     FormatError,
@@ -40,16 +38,14 @@ from .snapshots import (
     train_with_capture,
 )
 from .stacking import (
+    EvalMetrics,
     WeightingSpec,
     build_ensemble,
-    ensemble_predictor,
     evaluate,
     member_probs,
     model_predictor,
     score,
     swa_average,
-    weights_equal,
-    weights_temperature,
     weighted_mean,
 )
 
@@ -84,8 +80,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.tau_grid:
             raise InputError("temperature grid must not be empty")
-        if any(tau <= 0.0 for tau in self.tau_grid):
+        if any(not tau > 0.0 for tau in self.tau_grid):
             raise InputError("temperature grid values must be positive")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         if self.weighting_source not in ("train", "validation"):
             raise InputError(f"unknown weighting source {self.weighting_source!r}")
         if self.num_independent < 1:
@@ -137,16 +135,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         )
     except KeyError as e:
         raise InputError(f"config missing required key: {e}") from e
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise InputError(f"malformed config value: {e}") from e
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    text = Path(path).read_text()
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"{path}: config is not valid JSON ({e})") from e
+        raw = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise InputError(f"{path}: config is not valid UTF-8 JSON ({e})") from e
     if not isinstance(raw, dict):
         raise InputError(f"{path}: config must be a JSON object")
     return config_from_dict(raw)
@@ -164,7 +161,7 @@ def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset,
             test_per_class = int(ds.get("test_per_class", per_class))
         except KeyError as e:
             raise InputError(f"blobs dataset config missing key: {e}") from e
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise InputError(f"malformed blobs dataset config: {e}") from e
         pool = make_blobs(k, per_class, dim, spread, seed=config.seed, centers_seed=config.seed)
         train, val = split(pool, SplitSpec(config.val_fraction, config.seed))
@@ -180,8 +177,10 @@ def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset,
             k = int(ds["num_classes"]) if ds.get("num_classes") is not None else None
         except KeyError as e:
             raise InputError(f"idx dataset config missing key: {e}") from e
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise InputError(f"malformed idx dataset config: {e}") from e
+        if not all(isinstance(p, str) for p in paths):
+            raise InputError(f"idx dataset paths must be strings, got {paths!r}")
         pool = load_idx(paths[0], paths[1], limit=limit, num_classes=k)
         test = load_idx(
             paths[2], paths[3], limit=test_limit,
@@ -251,7 +250,17 @@ def _prepare(
     return out_dir, train, val, test, arch
 
 
-def cmd_train(config: ExperimentConfig, out_dir: str | Path, store_name: str = "store.snap") -> Path:
+def _scorer(snaps: list[Snapshot], test: Dataset):
+    """Forward each snapshot over test once; metrics(spec, n) scores the last n as an ensemble."""
+    probs = member_probs(snaps, test.features)
+
+    def metrics(spec: WeightingSpec, n: int = len(snaps)) -> EvalMetrics:
+        return score(weighted_mean(probs[-n:], build_ensemble(snaps[-n:], spec).weights), test)
+
+    return metrics
+
+
+def cmd_train(config: ExperimentConfig, out_dir: str | Path) -> Path:
     """Train once with the full capture plan; write the store and its sidecar."""
     if config.cycle.cycle_len < 4:
         warnings.warn(f"degenerate cycle_len {config.cycle.cycle_len}: schedule has almost no descent")
@@ -262,7 +271,7 @@ def cmd_train(config: ExperimentConfig, out_dir: str | Path, store_name: str = "
         arch, train, val, config.cycle, config.seed, plan, batch_size=config.batch_size
     )
     elapsed = time.perf_counter() - t0
-    path = out_dir / store_name
+    path = out_dir / "store.snap"
     save_store(store, path)
     for i, snap in enumerate(select_min(store), start=1):
         print(
@@ -279,7 +288,6 @@ def cmd_sweep_temperature(
     policy: str,
     source: str,
     out_dir: str | Path,
-    n_grid: tuple[int, ...] | None = None,
 ) -> Path:
     """Accuracy over the (temperature, ensemble size) grid for one policy.
 
@@ -289,16 +297,14 @@ def cmd_sweep_temperature(
     """
     out_dir, _, _, test, _ = _prepare(config, out_dir, store)
     snaps = policy_snapshots(store, policy, config)
-    probs = member_probs(snaps, test.features)
-    sizes = n_grid if n_grid is not None else config.n_grid
+    metrics = _scorer(snaps, test)
     rows = []
     for tau in config.tau_grid:
-        for n in sizes:
+        for n in config.n_grid:
             if n > len(snaps):
                 warnings.warn(f"policy {policy!r} has {len(snaps)} snapshots, skipping n={n}")
                 continue
-            ens = build_ensemble(snaps[-n:], WeightingSpec("temperature", tau=tau, source=source))
-            met = score(weighted_mean(probs[-n:], ens.weights), test)
+            met = metrics(WeightingSpec("temperature", tau=tau, source=source), n)
             rows.append((float(tau), n, met.accuracy, met.mean_nll, policy, source))
     path = out_dir / f"sweep_temp_{policy.replace('+', '_')}_{source}.csv"
     _write_csv(path, SWEEP_COLUMNS, rows)
@@ -306,36 +312,23 @@ def cmd_sweep_temperature(
 
 
 def cmd_sweep_offset(
-    config: ExperimentConfig,
-    store: SnapshotStore,
-    out_dir: str | Path,
-    offsets: tuple[int, ...] | None = None,
-    tau: float = 1.0,
-    source: str | None = None,
+    config: ExperimentConfig, store: SnapshotStore, out_dir: str | Path, tau: float
 ) -> Path:
     """Accuracy per capture offset from the rate minima, at a fixed temperature."""
     out_dir, _, _, test, _ = _prepare(config, out_dir, store)
-    offs = offsets if offsets is not None else config.offsets
-    src = source if source is not None else config.weighting_source
+    src = config.weighting_source
     rows = []
-    for steps in offs:
+    for steps in config.offsets:
         try:
             snaps = select_offset(store, steps)
         except SelectionError as e:
             warnings.warn(f"offset {steps} skipped: {e}")
             continue
-        ens = build_ensemble(snaps, WeightingSpec("temperature", tau=tau, source=src))
-        met = evaluate(ensemble_predictor(ens), test)
+        met = _scorer(snaps, test)(WeightingSpec("temperature", tau=tau, source=src))
         rows.append((steps, float(tau), len(snaps), met.accuracy, met.mean_nll, "offset", src))
     path = out_dir / "sweep_offset.csv"
     _write_csv(path, OFFSET_COLUMNS, rows)
     return path
-
-
-def _best_tau(tau_grid: tuple[float, ...], metrics_of_tau):
-    """The first tau with the highest accuracy, and its metrics."""
-    scored = [(float(tau), metrics_of_tau(tau)) for tau in tau_grid]
-    return max(scored, key=lambda tau_met: tau_met[1].accuracy)  # max keeps the first
 
 
 def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
@@ -368,44 +361,36 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
         )
         finals.append(run.snapshots[0])
     independent_train_time = time.perf_counter() - t0
-    ens = build_ensemble(finals, WeightingSpec("equal"))
-    met = evaluate(ensemble_predictor(ens), test)
+    met = _scorer(finals, test)(WeightingSpec("equal"))
     rows.append(("ensemble", "individual", len(finals), "-", met.accuracy, met.mean_nll))
 
-    src = config.weighting_source
+    def add_pair(model: str, label: str, n: int, metrics) -> None:
+        """The equal-weight row, then the stacked row at the first tau with the best accuracy."""
+        met = metrics(WeightingSpec("equal"))
+        rows.append((model, f"{label}, eq", n, "-", met.accuracy, met.mean_nll))
+        src = config.weighting_source
+        scored = [
+            (float(tau), metrics(WeightingSpec("temperature", tau=tau, source=src)))
+            for tau in config.tau_grid
+        ]
+        tau, met = max(scored, key=lambda tau_met: tau_met[1].accuracy)  # max keeps the first
+        rows.append((model, f"{label}, stack", n, tau, met.accuracy, met.mean_nll))
+
     for policy in ("min", "min+mid", "offset"):
         try:
             snaps = policy_snapshots(store, policy, config)
         except SelectionError as e:
             warnings.warn(f"policy {policy!r} skipped: {e}")
             continue
-        probs = member_probs(snaps, test.features)
-
-        def metrics(spec: WeightingSpec):
-            return score(weighted_mean(probs, build_ensemble(snaps, spec).weights), test)
-
-        met = metrics(WeightingSpec("equal"))
-        rows.append(("snapshot", f"{policy}, eq", len(snaps), "-", met.accuracy, met.mean_nll))
-        tau, met = _best_tau(
-            config.tau_grid, lambda tau: metrics(WeightingSpec("temperature", tau=tau, source=src))
-        )
-        rows.append(("snapshot", f"{policy}, stack", len(snaps), tau, met.accuracy, met.mean_nll))
+        add_pair("snapshot", policy, len(snaps), _scorer(snaps, test))
 
     swa_snaps = select_min(store)
-    log_liks = np.array(
-        [-(s.train_nll if src == "train" else s.val_nll) for s in swa_snaps]
-    )
-    met = evaluate(
-        model_predictor(swa_average(swa_snaps, weights_equal(len(swa_snaps)))), test
-    )
-    rows.append(("swa", "min, eq", len(swa_snaps), "-", met.accuracy, met.mean_nll))
-    tau, met = _best_tau(
-        config.tau_grid,
-        lambda tau: evaluate(
-            model_predictor(swa_average(swa_snaps, weights_temperature(log_liks, tau))), test
-        ),
-    )
-    rows.append(("swa", "min, stack", len(swa_snaps), tau, met.accuracy, met.mean_nll))
+
+    def swa_metrics(spec: WeightingSpec):
+        weights = build_ensemble(swa_snaps, spec).weights
+        return evaluate(model_predictor(swa_average(swa_snaps, weights)), test)
+
+    add_pair("swa", "min", len(swa_snaps), swa_metrics)
 
     csv_path = out_dir / "compare.csv"
     _write_csv(csv_path, COMPARE_COLUMNS, rows)
@@ -434,11 +419,21 @@ def _compare_markdown(rows: list[tuple]) -> str:
 
 
 def _read_csv(path: Path) -> tuple[list[str], list[dict]]:
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None:
-            raise FormatError(f"{path}: empty CSV")
-        return list(reader.fieldnames), list(reader)
+    try:
+        with open(path, newline="") as f:
+            reader = csv.DictReader(f)
+            if reader.fieldnames is None:
+                raise FormatError(f"{path}: empty CSV")
+            rows = []
+            for row in reader:
+                if None in row.values():  # DictReader fills missing fields with None
+                    raise FormatError(
+                        f"{path}: line {reader.line_num} has fewer fields than the header"
+                    )
+                rows.append(row)
+            return list(reader.fieldnames), rows
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise FormatError(f"{path}: unreadable CSV ({e})") from e
 
 
 def cmd_report(csv_paths: list[str | Path], out_path: str | Path) -> Path:

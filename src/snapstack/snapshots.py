@@ -39,7 +39,7 @@ STORE_MAGIC = b"SNAPSTOR"
 STORE_VERSION = 1
 
 
-@dataclass(eq=False)
+@dataclass
 class Snapshot:
     """Captured parameters plus the training-time stats used for weighting."""
 
@@ -62,20 +62,8 @@ class Snapshot:
         if self.train_nll < 0.0 or self.val_nll < 0.0:
             raise InputError("snapshot NLLs must be non-negative")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Snapshot):
-            return NotImplemented
-        return (
-            self.iteration == other.iteration
-            and self.lr_at_capture == other.lr_at_capture
-            and self.train_nll == other.train_nll
-            and self.val_nll == other.val_nll
-            and self.tag == other.tag
-            and self.params == other.params
-        )
 
-
-@dataclass(eq=False)
+@dataclass
 class SnapshotStore:
     """Immutable record of one training run's captured snapshots."""
 
@@ -101,19 +89,6 @@ class SnapshotStore:
             if snap.params.arch != self.arch:
                 raise InputError("snapshot architecture differs from store architecture")
             prev = snap.iteration
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SnapshotStore):
-            return NotImplemented
-        return (
-            self.run_id == other.run_id
-            and self.arch == other.arch
-            and self.cfg == other.cfg
-            and self.seed == other.seed
-            and self.train_fingerprint == other.train_fingerprint
-            and self.val_fingerprint == other.val_fingerprint
-            and self.snapshots == other.snapshots
-        )
 
 
 def plan_captures(

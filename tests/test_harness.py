@@ -154,9 +154,10 @@ class TestSweepTemperature:
 
     def test_oversized_n_skipped_with_warning(self, setup):
         cfg, store, tmp = setup
+        assert len(policy_snapshots(store, "window", cfg)) == 2 < max(cfg.n_grid)
         with pytest.warns(UserWarning, match="skipping"):
-            path = cmd_sweep_temperature(cfg, store, "min", "train", tmp, n_grid=(2, 5))
-        assert len(read_rows(path)) == len(cfg.tau_grid)
+            path = cmd_sweep_temperature(cfg, store, "window", "train", tmp)
+        assert len(read_rows(path)) == 2 * len(cfg.tau_grid)
 
     def test_rerun_byte_identical(self, setup):
         cfg, store, tmp = setup
@@ -232,7 +233,7 @@ class TestSweepOffset:
         cfg = small_config()
         store = load_store(cmd_train(cfg, tmp_path))
         with pytest.warns(UserWarning, match="skipped"):
-            path = cmd_sweep_offset(cfg, store, tmp_path, offsets=(0, 7), tau=1.0)
+            path = cmd_sweep_offset(small_config(offsets=[0, 7]), store, tmp_path, tau=1.0)
         assert [r["offset"] for r in read_rows(path)] == ["0"]
 
 
@@ -377,6 +378,16 @@ class TestCmdReport:
         with pytest.raises(FormatError, match="accuracy"):
             cmd_report([p], tmp_path / "report.md")
 
+    @pytest.mark.parametrize("payload", [
+        pytest.param(b"model,type,accuracy,mean_nll\nsingle,-,0.9\n", id="short-row"),
+        pytest.param(b"tau,accuracy,mean_nll\n1.0,0.9,\xff\n", id="not-utf8"),
+    ])
+    def test_unreadable_csv_is_format_error(self, tmp_path, payload):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(payload)
+        with pytest.raises(FormatError):
+            cmd_report([p], tmp_path / "report.md")
+
 
 class TestCli:
     def write_config(self, tmp_path, **overrides):
@@ -414,6 +425,31 @@ class TestCli:
         assert main([command, "--config", str(cfg_path), "--out-dir", str(tmp_path), *args]) == 1
         assert "temperature grid" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    IDX = {"kind": "idx", "train_images": "a", "train_labels": "b", "test_images": "c",
+           "test_labels": "d"}
+
+    @pytest.mark.parametrize("overrides,argv", [
+        pytest.param({"seed": -1}, [], id="negative-seed"),
+        pytest.param({}, ["--seed", "-3"], id="negative-seed-flag"),
+        pytest.param({"seed": 1e999}, [], id="huge-seed"),
+        pytest.param({"cycle": {**SMALL["cycle"], "cycle_len": 1e999}}, [], id="huge-cycle-len"),
+        pytest.param({"hidden": [1e999]}, [], id="huge-hidden"),
+        pytest.param({"dataset": {**SMALL["dataset"], "per_class": 1e999}}, [], id="huge-per-class"),
+        pytest.param({"dataset": {**IDX, "train_images": None}}, [], id="null-idx-path"),
+        pytest.param({"dataset": {**IDX, "test_labels": ["d"]}}, [], id="list-idx-path"),
+        pytest.param({"dataset": {**IDX, "train_images": 0}}, [], id="int-idx-path"),
+        pytest.param({"tau_grid": [1.0, float("nan")]}, [], id="nan-tau"),
+        pytest.param(None, [], id="not-utf8"),
+    ])
+    def test_bad_config_exit_code(self, tmp_path, capsys, overrides, argv):
+        if overrides is None:
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_bytes(b'{"seed": "\xff"}')
+        else:
+            cfg_path = self.write_config(tmp_path, **overrides)
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path), *argv]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_store_exit_code(self, tmp_path):
         cfg_path = self.write_config(tmp_path)
