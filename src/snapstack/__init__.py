@@ -42,15 +42,11 @@ from .stacking import (
     EvalMetrics,
     WeightingSpec,
     build_ensemble,
-    ensemble_predict,
     ensemble_predict_batch,
-    ensemble_predictor,
     evaluate,
-    model_predictor,
     swa_average,
     weights_equal,
     weights_inverse_loss,
-    weights_likelihood,
     weights_temperature,
 )
 

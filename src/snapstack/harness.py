@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 import warnings
@@ -23,7 +24,7 @@ from .errors import (
     SelectionError,
     TrainingError,
 )
-from .nn import Dataset, MlpArchitecture
+from .nn import Dataset, MlpArchitecture, forward_batch
 from .schedule import CycleConfig
 from .snapshots import (
     Snapshot,
@@ -43,8 +44,6 @@ from .stacking import (
     build_ensemble,
     evaluate,
     member_probs,
-    model_predictor,
-    score,
     swa_average,
     weighted_mean,
 )
@@ -105,6 +104,10 @@ class ExperimentConfig:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build and validate a config from parsed JSON."""
     try:
+        for key in ("hidden", "offsets", "tau_grid", "n_models_grid"):
+            # a string or an object would iterate as characters or keys
+            if raw.get(key) is not None and not isinstance(raw[key], list):
+                raise InputError(f"config key {key!r} must be a JSON array, got {raw[key]!r}")
         dataset = dict(raw["dataset"])
         kind = dataset.get("kind")
         if kind not in ("blobs", "idx"):
@@ -255,7 +258,7 @@ def _scorer(snaps: list[Snapshot], test: Dataset):
     probs = member_probs(snaps, test.features)
 
     def metrics(spec: WeightingSpec, n: int = len(snaps)) -> EvalMetrics:
-        return score(weighted_mean(probs[-n:], build_ensemble(snaps[-n:], spec).weights), test)
+        return evaluate(weighted_mean(probs[-n:], build_ensemble(snaps[-n:], spec).weights), test)
 
     return metrics
 
@@ -348,7 +351,7 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
 
     rows: list[tuple] = []
     # the full plan captures the final iteration, the store's last snapshot
-    single = evaluate(model_predictor(store.snapshots[-1].params), test)
+    single = _scorer(store.snapshots[-1:], test)(WeightingSpec("equal"))
     rows.append(("single", "-", 1, "-", single.accuracy, single.mean_nll))
 
     t0 = time.perf_counter()
@@ -388,7 +391,7 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
 
     def swa_metrics(spec: WeightingSpec):
         weights = build_ensemble(swa_snaps, spec).weights
-        return evaluate(model_predictor(swa_average(swa_snaps, weights)), test)
+        return evaluate(forward_batch(swa_average(swa_snaps, weights), test.features), test)
 
     add_pair("swa", "min", len(swa_snaps), swa_metrics)
 
@@ -426,9 +429,11 @@ def _read_csv(path: Path) -> tuple[list[str], list[dict]]:
                 raise FormatError(f"{path}: empty CSV")
             rows = []
             for row in reader:
-                if None in row.values():  # DictReader fills missing fields with None
+                # DictReader fills missing fields with None and files extra ones under None
+                if None in row or None in row.values():
                     raise FormatError(
-                        f"{path}: line {reader.line_num} has fewer fields than the header"
+                        f"{path}: line {reader.line_num} does not have the header's "
+                        f"{len(reader.fieldnames)} fields"
                     )
                 rows.append(row)
             return list(reader.fieldnames), rows
@@ -460,6 +465,8 @@ def cmd_report(csv_paths: list[str | Path], out_path: str | Path) -> Path:
             accuracies = [float(r["accuracy"]) for r in rows]
         except (TypeError, ValueError) as e:
             raise FormatError(f"{path}: column 'accuracy' is not numeric ({e})") from e
+        if not all(map(math.isfinite, accuracies)):
+            raise FormatError(f"{path}: column 'accuracy' holds a non-finite value")
         best_acc = max(accuracies)
         best_rows = [r for r, a in zip(rows, accuracies) if a == best_acc]
         label_cols = [c for c in columns if c not in ("accuracy", "mean_nll")]

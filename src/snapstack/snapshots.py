@@ -135,41 +135,19 @@ def plan_captures(
     return plan
 
 
-def _normalize_plan(
-    capture_plan: Iterable[int] | Mapping[int, str], cfg: CycleConfig
-) -> dict[int, str]:
-    if isinstance(capture_plan, Mapping):
-        plan = {int(t): tag for t, tag in capture_plan.items()}
-        for tag in plan.values():
-            if tag not in TAGS:
-                raise InputError(f"unknown capture tag {tag!r}")
-    else:
-        minima = set(cycle_minima(cfg))
-        mids = set(cycle_midpoints(cfg))
-        plan = {}
-        for t in capture_plan:
-            t = int(t)
-            plan[t] = "min" if t in minima else ("mid" if t in mids else "window")
-    for t in plan:
-        if not 0 <= t < cfg.total_iters:
-            raise InputError(f"capture iteration {t} outside [0, {cfg.total_iters})")
-    return plan
-
-
 def train_with_capture(
     arch: MlpArchitecture,
     data: Dataset,
     val: Dataset,
     cfg: CycleConfig,
     seed: int,
-    capture_plan: Iterable[int] | Mapping[int, str],
+    capture_plan: Mapping[int, str],
     batch_size: int = 32,
     run_id: str | None = None,
 ) -> SnapshotStore:
     """One SGD run under the cyclical schedule, snapshotting planned iterations.
 
-    The plan is either a set of iterations (tags derived from the schedule:
-    min, mid, else window) or an explicit iteration -> tag mapping. Snapshots
+    The plan maps iteration -> tag, as `plan_captures` builds it. Snapshots
     record the parameters right after that iteration's update, with mean NLL
     evaluated on the full training and validation sets. Deterministic given
     (arch, data, val, cfg, seed).
@@ -182,7 +160,12 @@ def train_with_capture(
             )
     if batch_size < 1:
         raise InputError(f"batch_size must be positive, got {batch_size}")
-    plan = _normalize_plan(capture_plan, cfg)
+    plan = {int(t): tag for t, tag in capture_plan.items()}
+    for t, tag in plan.items():
+        if tag not in TAGS:
+            raise InputError(f"unknown capture tag {tag!r}")
+        if not 0 <= t < cfg.total_iters:
+            raise InputError(f"capture iteration {t} outside [0, {cfg.total_iters})")
 
     # the loop steps a raw array: a ParamVector copies and re-checks its values,
     # which only the planned captures need

@@ -11,7 +11,6 @@ combination and equal weighting is exactly w_k = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -110,12 +109,6 @@ def weights_temperature(log_liks, tau: float) -> np.ndarray:
     return _as_weights(raw)
 
 
-def weights_likelihood(log_liks) -> np.ndarray:
-    """Weights proportional to exp(log_lik); the tau = 1 temperature rule."""
-    # shared code path makes the tau = 1 equivalence exact, not just up to rounding
-    return weights_temperature(log_liks, 1.0)
-
-
 def build_ensemble(snapshots: list[Snapshot], spec: WeightingSpec) -> EnsembleModel:
     """Pair snapshots with weights computed by the chosen rule."""
     if not snapshots:
@@ -128,10 +121,9 @@ def build_ensemble(snapshots: list[Snapshot], spec: WeightingSpec) -> EnsembleMo
         )
         if spec.rule == "inverse_loss":
             w = weights_inverse_loss(nlls)
-        elif spec.rule == "likelihood":
-            w = weights_likelihood(-nlls)
         else:
-            w = weights_temperature(-nlls, spec.tau)
+            # likelihood is the tau = 1 temperature rule; one code path keeps that exact
+            w = weights_temperature(-nlls, 1.0 if spec.rule == "likelihood" else spec.tau)
     return EnsembleModel(list(zip(snapshots, (float(x) for x in w))))
 
 
@@ -148,12 +140,6 @@ def weighted_mean(probs: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def ensemble_predict_batch(ens: EnsembleModel, features: np.ndarray) -> np.ndarray:
     """Weighted mean of member probabilities for a feature matrix [m, d]."""
     return weighted_mean(member_probs(ens.snapshots, features), ens.weights)
-
-
-def ensemble_predict(ens: EnsembleModel, x: np.ndarray) -> np.ndarray:
-    """Weighted mean of member probabilities for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    return ensemble_predict_batch(ens, x[None, :])[0]
 
 
 def swa_average(snapshots: list[Snapshot], weights) -> ParamVector:
@@ -180,17 +166,13 @@ class EvalMetrics:
     mean_nll: float
 
 
-def evaluate(predict_fn: Callable[[np.ndarray], np.ndarray], data: Dataset) -> EvalMetrics:
-    """Argmax accuracy (ties to the lowest class index) and mean NLL on data."""
-    return score(predict_fn(data.features), data)
-
-
-def score(probs: np.ndarray, data: Dataset) -> EvalMetrics:
-    """Metrics of predicted class probabilities [m, k] against data's labels."""
+def evaluate(probs: np.ndarray, data: Dataset) -> EvalMetrics:
+    """Argmax accuracy (ties to the lowest class index) and mean NLL of predicted
+    class probabilities [m, k] against data's labels."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.shape != (data.num_examples, data.num_classes):
         raise InputError(
-            f"predictor returned shape {probs.shape}, expected "
+            f"probabilities have shape {probs.shape}, expected "
             f"({data.num_examples}, {data.num_classes})"
         )
     preds = probs.argmax(axis=1)  # argmax returns the first max: lowest class index
@@ -199,13 +181,3 @@ def score(probs: np.ndarray, data: Dataset) -> EvalMetrics:
         accuracy=float((preds == data.labels).mean()),
         mean_nll=float(-np.log(np.maximum(p_true, PROB_FLOOR)).mean()),
     )
-
-
-def model_predictor(params: ParamVector) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched predict function for a single parameter vector."""
-    return lambda features: forward_batch(params, features)
-
-
-def ensemble_predictor(ens: EnsembleModel) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched predict function for a weighted ensemble."""
-    return lambda features: ensemble_predict_batch(ens, features)

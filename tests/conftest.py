@@ -15,6 +15,8 @@ from snapstack import (
     Snapshot,
     SnapshotStore,
     SplitSpec,
+    WeightingSpec,
+    build_ensemble,
     lr_at,
     make_blobs,
     split,
@@ -42,6 +44,14 @@ def random_dataset(
     feats = rng.normal(0.0, 1.0, (m, arch.input_dim))
     labels = rng.integers(0, arch.num_classes, m)
     return Dataset(feats, labels, arch.num_classes)
+
+
+def likelihood_weights(lls) -> np.ndarray:
+    """The likelihood rule through build_ensemble, on snapshots whose train NLLs are -lls."""
+    arch = MlpArchitecture((1, 2))
+    zeros = ParamVector(np.zeros(arch.num_params), arch)
+    snaps = [Snapshot(zeros, i, 0.01, -float(ll), 0.5, "min") for i, ll in enumerate(lls)]
+    return build_ensemble(snaps, WeightingSpec("likelihood")).weights
 
 
 def store_from_nlls(

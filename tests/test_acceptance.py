@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import store_from_nlls, write_idx_pair
+from conftest import likelihood_weights, store_from_nlls, write_idx_pair
 from snapstack import (
     CycleConfig,
     Dataset,
@@ -26,9 +26,7 @@ from snapstack import (
     WeightingSpec,
     backward,
     build_ensemble,
-    ensemble_predict,
     ensemble_predict_batch,
-    ensemble_predictor,
     evaluate,
     forward,
     forward_batch,
@@ -36,7 +34,6 @@ from snapstack import (
     load_store,
     lr_at,
     make_blobs,
-    model_predictor,
     nll_loss,
     save_store,
     select_mid,
@@ -48,7 +45,6 @@ from snapstack import (
     train_with_capture,
     weights_equal,
     weights_inverse_loss,
-    weights_likelihood,
     weights_temperature,
 )
 from snapstack.harness import cmd_compare, cmd_sweep_temperature, cmd_train, config_from_dict
@@ -184,7 +180,7 @@ def test_c03_weighting_algebra():
             for w in (
                 weights_equal(n),
                 weights_inverse_loss(rng.uniform(0.01, 5.0, n)),
-                weights_likelihood(lls),
+                likelihood_weights(lls),
                 weights_temperature(lls, tau),
             ):
                 assert np.all(w > 0.0)
@@ -192,7 +188,7 @@ def test_c03_weighting_algebra():
         # (b) tau = 1 temperature is exactly the likelihood rule
         for _ in range(50):
             lls = rng.uniform(-6.0, 0.0, int(rng.integers(1, 8)))
-            assert np.array_equal(weights_likelihood(lls), weights_temperature(lls, 1.0))
+            assert np.array_equal(likelihood_weights(lls), weights_temperature(lls, 1.0))
         # (c) tau = 1000 deviates from equal weights by < 0.01 at <= 5 nat spread
         for _ in range(50):
             lls = rng.uniform(-5.0, 0.0, int(rng.integers(2, 10)))
@@ -292,7 +288,7 @@ def test_c05_ensemble_prediction_algebra():
 
         lone = build_ensemble(snaps[:1], WeightingSpec("temperature", tau=0.2))
         x = xs[0]
-        assert np.array_equal(ensemble_predict(lone, x), forward(snaps[0].params, x))
+        assert np.array_equal(ensemble_predict_batch(lone, x[None])[0], forward(snaps[0].params, x))
 
 
 def test_c06_trend_reproduction():
@@ -303,18 +299,22 @@ def test_c06_trend_reproduction():
         for seed in range(10):
             train, val, test = trend_datasets(seed)
             store = train_with_capture(
-                arch, train, val, TREND_CYCLE, seed, cycle_minima(TREND_CYCLE), batch_size=8
+                arch, train, val, TREND_CYCLE, seed, plan_captures(TREND_CYCLE), batch_size=8
             )
             mins = select_min(store)
-            singles.append(evaluate(model_predictor(mins[-1].params), test).accuracy)
+            singles.append(evaluate(forward_batch(mins[-1].params, test.features), test).accuracy)
             equals.append(
-                evaluate(ensemble_predictor(build_ensemble(mins, WeightingSpec("equal"))), test).accuracy
+                evaluate(
+                    ensemble_predict_batch(build_ensemble(mins, WeightingSpec("equal")), test.features),
+                    test,
+                ).accuracy
             )
             bests.append(
                 max(
                     evaluate(
-                        ensemble_predictor(
-                            build_ensemble(mins, WeightingSpec("temperature", tau=tau, source="train"))
+                        ensemble_predict_batch(
+                            build_ensemble(mins, WeightingSpec("temperature", tau=tau, source="train")),
+                            test.features,
                         ),
                         test,
                     ).accuracy

@@ -19,7 +19,7 @@ from snapstack.harness import (
     main,
     policy_snapshots,
 )
-from snapstack.stacking import WeightingSpec, build_ensemble, ensemble_predictor, evaluate
+from snapstack.stacking import WeightingSpec, build_ensemble, ensemble_predict_batch, evaluate
 
 SMALL = {
     "dataset": {"kind": "blobs", "num_classes": 3, "per_class": 60, "dim": 2, "spread": 0.6,
@@ -148,7 +148,8 @@ class TestSweepTemperature:
                 continue
             snaps = policy_snapshots(store, "min", cfg)[-int(r["n_models"]):]
             eq = evaluate(
-                ensemble_predictor(build_ensemble(snaps, WeightingSpec("equal"))), test
+                ensemble_predict_batch(build_ensemble(snaps, WeightingSpec("equal")), test.features),
+                test,
             )
             assert abs(float(r["accuracy"]) - eq.accuracy) <= 1.0 / test.num_examples + 1e-12
 
@@ -182,7 +183,7 @@ class TestSweepTemperature:
         for r in rows:
             spec = WeightingSpec("temperature", tau=float(r["tau"]), source=source)
             ens = build_ensemble(snaps[-int(r["n_models"]):], spec)
-            met = evaluate(ensemble_predictor(ens), test)
+            met = evaluate(ensemble_predict_batch(ens, test.features), test)
             assert (float(r["accuracy"]), float(r["mean_nll"])) == (met.accuracy, met.mean_nll)
 
     def test_each_member_forwarded_once(self, setup, monkeypatch):
@@ -221,8 +222,9 @@ class TestSweepOffset:
         rows = read_rows(cmd_sweep_offset(cfg, store, tmp_path, tau=1.0))
         mins = policy_snapshots(store, "min", cfg)
         met = evaluate(
-            ensemble_predictor(
-                build_ensemble(mins, WeightingSpec("temperature", tau=1.0, source="train"))
+            ensemble_predict_batch(
+                build_ensemble(mins, WeightingSpec("temperature", tau=1.0, source="train")),
+                test.features,
             ),
             test,
         )
@@ -322,11 +324,11 @@ def test_weighting_source_choice_barely_matters():
         SplitSpec,
         WeightingSpec,
         make_blobs,
+        plan_captures,
         select_min,
         split,
         train_with_capture,
     )
-    from snapstack.schedule import cycle_minima
 
     taus = (0.1, 0.3, 0.5, 0.9, 1.0, 2.0, 5.0, 10.0, 1000.0)
     arch = MlpArchitecture((6, 32, 3))
@@ -335,8 +337,9 @@ def test_weighting_source_choice_barely_matters():
     def best_acc(mins, source, test):
         return max(
             evaluate(
-                ensemble_predictor(
-                    build_ensemble(mins, WeightingSpec("temperature", tau=t, source=source))
+                ensemble_predict_batch(
+                    build_ensemble(mins, WeightingSpec("temperature", tau=t, source=source)),
+                    test.features,
                 ),
                 test,
             ).accuracy
@@ -348,7 +351,7 @@ def test_weighting_source_choice_barely_matters():
         pool = make_blobs(3, 250, 6, 1.0, seed=seed)
         train, val = split(pool, SplitSpec(0.2, seed))
         test = make_blobs(3, 200, 6, 1.0, seed=seed + 1_000_003, centers_seed=seed)
-        store = train_with_capture(arch, train, val, cyc, seed, cycle_minima(cyc), batch_size=8)
+        store = train_with_capture(arch, train, val, cyc, seed, plan_captures(cyc), batch_size=8)
         mins = select_min(store)
         diffs.append(abs(best_acc(mins, "train", test) - best_acc(mins, "validation", test)))
     assert np.median(diffs) <= 0.02
@@ -381,6 +384,9 @@ class TestCmdReport:
     @pytest.mark.parametrize("payload", [
         pytest.param(b"model,type,accuracy,mean_nll\nsingle,-,0.9\n", id="short-row"),
         pytest.param(b"tau,accuracy,mean_nll\n1.0,0.9,\xff\n", id="not-utf8"),
+        pytest.param(b"accuracy,mean_nll,tau\n1.0,0.5,0.3,extra\n", id="long-row"),
+        pytest.param(b"tau,accuracy,mean_nll\n1.0,nan,0.3\n0.5,0.9,0.4\n", id="nan-accuracy"),
+        pytest.param(b"tau,accuracy,mean_nll\n1.0,inf,0.3\n0.5,0.9,0.4\n", id="inf-accuracy"),
     ])
     def test_unreadable_csv_is_format_error(self, tmp_path, payload):
         p = tmp_path / "bad.csv"
@@ -440,6 +446,11 @@ class TestCli:
         pytest.param({"dataset": {**IDX, "test_labels": ["d"]}}, [], id="list-idx-path"),
         pytest.param({"dataset": {**IDX, "train_images": 0}}, [], id="int-idx-path"),
         pytest.param({"tau_grid": [1.0, float("nan")]}, [], id="nan-tau"),
+        pytest.param({"hidden": "12"}, [], id="string-hidden"),
+        pytest.param({"hidden": {"8": 1}}, [], id="dict-hidden"),
+        pytest.param({"offsets": "0"}, [], id="string-offsets"),
+        pytest.param({"tau_grid": "5"}, [], id="string-tau-grid"),
+        pytest.param({"n_models_grid": {"1": 1}}, [], id="dict-n-models-grid"),
         pytest.param(None, [], id="not-utf8"),
     ])
     def test_bad_config_exit_code(self, tmp_path, capsys, overrides, argv):

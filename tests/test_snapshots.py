@@ -44,7 +44,7 @@ def small_run(capture_plan, seed=0, cfg=CFG):
 
 class TestTrainWithCapture:
     def test_empty_plan_trains_without_snapshots(self):
-        store = small_run(set())
+        store = small_run({})
         assert store.snapshots == ()
 
     def test_deterministic(self):
@@ -76,10 +76,10 @@ class TestTrainWithCapture:
         assert {s.iteration: s.params for s in store.snapshots} == expected
 
     def test_auto_tags_from_schedule(self):
-        store = small_run([0, *cycle_minima(CFG), *cycle_midpoints(CFG)])
+        store = small_run(plan_captures(CFG, include_mid=True, window_halfwidth=1))
         tags = {s.iteration: s.tag for s in store.snapshots}
-        assert tags[0] == "window"
         for t in cycle_minima(CFG):
+            assert tags[t - 1] == "window"
             assert tags[t] == "min"
         for t in cycle_midpoints(CFG):
             assert tags[t] == "mid"
@@ -90,24 +90,24 @@ class TestTrainWithCapture:
 
     def test_out_of_range_plan_rejected(self):
         with pytest.raises(InputError):
-            small_run({60})
+            small_run({60: "window"})
         with pytest.raises(InputError):
-            small_run({-1})
+            small_run({-1: "window"})
 
     def test_mismatched_data_rejected(self):
         train, val = quick_split()
         wrong_arch = MlpArchitecture((5, 4, 3))
         with pytest.raises(InputError):
-            train_with_capture(wrong_arch, train, val, CFG, 0, set())
+            train_with_capture(wrong_arch, train, val, CFG, 0, {})
 
     def test_divergence_names_iteration(self):
         train, val = quick_split()
         wild = CycleConfig(1e7, 1e8, 20, 60)
         with pytest.raises(TrainingError, match="iteration"):
-            train_with_capture(ARCH, train, val, wild, 0, set(), batch_size=16)
+            train_with_capture(ARCH, train, val, wild, 0, {}, batch_size=16)
 
     def test_snapshot_metadata(self):
-        store = small_run(cycle_minima(CFG))
+        store = small_run(plan_captures(CFG))
         for snap, t in zip(store.snapshots, cycle_minima(CFG)):
             assert snap.iteration == t
             assert snap.lr_at_capture == CFG.alpha_min
@@ -120,7 +120,7 @@ class TestTrainWithCapture:
             data = quick_split(seed=seed)
             cfg = CycleConfig(0.02, 0.3, 60, 180)
             store = train_with_capture(
-                ARCH, data[0], data[1], cfg, seed, cycle_minima(cfg), batch_size=16
+                ARCH, data[0], data[1], cfg, seed, plan_captures(cfg), batch_size=16
             )
             firsts.append(store.snapshots[0].val_nll)
             lasts.append(store.snapshots[-1].val_nll)

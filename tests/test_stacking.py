@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import likelihood_weights
 from snapstack import (
     Dataset,
     EnsembleModel,
@@ -14,16 +15,13 @@ from snapstack import (
     Snapshot,
     WeightingSpec,
     build_ensemble,
-    ensemble_predict,
     ensemble_predict_batch,
-    ensemble_predictor,
     evaluate,
     forward,
-    model_predictor,
+    forward_batch,
     swa_average,
     weights_equal,
     weights_inverse_loss,
-    weights_likelihood,
     weights_temperature,
 )
 
@@ -135,16 +133,17 @@ class TestWeightsTemperature:
 
 class TestWeightsLikelihood:
     def test_symmetry(self):
-        np.testing.assert_allclose(weights_likelihood([-1.0, -1.0, -1.0]), 1.0, rtol=1e-15)
+        np.testing.assert_allclose(likelihood_weights([-1.0, -1.0, -1.0]), 1.0, rtol=1e-15)
 
     def test_hand_case(self):
-        w = weights_likelihood([math.log(2.0), 0.0])
+        # log-likelihoods (0, -log 2): the shift of (log 2, 0) that keeps NLLs non-negative
+        w = likelihood_weights([0.0, -math.log(2.0)])
         np.testing.assert_allclose(w, [4 / 3, 2 / 3], rtol=1e-12)
 
     def test_identical_to_temperature_one(self):
         rng = np.random.default_rng(5)
         lls = rng.uniform(-3.0, 0.0, 7)
-        assert np.array_equal(weights_likelihood(lls), weights_temperature(lls, 1.0))
+        assert np.array_equal(likelihood_weights(lls), weights_temperature(lls, 1.0))
 
 
 class TestBuildEnsemble:
@@ -197,14 +196,14 @@ class TestEnsemblePredict:
         snap = snap_with_bias(0.4, -0.3)
         ens = EnsembleModel([(snap, 1.0)])
         x = np.array([0.7])
-        assert np.array_equal(ensemble_predict(ens, x), forward(snap.params, x))
+        assert np.array_equal(ensemble_predict_batch(ens, x[None])[0], forward(snap.params, x))
 
     def test_identical_members_equal_single(self):
         snaps = [snap_with_bias(0.4, -0.3, train_nll=nll, it=i) for i, nll in enumerate((0.3, 0.8))]
         ens = build_ensemble(snaps, WeightingSpec("temperature", tau=0.5))
         x = np.array([0.7])
         np.testing.assert_allclose(
-            ensemble_predict(ens, x), forward(snaps[0].params, x), atol=1e-9
+            ensemble_predict_batch(ens, x[None])[0], forward(snaps[0].params, x), atol=1e-9
         )
 
     def test_hand_weighted_combination(self):
@@ -213,7 +212,7 @@ class TestEnsemblePredict:
         a = snap_with_bias(log4, 0.0, it=0)
         b = snap_with_bias(0.0, log4, it=1)
         ens = EnsembleModel([(a, 1.5), (b, 0.5)])
-        out = ensemble_predict(ens, np.array([0.0]))
+        out = ensemble_predict_batch(ens, np.array([0.0])[None])[0]
         np.testing.assert_allclose(out, [0.65, 0.35], atol=1e-12)
 
     def test_equal_weights_equal_arithmetic_mean(self):
@@ -278,18 +277,18 @@ class TestEvaluate:
     def test_perfect_predictor(self):
         data = Dataset(np.zeros((4, 2)), [0, 1, 2, 0], 3)
         onehot = np.eye(3)[data.labels]
-        met = evaluate(lambda f: onehot, data)
+        met = evaluate(onehot, data)
         assert met.accuracy == 1.0
         assert met.mean_nll == 0.0
 
     def test_uniform_predictor(self):
         data = Dataset(np.zeros((6, 2)), [0, 1, 2, 0, 1, 2], 3)
-        met = evaluate(lambda f: np.full((6, 3), 1.0 / 3.0), data)
+        met = evaluate(np.full((6, 3), 1.0 / 3.0), data)
         assert met.mean_nll == pytest.approx(math.log(3), rel=1e-12)
 
     def test_argmax_ties_break_low(self):
         data = Dataset(np.zeros((2, 2)), [0, 1], 2)
-        met = evaluate(lambda f: np.full((2, 2), 0.5), data)
+        met = evaluate(np.full((2, 2), 0.5), data)
         assert met.accuracy == 0.5  # both predicted as class 0
 
     def test_recount_oracle(self):
@@ -300,7 +299,7 @@ class TestEvaluate:
             probs = rng.dirichlet(np.ones(k), size=m)
             labels = rng.integers(0, k, m)
             data = Dataset(rng.normal(0, 1, (m, 2)), labels, k)
-            met = evaluate(lambda f: probs, data)
+            met = evaluate(probs, data)
             # independent recount in plain python
             correct = 0
             nll = 0.0
@@ -317,6 +316,6 @@ class TestEvaluate:
     def test_predictor_helpers_agree(self):
         snap = snap_with_bias(0.3, -0.1)
         data = Dataset(np.array([[0.5], [-0.5]]), [0, 1], 2)
-        single = evaluate(model_predictor(snap.params), data)
-        ens = evaluate(ensemble_predictor(EnsembleModel([(snap, 1.0)])), data)
+        single = evaluate(forward_batch(snap.params, data.features), data)
+        ens = evaluate(ensemble_predict_batch(EnsembleModel([(snap, 1.0)]), data.features), data)
         assert single == ens
