@@ -66,15 +66,15 @@ class ExperimentConfig:
     hidden: tuple[int, ...]
     cycle: CycleConfig
     seed: int
-    val_fraction: float = 0.2
-    batch_size: int = 32
-    window_halfwidth: int = 0
-    offsets: tuple[int, ...] = ()
-    offset_steps: int = 10
-    tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
-    n_models_grid: tuple[int, ...] | None = None
-    num_independent: int = 5
-    weighting_source: str = "train"
+    val_fraction: float
+    batch_size: int
+    window_halfwidth: int
+    offsets: tuple[int, ...]
+    offset_steps: int
+    tau_grid: tuple[float, ...]
+    n_models_grid: tuple[int, ...] | None
+    num_independent: int
+    weighting_source: str
 
     def __post_init__(self):
         if not self.tau_grid:
@@ -145,7 +145,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         raw = json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # also JSONDecodeError, UnicodeDecodeError and over-long integers
         raise InputError(f"{path}: config is not valid UTF-8 JSON ({e})") from e
     if not isinstance(raw, dict):
         raise InputError(f"{path}: config must be a JSON object")
@@ -225,14 +225,8 @@ def _write_csv(path: Path, columns: tuple[str, ...], rows: list[tuple]) -> None:
 
 
 def _full_plan(config: ExperimentConfig) -> dict[int, str]:
-    offsets = set(config.offsets) | {config.offset_steps}
     return plan_captures(
-        config.cycle,
-        include_min=True,
-        include_mid=True,
-        window_halfwidth=config.window_halfwidth,
-        offsets=sorted(offsets),
-        include_final=True,
+        config.cycle, config.window_halfwidth, [*config.offsets, config.offset_steps]
     )
 
 
@@ -390,8 +384,8 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
     swa_snaps = select_min(store)
 
     def swa_metrics(spec: WeightingSpec):
-        weights = build_ensemble(swa_snaps, spec).weights
-        return evaluate(forward_batch(swa_average(swa_snaps, weights), test.features), test)
+        swa = swa_average(build_ensemble(swa_snaps, spec))
+        return evaluate(forward_batch(swa, test.features), test)
 
     add_pair("swa", "min", len(swa_snaps), swa_metrics)
 
@@ -479,8 +473,16 @@ def cmd_report(csv_paths: list[str | Path], out_path: str | Path) -> Path:
     return out_path
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit 1, like every other invalid input; subparsers inherit this."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="snapstack",
         description="Snapshot ensembling with training-time likelihood stacking.",
     )

@@ -25,6 +25,9 @@ class CycleConfig:
             raise InputError(
                 f"need 0 < alpha_min < alpha_max, got {self.alpha_min}, {self.alpha_max}"
             )
+        for name in ("cycle_len", "total_iters"):
+            if not isinstance(getattr(self, name), int):
+                raise InputError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.cycle_len < 2:
             raise InputError(f"cycle_len must be at least 2, got {self.cycle_len}")
         if self.total_iters < self.cycle_len:

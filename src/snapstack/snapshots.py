@@ -92,14 +92,10 @@ class SnapshotStore:
 
 
 def plan_captures(
-    cfg: CycleConfig,
-    include_min: bool = True,
-    include_mid: bool = False,
-    window_halfwidth: int = 0,
-    offsets: Iterable[int] = (),
-    include_final: bool = False,
+    cfg: CycleConfig, window_halfwidth: int = 0, offsets: Iterable[int] = ()
 ) -> dict[int, str]:
-    """Union of capture iterations needed by the named policies, with tags.
+    """Capture iterations of every policy, with tags: the rate minima, the
+    half-amplitude points, the final iterate, and any windows and offsets.
 
     When an iteration serves several policies it keeps the most specific tag:
     min over mid over offset over window. Out-of-range window/offset targets
@@ -124,14 +120,11 @@ def plan_captures(
             t = m + steps
             if 0 <= t < cfg.total_iters:
                 plan[t] = "offset"
-    if include_mid:
-        for t in cycle_midpoints(cfg):
-            plan[t] = "mid"
-    if include_min:
-        for t in minima:
-            plan[t] = "min"
-    if include_final:
-        plan.setdefault(cfg.total_iters - 1, "window")
+    for t in cycle_midpoints(cfg):
+        plan[t] = "mid"
+    for t in minima:
+        plan[t] = "min"
+    plan.setdefault(cfg.total_iters - 1, "window")
     return plan
 
 
@@ -143,7 +136,6 @@ def train_with_capture(
     seed: int,
     capture_plan: Mapping[int, str],
     batch_size: int = 32,
-    run_id: str | None = None,
 ) -> SnapshotStore:
     """One SGD run under the cyclical schedule, snapshotting planned iterations.
 
@@ -208,7 +200,7 @@ def train_with_capture(
             )
         )
     return SnapshotStore(
-        run_id=run_id if run_id is not None else f"run-{seed}",
+        run_id=f"run-{seed}",
         arch=arch,
         cfg=cfg,
         seed=seed,
@@ -222,10 +214,19 @@ def _by_iteration(store: SnapshotStore) -> dict[int, Snapshot]:
     return {s.iteration: s for s in store.snapshots}
 
 
+def _at_phase(store: SnapshotStore, phase: int) -> list[Snapshot]:
+    """Snapshots at one phase of each completed cycle, found by scanning the
+    snapshots: the cost does not grow with the run length the store declares."""
+    cfg = store.cfg
+    return [
+        s for s in store.snapshots
+        if s.iteration % cfg.cycle_len == phase and s.iteration // cfg.cycle_len < cfg.num_cycles
+    ]
+
+
 def select_min(store: SnapshotStore) -> list[Snapshot]:
     """Snapshots at the learning-rate minima, one per completed cycle."""
-    idx = _by_iteration(store)
-    out = [idx[m] for m in cycle_minima(store.cfg) if m in idx]
+    out = _at_phase(store, store.cfg.cycle_len - 1)  # the phases of cycle_minima
     if not out:
         raise SelectionError("store holds no snapshots at learning-rate minima")
     return out
@@ -233,8 +234,7 @@ def select_min(store: SnapshotStore) -> list[Snapshot]:
 
 def select_mid(store: SnapshotStore) -> list[Snapshot]:
     """Snapshots at the half-amplitude crossings, one per completed cycle."""
-    idx = _by_iteration(store)
-    out = [idx[m] for m in cycle_midpoints(store.cfg) if m in idx]
+    out = _at_phase(store, store.cfg.cycle_len // 2)  # the phases of cycle_midpoints
     if not out:
         raise SelectionError("store holds no snapshots at half-amplitude crossings")
     return out
@@ -367,7 +367,7 @@ def load_store(path: str | Path) -> SnapshotStore:
         raise TruncatedFileError(f"{path}: truncated store header")
     try:
         header = json.loads(buf[ofs : ofs + header_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # also JSONDecodeError, UnicodeDecodeError and over-long integers
         raise FormatError(f"{path}: store header is not valid JSON ({e})") from e
     ofs += header_len
 

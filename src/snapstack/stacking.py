@@ -142,22 +142,12 @@ def ensemble_predict_batch(ens: EnsembleModel, features: np.ndarray) -> np.ndarr
     return weighted_mean(member_probs(ens.snapshots, features), ens.weights)
 
 
-def swa_average(snapshots: list[Snapshot], weights) -> ParamVector:
-    """Weighted mean of member parameter vectors: ensembling in weight space."""
-    if not snapshots:
-        raise InputError("cannot average zero snapshots")
-    arch = snapshots[0].params.arch
-    if any(s.params.arch != arch for s in snapshots):
-        raise InputError("snapshots must share one architecture")
-    w = np.asarray(weights, dtype=np.float64)
-    if w.size != len(snapshots):
-        raise InputError(f"{w.size} weights for {len(snapshots)} snapshots")
-    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-        raise InputError("weights must be finite and non-negative")
-    if abs(w.sum() - len(snapshots)) > WEIGHT_SUM_TOL:
-        raise InputError(f"weights sum to {w.sum()}, expected {len(snapshots)}")
-    stacked = np.stack([s.params.values for s in snapshots])
-    return ParamVector((w[:, None] * stacked).sum(axis=0) / len(snapshots), arch)
+def swa_average(ensemble: EnsembleModel) -> ParamVector:
+    """The ensemble's weighted mean parameter vector: ensembling in weight space."""
+    snaps = ensemble.snapshots
+    stacked = np.stack([s.params.values for s in snaps])
+    avg = (ensemble.weights[:, None] * stacked).sum(axis=0) / len(snaps)
+    return ParamVector(avg, snaps[0].params.arch)
 
 
 @dataclass(frozen=True)

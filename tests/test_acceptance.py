@@ -17,6 +17,7 @@ from conftest import likelihood_weights, store_from_nlls, write_idx_pair
 from snapstack import (
     CycleConfig,
     Dataset,
+    EnsembleModel,
     FormatError,
     MlpArchitecture,
     ParamVector,
@@ -47,7 +48,13 @@ from snapstack import (
     weights_inverse_loss,
     weights_temperature,
 )
-from snapstack.harness import cmd_compare, cmd_sweep_temperature, cmd_train, config_from_dict
+from snapstack.harness import (
+    cmd_compare,
+    cmd_sweep_offset,
+    cmd_sweep_temperature,
+    cmd_train,
+    config_from_dict,
+)
 from snapstack.schedule import cycle_minima
 from snapstack.snapshots import plan_captures
 
@@ -338,10 +345,7 @@ def test_c07_single_run_cost():
     with criterion(7, "all snapshot variants from one run, capture overhead < 20%"):
         train, val, _ = trend_datasets(0)
         arch = MlpArchitecture((6, 32, 3))
-        plan = plan_captures(
-            TREND_CYCLE, include_min=True, include_mid=True,
-            window_halfwidth=2, offsets=[-10, 10], include_final=True,
-        )
+        plan = plan_captures(TREND_CYCLE, window_halfwidth=2, offsets=[-10, 10])
 
         # every ensembling variant must come out of this one captured run
         store = train_with_capture(arch, train, val, TREND_CYCLE, 0, plan, batch_size=32)
@@ -356,7 +360,7 @@ def test_c07_single_run_cost():
                 "window": build_ensemble(select_window(store, 2), WeightingSpec("equal")),
                 "offset": build_ensemble(select_offset(store, 10), WeightingSpec("equal")),
             }
-        swa = swa_average(select_min(store), weights_equal(len(select_min(store))))
+        swa = swa_average(variants["min_eq"])
         assert swa.arch == arch
         assert all(len(v.members) >= 4 for v in variants.values())
 
@@ -405,9 +409,13 @@ def test_c08_determinism(tmp_path):
         assert csv_a.read_bytes() == csv_b.read_bytes()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cmp_a = cmd_compare(config, tmp_path / "a")["csv_path"]
-            cmp_b = cmd_compare(config, tmp_path / "b")["csv_path"]
-        assert cmp_a.read_bytes() == cmp_b.read_bytes()
+            off_a = cmd_sweep_offset(config, store, tmp_path / "a", tau=1.0)
+            off_b = cmd_sweep_offset(config, store, tmp_path / "b", tau=1.0)
+            cmp_a = cmd_compare(config, tmp_path / "a")
+            cmp_b = cmd_compare(config, tmp_path / "b")
+        assert off_a.read_bytes() == off_b.read_bytes()
+        for key in ("csv_path", "md_path"):
+            assert cmp_a[key].read_bytes() == cmp_b[key].read_bytes()
 
 
 def test_c09_swa_algebra():
@@ -418,15 +426,15 @@ def test_c09_swa_algebra():
             return Snapshot(ParamVector(np.array([v0, v1]), arch), it, 0.1, 0.5, 0.5, "min")
 
         same = snap(0.7, -0.4, 0)
-        out = swa_average([same, same, same], weights_equal(3))
+        out = swa_average(EnsembleModel([(same, 1.0)] * 3))
         assert np.abs(out.values - same.params.values).max() <= 1e-12
 
         a, b = snap(0.0, 2.0, 0), snap(2.0, 0.0, 1)
         np.testing.assert_allclose(
-            swa_average([a, b], weights_equal(2)).values, [1.0, 1.0], atol=1e-12
+            swa_average(EnsembleModel([(a, 1.0), (b, 1.0)])).values, [1.0, 1.0], atol=1e-12
         )
         np.testing.assert_allclose(
-            swa_average([a, b], [1.8, 0.2]).values, [0.2, 1.8], atol=1e-12
+            swa_average(EnsembleModel([(a, 1.8), (b, 0.2)])).values, [0.2, 1.8], atol=1e-12
         )
 
 
@@ -455,9 +463,16 @@ def test_c10_io_robustness(tmp_path):
         header = json.loads(raw[14 : 14 + header_len])
         snap_meta = header["snapshots"]
 
-        def with_header(**changes) -> bytes:
-            blob = json.dumps({**header, **changes}).encode()
+        def with_blob(blob: bytes) -> bytes:
             return raw[:10] + struct.pack("<I", len(blob)) + blob + raw[14 + header_len :]
+
+        def with_header(**changes) -> bytes:
+            return with_blob(json.dumps({**header, **changes}).encode())
+
+        # json.dumps refuses an int this long, so it goes into the encoded header
+        long_seed_header = json.dumps(header).encode().replace(
+            b'"seed": %d' % header["seed"], b'"seed": ' + b"9" * 5000
+        )
 
         corpus = {
             "store_empty": (b"", load_store),
@@ -477,6 +492,16 @@ def test_c10_io_robustness(tmp_path):
             "store_iteration_inf": (
                 with_header(snapshots=[{**snap_meta[0], "iteration": float("inf")}, *snap_meta[1:]]),
                 load_store,
+            ),
+            "store_seed_digits": (with_blob(long_seed_header), load_store),
+            "store_cycle_len_float": (
+                with_header(cfg={**header["cfg"], "cycle_len": 10.0}), load_store
+            ),
+            "store_total_iters_fraction": (
+                with_header(cfg={**header["cfg"], "total_iters": 60.5}), load_store
+            ),
+            "store_total_iters_inf": (
+                with_header(cfg={**header["cfg"], "total_iters": float("inf")}), load_store
             ),
             "idx_image_magic": (flip(img_raw, 0), lambda p: load_idx(p, lbl_path)),
             "idx_image_cut": (img_raw[:-3], lambda p: load_idx(p, lbl_path)),

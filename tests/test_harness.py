@@ -451,16 +451,36 @@ class TestCli:
         pytest.param({"offsets": "0"}, [], id="string-offsets"),
         pytest.param({"tau_grid": "5"}, [], id="string-tau-grid"),
         pytest.param({"n_models_grid": {"1": 1}}, [], id="dict-n-models-grid"),
-        pytest.param(None, [], id="not-utf8"),
+        pytest.param(b'{"seed": "\xff"}', [], id="not-utf8"),
+        pytest.param(b'{"seed": ' + b"9" * 5000 + b"}", [], id="seed-5000-digits"),
     ])
     def test_bad_config_exit_code(self, tmp_path, capsys, overrides, argv):
-        if overrides is None:
+        if isinstance(overrides, bytes):  # raw file contents
             cfg_path = tmp_path / "config.json"
-            cfg_path.write_bytes(b'{"seed": "\xff"}')
+            cfg_path.write_bytes(overrides)
         else:
             cfg_path = self.write_config(tmp_path, **overrides)
         assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path), *argv]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["sweep-temp", "--config", "c.json", "--store", "s", "--policy", "best"],
+                     id="bad-policy"),
+        pytest.param(["train", "--config", "c.json", "--seed", "three"], id="text-seed"),
+        pytest.param(["train"], id="missing-config"),
+        pytest.param(["fit", "--config", "c.json"], id="unknown-command"),
+    ])
+    def test_bad_arguments_exit_code(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 1
+        assert "error: " in capsys.readouterr().err
+
+    def test_help_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--help"])
+        assert exit_info.value.code == 0
+        assert "--config" in capsys.readouterr().out
 
     def test_missing_store_exit_code(self, tmp_path):
         cfg_path = self.write_config(tmp_path)

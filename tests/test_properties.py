@@ -14,7 +14,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from conftest import store_from_nlls, write_idx_pair
-from snapstack import CycleConfig, MlpArchitecture, SnapstackError, load_idx, load_store, save_store
+from snapstack import (
+    CycleConfig,
+    MlpArchitecture,
+    SnapstackError,
+    load_idx,
+    load_store,
+    save_store,
+    select_mid,
+    select_min,
+)
 from snapstack.harness import cmd_report, config_from_dict
 from snapstack.snapshots import STORE_MAGIC
 
@@ -165,7 +174,7 @@ HEADER_VALUES = st.one_of(
     st.none(),
     st.text(max_size=4),
     st.lists(st.integers(min_value=-2, max_value=4) | st.none(), max_size=3),
-    st.sampled_from([float("nan"), float("inf"), 2**70, -(2**70), -1, 0, 1.5, {}]),
+    st.sampled_from([float("nan"), float("inf"), 2**70, -(2**70), -1, 0, 1.5, 10.0, {}]),
 )
 
 
@@ -193,7 +202,10 @@ def test_load_store_header_value_or_error(store_file, overrides):
     mutant.write_bytes(
         data[: len(STORE_MAGIC) + 2] + struct.pack("<I", len(encoded)) + encoded + data[header_end:]
     )
-    outcome(load_store, mutant)
+    store = outcome(load_store, mutant)
+    if not isinstance(store, SnapstackError):
+        outcome(select_min, store)
+        outcome(select_mid, store)
 
 
 @pytest.fixture(scope="module")

@@ -1,14 +1,38 @@
-"""The README's library example runs against the current API."""
+"""The README's examples run against the current API and CLI."""
 
 import re
+import shlex
 from pathlib import Path
+
+from snapstack.harness import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def section(title: str) -> str:
+    return README.read_text().split(f"## {title}", 1)[1].split("\n## ", 1)[0]
+
+
+def fenced(text: str, lang: str) -> str:
+    block = re.search(rf"```{lang}\n(.*?)```", text, re.S)
+    assert block, f"README section has no {lang} block"
+    return block.group(1)
+
+
 def test_library_use_example_runs(capsys):
-    section = README.read_text().split("## Library use", 1)[1]
-    block = re.search(r"```python\n(.*?)```", section, re.S)
-    assert block, "README has no python block under '## Library use'"
-    exec(compile(block.group(1), f"{README}:Library use", "exec"), {})
+    code = fenced(section("Library use"), "python")
+    exec(compile(code, f"{README}:Library use", "exec"), {})
     assert capsys.readouterr().out.startswith("EvalMetrics(accuracy=")
+
+
+def test_quick_start_commands_run(tmp_path, monkeypatch, capsys):
+    quick_start = section("Quick start (CLI)")
+    (tmp_path / "config.json").write_text(fenced(quick_start, "json"))
+    monkeypatch.chdir(tmp_path)
+    commands = fenced(quick_start, "sh").replace("\\\n", " ").splitlines()
+    assert len(commands) == 5
+    for line in commands:
+        program, *argv = shlex.split(line)
+        assert program == "snapstack"
+        assert main(argv) == 0, line
+    assert (tmp_path / "out" / "report.md").exists()

@@ -16,7 +16,10 @@ from snapstack import (
     FormatError,
     InputError,
     MlpArchitecture,
+    ParamVector,
     SelectionError,
+    Snapshot,
+    SnapshotStore,
     TrainingError,
     TruncatedFileError,
     backward,
@@ -48,18 +51,18 @@ class TestTrainWithCapture:
         assert store.snapshots == ()
 
     def test_deterministic(self):
-        plan = plan_captures(CFG, include_min=True, include_mid=True)
+        plan = plan_captures(CFG)
         assert small_run(plan, seed=3) == small_run(plan, seed=3)
 
     def test_capture_count_matches_plan(self):
-        plan = plan_captures(CFG, include_min=True, window_halfwidth=2, offsets=[5])
+        plan = plan_captures(CFG, window_halfwidth=2, offsets=[5])
         store = small_run(plan)
         assert len(store.snapshots) == len(plan)
 
     def test_captures_equal_public_sgd_loop(self):
         # reference: the same shuffle stream stepped through backward + sgd_step
         train, _ = quick_split()
-        plan = plan_captures(CFG, include_min=True, include_mid=True, window_halfwidth=1)
+        plan = plan_captures(CFG, window_halfwidth=1)
         store = small_run(plan, seed=5)
         params = init_params(ARCH, 5)
         rng = np.random.default_rng([5, 1])
@@ -76,7 +79,7 @@ class TestTrainWithCapture:
         assert {s.iteration: s.params for s in store.snapshots} == expected
 
     def test_auto_tags_from_schedule(self):
-        store = small_run(plan_captures(CFG, include_mid=True, window_halfwidth=1))
+        store = small_run(plan_captures(CFG, window_halfwidth=1))
         tags = {s.iteration: s.tag for s in store.snapshots}
         for t in cycle_minima(CFG):
             assert tags[t - 1] == "window"
@@ -108,7 +111,7 @@ class TestTrainWithCapture:
 
     def test_snapshot_metadata(self):
         store = small_run(plan_captures(CFG))
-        for snap, t in zip(store.snapshots, cycle_minima(CFG)):
+        for snap, t in zip(select_min(store), cycle_minima(CFG), strict=True):
             assert snap.iteration == t
             assert snap.lr_at_capture == CFG.alpha_min
             assert snap.train_nll >= 0.0 and snap.val_nll >= 0.0
@@ -142,7 +145,7 @@ class TestSelectMin:
 
 class TestSelectMid:
     def test_one_per_cycle_and_disjoint_from_min(self):
-        store = small_run(plan_captures(CFG, include_mid=True))
+        store = small_run(plan_captures(CFG))
         mids = select_mid(store)
         mins = select_min(store)
         assert len(mids) == len(mins) == 3
@@ -153,11 +156,19 @@ class TestSelectMid:
             assert abs(s.lr_at_capture - half) <= step + 1e-12
 
     def test_combined_min_mid_gives_two_per_cycle(self):
-        store = small_run(plan_captures(CFG, include_mid=True))
+        store = small_run(plan_captures(CFG))
         merged = sorted(
             select_min(store) + select_mid(store), key=lambda s: s.iteration
         )
         assert len(merged) == 2 * CFG.num_cycles
+
+    def test_huge_declared_run_length(self):
+        # a store header may declare any run length; min and mid scan the snapshots
+        zeros = ParamVector(np.zeros(ARCH.num_params), ARCH)
+        snaps = [Snapshot(zeros, t, 0.05, 0.5, 0.5, "min") for t in (2, 4, 7, 9, 12)]
+        store = SnapshotStore("huge", ARCH, CycleConfig(0.01, 0.1, 5, 2**70), 0, "", "", snaps)
+        assert [s.iteration for s in select_min(store)] == [4, 9]
+        assert [s.iteration for s in select_mid(store)] == [2, 7, 12]
 
 
 class TestSelectWindow:
@@ -237,7 +248,7 @@ class TestSelectOffset:
 
 class TestStoreIO:
     def test_round_trip_exact(self, tmp_path):
-        store = small_run(plan_captures(CFG, include_mid=True, window_halfwidth=1))
+        store = small_run(plan_captures(CFG, window_halfwidth=1))
         path = tmp_path / "run.snap"
         save_store(store, path)
         assert load_store(path) == store

@@ -244,21 +244,21 @@ class TestEnsemblePredict:
 class TestSwaAverage:
     def test_identical_snapshots_identity(self):
         snap = snap_with_bias(0.4, -0.3)
-        avg = swa_average([snap, snap, snap], weights_equal(3))
+        avg = swa_average(EnsembleModel([(snap, 1.0)] * 3))
         np.testing.assert_allclose(avg.values, snap.params.values, atol=1e-15)
 
     def test_equal_weight_hand_case(self):
         arch = MlpArchitecture((1, 1))
         a = Snapshot(ParamVector(np.array([0.0, 2.0]), arch), 0, 0.1, 0.5, 0.5, "min")
         b = Snapshot(ParamVector(np.array([2.0, 0.0]), arch), 1, 0.1, 0.5, 0.5, "min")
-        avg = swa_average([a, b], weights_equal(2))
+        avg = swa_average(EnsembleModel([(a, 1.0), (b, 1.0)]))
         np.testing.assert_allclose(avg.values, [1.0, 1.0], atol=1e-15)
 
     def test_weighted_hand_case(self):
         arch = MlpArchitecture((1, 1))
         a = Snapshot(ParamVector(np.array([0.0, 2.0]), arch), 0, 0.1, 0.5, 0.5, "min")
         b = Snapshot(ParamVector(np.array([2.0, 0.0]), arch), 1, 0.1, 0.5, 0.5, "min")
-        avg = swa_average([a, b], [1.8, 0.2])
+        avg = swa_average(EnsembleModel([(a, 1.8), (b, 0.2)]))
         np.testing.assert_allclose(avg.values, [0.2, 1.8], atol=1e-12)
 
     def test_arch_mismatch(self):
@@ -266,11 +266,11 @@ class TestSwaAverage:
         arch = MlpArchitecture((1, 3))
         b = Snapshot(ParamVector(np.zeros(arch.num_params), arch), 1, 0.1, 0.5, 0.5, "min")
         with pytest.raises(InputError):
-            swa_average([a, b], weights_equal(2))
+            swa_average(EnsembleModel([(a, 1.0), (b, 1.0)]))
 
     def test_bad_weight_sum(self):
         with pytest.raises(InputError):
-            swa_average([snap_with_bias(0, 0)], [2.0])
+            swa_average(EnsembleModel([(snap_with_bias(0, 0), 2.0)]))
 
 
 class TestEvaluate:
