@@ -8,6 +8,7 @@ iteration, not epoch, so capture policies can address exact trajectory points.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -26,7 +27,7 @@ class CycleConfig:
                 f"need 0 < alpha_min < alpha_max, got {self.alpha_min}, {self.alpha_max}"
             )
         for name in ("cycle_len", "total_iters"):
-            if not isinstance(getattr(self, name), int):
+            if not isinstance(getattr(self, name), numbers.Integral):
                 raise InputError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.cycle_len < 2:
             raise InputError(f"cycle_len must be at least 2, got {self.cycle_len}")
@@ -41,6 +42,18 @@ class CycleConfig:
         """Number of completed cycles."""
         return self.total_iters // self.cycle_len
 
+    @property
+    def min_phase(self) -> int:
+        """Phase of the rate minimum: the last iteration of each cycle."""
+        return self.cycle_len - 1
+
+    @property
+    def mid_phase(self) -> int:
+        """Phase of the half-amplitude crossing: the first integer phase with
+        phase/(cycle_len-1) >= 1/2, which avoids float comparisons against the
+        cosine right at the crossing. For cycle_len == 2 it is the minimum."""
+        return self.cycle_len // 2
+
 
 def lr_at(cfg: CycleConfig, t: int) -> float:
     """Learning rate at iteration t.
@@ -54,7 +67,7 @@ def lr_at(cfg: CycleConfig, t: int) -> float:
     phase = t % cfg.cycle_len
     if phase == 0:
         return cfg.alpha_max
-    if phase == cfg.cycle_len - 1:
+    if phase == cfg.min_phase:
         return cfg.alpha_min
     u = phase / (cfg.cycle_len - 1)
     return cfg.alpha_min + 0.5 * (cfg.alpha_max - cfg.alpha_min) * (1.0 + math.cos(math.pi * u))
@@ -62,16 +75,9 @@ def lr_at(cfg: CycleConfig, t: int) -> float:
 
 def cycle_minima(cfg: CycleConfig) -> list[int]:
     """Iteration indices where the rate bottoms out, one per completed cycle."""
-    return list(range(cfg.cycle_len - 1, cfg.total_iters, cfg.cycle_len))
+    return list(range(cfg.min_phase, cfg.total_iters, cfg.cycle_len))
 
 
 def cycle_midpoints(cfg: CycleConfig) -> list[int]:
-    """First iteration of each completed cycle at or below the half-amplitude rate.
-
-    The crossing is resolved in phase space: the first integer phase with
-    phase/(cycle_len-1) >= 1/2, which avoids float comparisons against the
-    cosine right at the crossing. For cycle_len == 2 this degenerates to the
-    minimum index itself.
-    """
-    mid_phase = cfg.cycle_len // 2
-    return [c * cfg.cycle_len + mid_phase for c in range(cfg.num_cycles)]
+    """First iteration of each completed cycle at or below the half-amplitude rate."""
+    return [c * cfg.cycle_len + cfg.mid_phase for c in range(cfg.num_cycles)]

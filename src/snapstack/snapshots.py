@@ -226,7 +226,7 @@ def _at_phase(store: SnapshotStore, phase: int) -> list[Snapshot]:
 
 def select_min(store: SnapshotStore) -> list[Snapshot]:
     """Snapshots at the learning-rate minima, one per completed cycle."""
-    out = _at_phase(store, store.cfg.cycle_len - 1)  # the phases of cycle_minima
+    out = _at_phase(store, store.cfg.min_phase)
     if not out:
         raise SelectionError("store holds no snapshots at learning-rate minima")
     return out
@@ -234,7 +234,7 @@ def select_min(store: SnapshotStore) -> list[Snapshot]:
 
 def select_mid(store: SnapshotStore) -> list[Snapshot]:
     """Snapshots at the half-amplitude crossings, one per completed cycle."""
-    out = _at_phase(store, store.cfg.cycle_len // 2)  # the phases of cycle_midpoints
+    out = _at_phase(store, store.cfg.mid_phase)
     if not out:
         raise SelectionError("store holds no snapshots at half-amplitude crossings")
     return out

@@ -21,6 +21,16 @@ class TestCycleConfig:
         with pytest.raises(InputError):
             CycleConfig(0.01, 0.1, 100, 50)
 
+    @pytest.mark.parametrize("cycle_len, total_iters", [(10.0, 100), (10, 60.5), (10, math.inf)])
+    def test_rejects_non_integer_lengths(self, cycle_len, total_iters):
+        with pytest.raises(InputError, match="integer"):
+            CycleConfig(0.01, 0.1, cycle_len, total_iters)
+
+    def test_accepts_numpy_integers(self):
+        cfg = CycleConfig(0.05, 0.5, np.int64(200), np.int32(1000))
+        assert cycle_minima(cfg) == [199, 399, 599, 799, 999]
+        assert cycle_midpoints(cfg) == [100, 300, 500, 700, 900]
+
 
 class TestLrAt:
     def test_cycle_start_is_alpha_max(self):

@@ -125,8 +125,9 @@ class TestTrainWithCapture:
             store = train_with_capture(
                 ARCH, data[0], data[1], cfg, seed, plan_captures(cfg), batch_size=16
             )
-            firsts.append(store.snapshots[0].val_nll)
-            lasts.append(store.snapshots[-1].val_nll)
+            mins = select_min(store)
+            firsts.append(mins[0].val_nll)
+            lasts.append(mins[-1].val_nll)
         assert np.median(lasts) < np.median(firsts)
 
 
