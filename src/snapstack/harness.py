@@ -77,6 +77,9 @@ class ExperimentConfig:
     weighting_source: str
 
     def __post_init__(self):
+        # store headers may declare any run length; a config's run must be trainable
+        if self.cycle.total_iters > sys.maxsize:
+            raise InputError(f"total_iters {self.cycle.total_iters} exceeds {sys.maxsize}")
         if not self.tau_grid:
             raise InputError("temperature grid must not be empty")
         if any(not tau > 0.0 for tau in self.tau_grid):
@@ -349,11 +352,13 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
     rows.append(("single", "-", 1, "-", single.accuracy, single.mean_nll))
 
     t0 = time.perf_counter()
-    finals = []
+    # independent member 0 would be seed config.seed again; captures do not change
+    # the trajectory, so the capture run's final iterate is that member
+    finals = [store.snapshots[-1]]
     last = config.cycle.total_iters - 1
-    for i in range(config.num_independent):
+    for seed in range(config.seed + 1, config.seed + config.num_independent):
         run = train_with_capture(
-            arch, train, val, config.cycle, config.seed + i, {last: "window"},
+            arch, train, val, config.cycle, seed, {last: "window"},
             batch_size=config.batch_size,
         )
         finals.append(run.snapshots[0])
@@ -398,7 +403,7 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
         "csv_path": csv_path,
         "md_path": md_path,
         "snapshot_trainings": 1,
-        "independent_trainings": config.num_independent,
+        "independent_trainings": config.num_independent - 1,
         "snapshot_train_time": snapshot_train_time,
         "independent_train_time": independent_train_time,
     }

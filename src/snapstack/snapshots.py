@@ -31,7 +31,7 @@ from .nn import (
     _per_example_nll,
     init_params,
 )
-from .schedule import CycleConfig, cycle_midpoints, cycle_minima, lr_at
+from .schedule import CycleConfig, cycle_minima, lr_at
 
 TAGS = ("min", "mid", "window", "offset")
 
@@ -91,6 +91,24 @@ class SnapshotStore:
             prev = snap.iteration
 
 
+def _shifts(cfg: CycleConfig, policy: str, arg: int = 0) -> range:
+    """A policy's capture targets as shifts from a cycle's rate minimum: min 0,
+    mid mid_phase - min_phase, window -arg..arg, offset arg. Every shift lies in
+    (-cycle_len, cycle_len), so a minimum's targets fall in its cycle or the next."""
+    if policy == "window":
+        if arg < 0 or 2 * arg >= cfg.cycle_len:
+            raise InputError(
+                f"window half-width {arg} does not fit a cycle of {cfg.cycle_len} iterations"
+            )
+        return range(-arg, arg + 1)
+    if policy == "offset":
+        if abs(arg) >= cfg.cycle_len:
+            raise InputError(f"offset {arg} would cross into the next cycle's capture")
+        return range(arg, arg + 1)
+    shift = cfg.mid_phase - cfg.min_phase if policy == "mid" else 0
+    return range(shift, shift + 1)
+
+
 def plan_captures(
     cfg: CycleConfig, window_halfwidth: int = 0, offsets: Iterable[int] = ()
 ) -> dict[int, str]:
@@ -101,29 +119,14 @@ def plan_captures(
     min over mid over offset over window. Out-of-range window/offset targets
     are dropped here; the selections later skip those cycles with a warning.
     """
+    targets = [("window", _shifts(cfg, "window", window_halfwidth))]
+    targets += [("offset", _shifts(cfg, "offset", steps)) for steps in offsets]
+    targets += [("mid", _shifts(cfg, "mid")), ("min", _shifts(cfg, "min"))]
     minima = cycle_minima(cfg)
     plan: dict[int, str] = {}
-    if window_halfwidth:
-        if window_halfwidth < 0 or 2 * window_halfwidth >= cfg.cycle_len:
-            raise InputError(
-                f"window half-width {window_halfwidth} does not fit a cycle of "
-                f"{cfg.cycle_len} iterations"
-            )
+    for tag, shifts in targets:  # later tags overwrite earlier ones
         for m in minima:
-            for t in range(m - window_halfwidth, m + window_halfwidth + 1):
-                if 0 <= t < cfg.total_iters:
-                    plan[t] = "window"
-    for steps in offsets:
-        if abs(steps) >= cfg.cycle_len:
-            raise InputError(f"offset {steps} would cross into the next cycle's capture")
-        for m in minima:
-            t = m + steps
-            if 0 <= t < cfg.total_iters:
-                plan[t] = "offset"
-    for t in cycle_midpoints(cfg):
-        plan[t] = "mid"
-    for t in minima:
-        plan[t] = "min"
+            plan.update((m + d, tag) for d in shifts if m + d < cfg.total_iters)
     plan.setdefault(cfg.total_iters - 1, "window")
     return plan
 
@@ -210,34 +213,36 @@ def train_with_capture(
     )
 
 
-def _by_iteration(store: SnapshotStore) -> dict[int, Snapshot]:
-    return {s.iteration: s for s in store.snapshots}
+def _cycles(store: SnapshotStore, policy: str, arg: int = 0) -> tuple[list, int | None]:
+    """(minimum, [snapshot or None at each policy target]) per completed cycle the
+    snapshots reach, in order, and the first unreached cycle's minimum or None. Targets
+    lie in a minimum's cycle or the next: cost follows the snapshot count, not run length."""
+    length, phase, count = store.cfg.cycle_len, store.cfg.min_phase, store.cfg.num_cycles
+    shifts = _shifts(store.cfg, policy, arg)
+    idx = {s.iteration: s for s in store.snapshots}
+    near = {c for t in idx for c in (t // length - 1, t // length)}
+    reached = sorted(c for c in near if 0 <= c < count)
+    walk = [(m, [idx.get(m + d) for d in shifts]) for m in (c * length + phase for c in reached)]
+    gap = next((c for c, r in enumerate(reached) if c != r), len(reached))
+    return walk, (gap * length + phase if gap < count else None)
 
 
-def _at_phase(store: SnapshotStore, phase: int) -> list[Snapshot]:
-    """Snapshots at one phase of each completed cycle, found by scanning the
-    snapshots: the cost does not grow with the run length the store declares."""
-    cfg = store.cfg
-    return [
-        s for s in store.snapshots
-        if s.iteration % cfg.cycle_len == phase and s.iteration // cfg.cycle_len < cfg.num_cycles
-    ]
+def _one_per_cycle(store: SnapshotStore, policy: str, where: str) -> list[Snapshot]:
+    walk, _ = _cycles(store, policy)
+    out = [snap for _, (snap,) in walk if snap is not None]
+    if not out:
+        raise SelectionError(f"store holds no snapshots at {where}")
+    return out
 
 
 def select_min(store: SnapshotStore) -> list[Snapshot]:
     """Snapshots at the learning-rate minima, one per completed cycle."""
-    out = _at_phase(store, store.cfg.min_phase)
-    if not out:
-        raise SelectionError("store holds no snapshots at learning-rate minima")
-    return out
+    return _one_per_cycle(store, "min", "learning-rate minima")
 
 
 def select_mid(store: SnapshotStore) -> list[Snapshot]:
     """Snapshots at the half-amplitude crossings, one per completed cycle."""
-    out = _at_phase(store, store.cfg.mid_phase)
-    if not out:
-        raise SelectionError("store holds no snapshots at half-amplitude crossings")
-    return out
+    return _one_per_cycle(store, "mid", "half-amplitude crossings")
 
 
 def select_window(store: SnapshotStore, s: int) -> list[Snapshot]:
@@ -245,23 +250,24 @@ def select_window(store: SnapshotStore, s: int) -> list[Snapshot]:
 
     Ties break toward the earliest iteration. Cycles whose window was not
     fully captured (typically the final, truncated one) are skipped with a
-    warning.
+    warning each; cycles that no snapshot reaches are skipped with one
+    warning for all of them.
     """
-    if s < 0 or 2 * s >= store.cfg.cycle_len:
-        raise InputError(
-            f"window half-width {s} does not fit a cycle of {store.cfg.cycle_len} iterations"
-        )
-    idx = _by_iteration(store)
+    walk, gap = _cycles(store, "window", s)
     out = []
-    for m in cycle_minima(store.cfg):
-        wanted = range(m - s, m + s + 1)
-        if m + s >= store.cfg.total_iters or any(t not in idx for t in wanted):
+    for m, snaps in walk:
+        if any(sn is None for sn in snaps):
             warnings.warn(
                 f"cycle minimum {m}: window [{m - s}, {m + s}] not fully captured, "
                 f"cycle skipped"
             )
             continue
-        out.append(min((idx[t] for t in wanted), key=lambda sn: (sn.val_nll, sn.iteration)))
+        out.append(min(snaps, key=lambda sn: (sn.val_nll, sn.iteration)))
+    if gap is not None:
+        warnings.warn(
+            f"no snapshot reaches {store.cfg.num_cycles - len(walk)} cycle(s), the first "
+            f"with minimum {gap}; cycles skipped"
+        )
     if not out:
         raise SelectionError(f"no complete windows of half-width {s} in store")
     return out
@@ -269,20 +275,20 @@ def select_window(store: SnapshotStore, s: int) -> list[Snapshot]:
 
 def select_offset(store: SnapshotStore, steps: int) -> list[Snapshot]:
     """Snapshot at (minimum + steps) for each cycle; steps may be negative."""
-    if abs(steps) >= store.cfg.cycle_len:
-        raise InputError(f"offset {steps} would cross into the next cycle's capture")
-    idx = _by_iteration(store)
+    walk, gap = _cycles(store, "offset", steps)
+    if gap is not None:  # the first unreached cycle fails, or is the last and runs past the end
+        walk = [(m, snaps) for m, snaps in walk if m < gap] + [(gap, [None])]
     out = []
-    for m in cycle_minima(store.cfg):
+    for m, (snap,) in walk:
         t = m + steps
         if t >= store.cfg.total_iters:
             warnings.warn(
                 f"cycle minimum {m}: offset target {t} beyond run length, cycle skipped"
             )
             continue
-        if t not in idx:
+        if snap is None:
             raise SelectionError(f"iteration {t} (minimum {m} {steps:+d}) was not captured")
-        out.append(idx[t])
+        out.append(snap)
     if not out:
         raise SelectionError(f"no cycles admit offset {steps}")
     return out

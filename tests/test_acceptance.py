@@ -365,20 +365,21 @@ def test_c07_single_run_cost():
         assert all(len(v.members) >= 4 for v in variants.values())
 
         def timed(capture_plan):
-            t0 = time.perf_counter()
+            # CPU time of this process: time spent descheduled on a busy host does not count
+            t0 = time.process_time()
             train_with_capture(arch, train, val, TREND_CYCLE, 0, capture_plan, batch_size=32)
-            return time.perf_counter() - t0
+            return time.process_time() - t0
 
         timed(plan)  # warm both paths
         timed({})
-        bare, full = [], []
-        for _ in range(5):
-            bare.append(timed({}))
-            full.append(timed(plan))
-        overhead = (min(full) - min(bare)) / min(bare)
+        # interleaved pairs see the same host conditions; medians drop the outliers
+        pairs = [(timed({}), timed(plan)) for _ in range(15)]
+        bare = float(np.median([b for b, _ in pairs]))
+        cost = float(np.median([f - b for b, f in pairs]))
+        overhead = cost / bare
         print(
             f"\n[acceptance]   capture overhead {100 * overhead:.1f}% "
-            f"({len(plan)} captures; bare {min(bare) * 1000:.0f}ms, full {min(full) * 1000:.0f}ms)"
+            f"({len(plan)} captures; bare {bare * 1000:.0f}ms, capture cost {cost * 1000:.1f}ms)"
         )
         assert overhead < 0.20
 

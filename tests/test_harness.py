@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -267,14 +268,20 @@ class TestCmdCompare:
     def test_snapshot_rows_from_one_training(self, result):
         _, _, res = result
         assert res["snapshot_trainings"] == 1
-        assert res["independent_trainings"] == 2
+        assert res["independent_trainings"] == 1  # member 0 is the capture run's final
 
     def test_independent_baseline_costs_extra_trainings(self, result):
-        # n independent members need n full runs; runtime grows accordingly
+        # each independent member past the capture run needs a full run of its own
         _, _, res = result
         assert res["independent_train_time"] > 0.4 * res["independent_trainings"] * res[
             "snapshot_train_time"
         ]
+
+    def test_one_member_ensemble_is_the_single_model(self, tmp_path):
+        res = cmd_compare(small_config(num_independent=1), tmp_path)
+        rows = {(r[0], r[1]): r[2:] for r in res["rows"]}
+        assert rows[("ensemble", "individual")] == rows[("single", "-")]
+        assert res["independent_trainings"] == 0
 
     def test_outputs_written(self, result):
         _, tmp, res = result
@@ -440,6 +447,7 @@ class TestCli:
         pytest.param({}, ["--seed", "-3"], id="negative-seed-flag"),
         pytest.param({"seed": 1e999}, [], id="huge-seed"),
         pytest.param({"cycle": {**SMALL["cycle"], "cycle_len": 1e999}}, [], id="huge-cycle-len"),
+        pytest.param({"cycle": {**SMALL["cycle"], "total_iters": 2**70}}, [], id="huge-total-iters"),
         pytest.param({"hidden": [1e999]}, [], id="huge-hidden"),
         pytest.param({"dataset": {**SMALL["dataset"], "per_class": 1e999}}, [], id="huge-per-class"),
         pytest.param({"dataset": {**IDX, "train_images": None}}, [], id="null-idx-path"),
@@ -489,6 +497,25 @@ class TestCli:
             "--out-dir", str(tmp_path),
         ])
         assert code == 3
+
+    def test_huge_declared_run_length_store(self, tmp_path):
+        # the selections walk only the cycles the store's snapshots reach
+        cfg_path = self.write_config(tmp_path)
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+        raw = (tmp_path / "store.snap").read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, 10)
+        header = json.loads(raw[14 : 14 + header_len])
+        header["cfg"]["total_iters"] = 2**70
+        blob = json.dumps(header).encode()
+        huge = tmp_path / "huge.snap"
+        huge.write_bytes(raw[:10] + struct.pack("<I", len(blob)) + blob + raw[14 + header_len :])
+        common = ["--config", str(cfg_path), "--store", str(huge), "--out-dir", str(tmp_path)]
+        with pytest.warns(UserWarning, match="no snapshot reaches"):
+            assert main(["sweep-temp", *common, "--policy", "window"]) == 0
+        assert len(read_rows(tmp_path / "sweep_temp_window_train.csv")) == 2 * len(SMALL["tau_grid"])
+        with pytest.warns(UserWarning, match="was not captured"):
+            assert main(["sweep-offset", *common]) == 0
+        assert read_rows(tmp_path / "sweep_offset.csv") == []
 
     def test_divergence_exit_code(self, tmp_path):
         cfg_path = self.write_config(

@@ -5,13 +5,14 @@ Outside inputs are config dicts, report CSVs, snapshot stores and IDX file pairs
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import store_from_nlls, write_idx_pair
 from snapstack import (
@@ -23,6 +24,8 @@ from snapstack import (
     save_store,
     select_mid,
     select_min,
+    select_offset,
+    select_window,
 )
 from snapstack.harness import cmd_report, config_from_dict
 from snapstack.snapshots import STORE_MAGIC
@@ -174,7 +177,8 @@ HEADER_VALUES = st.one_of(
     st.none(),
     st.text(max_size=4),
     st.lists(st.integers(min_value=-2, max_value=4) | st.none(), max_size=3),
-    st.sampled_from([float("nan"), float("inf"), 2**70, -(2**70), -1, 0, 1.5, 10.0, {}]),
+    st.sampled_from([float("nan"), float("inf"), 2**70, -(2**70), -1, 0, 1.5, 10.0]),
+    st.builds(dict),  # a fresh object per draw: a shared one would be nested into itself
 )
 
 
@@ -188,6 +192,7 @@ def substituted(header: dict, path: str, value):
 
 @PROPERTY
 @given(st.dictionaries(st.sampled_from(HEADER_PATHS), HEADER_VALUES, min_size=1, max_size=3))
+@example(overrides={"cfg.total_iters": 2**70})
 def test_load_store_header_value_or_error(store_file, overrides):
     path, data, header_end = store_file
     start = len(STORE_MAGIC) + 6
@@ -206,6 +211,11 @@ def test_load_store_header_value_or_error(store_file, overrides):
     if not isinstance(store, SnapstackError):
         outcome(select_min, store)
         outcome(select_mid, store)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # skipped cycles warn
+            outcome(select_window, store, 1)
+            outcome(select_offset, store, 1)
+            outcome(select_offset, store, -1)
 
 
 @pytest.fixture(scope="module")

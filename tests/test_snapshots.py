@@ -2,6 +2,7 @@
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,13 @@ class TestSelectMin:
             select_min(store)
 
 
+def huge_store(iterations) -> SnapshotStore:
+    """Store whose header declares 2**70 iterations in cycles of 5 (minima 4, 9, 14, ...)."""
+    zeros = ParamVector(np.zeros(ARCH.num_params), ARCH)
+    snaps = [Snapshot(zeros, t, 0.05, 0.5, 0.5 - 0.01 * t, "min") for t in iterations]
+    return SnapshotStore("huge", ARCH, CycleConfig(0.01, 0.1, 5, 2**70), 0, "", "", snaps)
+
+
 class TestSelectMid:
     def test_one_per_cycle_and_disjoint_from_min(self):
         store = small_run(plan_captures(CFG))
@@ -164,10 +172,9 @@ class TestSelectMid:
         assert len(merged) == 2 * CFG.num_cycles
 
     def test_huge_declared_run_length(self):
-        # a store header may declare any run length; min and mid scan the snapshots
-        zeros = ParamVector(np.zeros(ARCH.num_params), ARCH)
-        snaps = [Snapshot(zeros, t, 0.05, 0.5, 0.5, "min") for t in (2, 4, 7, 9, 12)]
-        store = SnapshotStore("huge", ARCH, CycleConfig(0.01, 0.1, 5, 2**70), 0, "", "", snaps)
+        # a store header may declare any run length; the selections visit only the
+        # cycles the snapshots reach
+        store = huge_store((2, 4, 7, 9, 12))
         assert [s.iteration for s in select_min(store)] == [4, 9]
         assert [s.iteration for s in select_mid(store)] == [2, 7, 12]
 
@@ -201,6 +208,30 @@ class TestSelectWindow:
         with pytest.warns(UserWarning, match="29"):
             chosen = select_window(store, 1)
         assert [s.iteration for s in chosen] == [8, 18]
+
+    def test_huge_declared_run_length(self):
+        store = huge_store((3, 4, 5, 8, 9, 10))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            chosen = select_window(store, 1)
+        assert [s.iteration for s in chosen] == [5, 10]
+        assert [str(w.message) for w in caught] == [
+            "cycle minimum 14: window [13, 15] not fully captured, cycle skipped",
+            f"no snapshot reaches {2**70 // 5 - 3} cycle(s), the first with minimum 19; "
+            "cycles skipped",
+        ]
+
+    def test_unreached_cycles_share_one_warning(self):
+        # 9 reaches cycle 0 and 49 reaches cycles 3 and 4; cycles 1, 2 and 5 are unreached
+        store = store_from_nlls(CycleConfig(0.01, 0.1, 10, 60), ARCH, {9: 0.5, 49: 0.4})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            chosen = select_window(store, 0)
+        assert [s.iteration for s in chosen] == [9, 49]
+        assert [str(w.message) for w in caught] == [
+            "cycle minimum 39: window [39, 39] not fully captured, cycle skipped",
+            "no snapshot reaches 3 cycle(s), the first with minimum 19; cycles skipped",
+        ]
 
     def test_oversized_window_rejected(self):
         store = small_run(plan_captures(CFG))
@@ -239,6 +270,13 @@ class TestSelectOffset:
         store = small_run(plan_captures(CFG))
         with pytest.raises(SelectionError):
             select_offset(store, 3)
+
+    @pytest.mark.parametrize("steps", [1, -1])
+    def test_huge_declared_run_length(self, steps):
+        # cycles 0 and 1 are captured around their minima; cycle 2's target is not
+        store = huge_store((3, 4, 5, 8, 9, 10))
+        with pytest.raises(SelectionError, match=f"iteration {14 + steps} "):
+            select_offset(store, steps)
 
     def test_negative_steps(self):
         plan = plan_captures(CFG, offsets=[-4])
