@@ -17,6 +17,8 @@ import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .data import SplitSpec, fingerprint, load_idx, make_blobs, split
 from .errors import (
     FormatError,
@@ -36,6 +38,7 @@ from .snapshots import (
     select_min,
     select_offset,
     select_window,
+    _train_runs,
     train_with_capture,
 )
 from .stacking import (
@@ -250,9 +253,10 @@ def _prepare(
     return out_dir, train, val, test, arch
 
 
-def _scorer(snaps: list[Snapshot], test: Dataset):
-    """Forward each snapshot over test once; metrics(spec, n) scores the last n as an ensemble."""
-    probs = member_probs(snaps, test.features)
+def _scorer(snaps: list[Snapshot], test: Dataset, probs=None):
+    """Forward each snapshot over test once, unless their stacked outputs come as probs;
+    metrics(spec, n) scores the last n as an ensemble."""
+    probs = member_probs(snaps, test.features) if probs is None else probs
 
     def metrics(spec: WeightingSpec, n: int = len(snaps)) -> EvalMetrics:
         return evaluate(weighted_mean(probs[-n:], build_ensemble(snaps[-n:], spec).weights), test)
@@ -335,35 +339,36 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
     """Comparison table: single model, independent ensemble, snapshot and SWA rows.
 
     Every snapshot and SWA row derives from ONE capture run; only the
-    independent-ensemble baseline trains additional models.
+    independent-ensemble baseline trains additional models, in the same SGD
+    loop as the capture run.
     """
     out_dir, train, val, test, arch = _prepare(config, out_dir)
 
-    t0 = time.perf_counter()
-    store = train_with_capture(
-        arch, train, val, config.cycle, config.seed, _full_plan(config),
-        batch_size=config.batch_size,
-    )
-    snapshot_train_time = time.perf_counter() - t0
-
-    rows: list[tuple] = []
-    # the full plan captures the final iteration, the store's last snapshot
-    single = _scorer(store.snapshots[-1:], test)(WeightingSpec("equal"))
-    rows.append(("single", "-", 1, "-", single.accuracy, single.mean_nll))
-
-    t0 = time.perf_counter()
     # independent member 0 would be seed config.seed again; captures do not change
     # the trajectory, so the capture run's final iterate is that member
-    finals = [store.snapshots[-1]]
     last = config.cycle.total_iters - 1
-    for seed in range(config.seed + 1, config.seed + config.num_independent):
-        run = train_with_capture(
-            arch, train, val, config.cycle, seed, {last: "window"},
-            batch_size=config.batch_size,
-        )
-        finals.append(run.snapshots[0])
-    independent_train_time = time.perf_counter() - t0
-    met = _scorer(finals, test)(WeightingSpec("equal"))
+    seeds = list(range(config.seed, config.seed + config.num_independent))
+    plans = [_full_plan(config)] + [{last: "window"}] * (len(seeds) - 1)
+    t0 = time.perf_counter()
+    store, *others = _train_runs(arch, train, val, config.cycle, seeds, plans, config.batch_size)
+    train_time = time.perf_counter() - t0
+    # the full plan captures the final iteration, the store's last snapshot
+    finals = [store.snapshots[-1]] + [run.snapshots[0] for run in others]
+
+    # test outputs by snapshot object: the other seeds' finals share the last
+    # iteration; every snapshot lives in store or finals, so no id is reused
+    forwarded: dict[int, np.ndarray] = {}
+
+    def scorer(snaps: list[Snapshot]):
+        new = [s for s in snaps if id(s) not in forwarded]
+        if new:
+            forwarded.update(zip(map(id, new), member_probs(new, test.features)))
+        return _scorer(snaps, test, np.stack([forwarded[id(s)] for s in snaps]))
+
+    rows: list[tuple] = []
+    single = scorer(finals[:1])(WeightingSpec("equal"))
+    rows.append(("single", "-", 1, "-", single.accuracy, single.mean_nll))
+    met = scorer(finals)(WeightingSpec("equal"))
     rows.append(("ensemble", "individual", len(finals), "-", met.accuracy, met.mean_nll))
 
     def add_pair(model: str, label: str, n: int, metrics) -> None:
@@ -384,7 +389,7 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
         except SelectionError as e:
             warnings.warn(f"policy {policy!r} skipped: {e}")
             continue
-        add_pair("snapshot", policy, len(snaps), _scorer(snaps, test))
+        add_pair("snapshot", policy, len(snaps), scorer(snaps))
 
     swa_snaps = select_min(store)
 
@@ -404,8 +409,7 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
         "md_path": md_path,
         "snapshot_trainings": 1,
         "independent_trainings": config.num_independent - 1,
-        "snapshot_train_time": snapshot_train_time,
-        "independent_train_time": independent_train_time,
+        "train_time": train_time,
     }
 
 

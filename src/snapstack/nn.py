@@ -129,12 +129,14 @@ class Dataset:
 
 
 def _layers(values: np.ndarray, sizes: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (weights [..., fan_in, fan_out], bias [..., 1, fan_out]) views;
+    values [R, P] give R stacked models."""
     out = []
     ofs = 0
     for fan_in, fan_out in zip(sizes, sizes[1:]):
-        w = values[ofs : ofs + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = values[..., ofs : ofs + fan_in * fan_out].reshape(*values.shape[:-1], fan_in, fan_out)
         ofs += fan_in * fan_out
-        b = values[ofs : ofs + fan_out]
+        b = values[..., None, ofs : ofs + fan_out]
         ofs += fan_out
         out.append((w, b))
     return out
@@ -142,16 +144,16 @@ def _layers(values: np.ndarray, sizes: tuple[int, ...]) -> list[tuple[np.ndarray
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     # row-wise, shifted by the row max for stability
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _forward(layers: list[tuple[np.ndarray, np.ndarray]], features: np.ndarray) -> list[np.ndarray]:
-    """The input to each layer, then the class probabilities [m, k].
+    """The input to each layer, then the class probabilities [..., m, k].
 
     The one forward pass: prediction, scoring and backprop all run it, so
-    their numbers agree bit for bit.
+    their numbers agree bit for bit. Stacked runs take features [R, m, d].
     """
     acts = [features]
     for w, b in layers[:-1]:
@@ -196,23 +198,24 @@ def nll_loss(params: ParamVector, data: Dataset) -> float:
 
 
 def _grad(
-    values: np.ndarray, layer_sizes: tuple[int, ...], features: np.ndarray, labels: np.ndarray
+    layers: list[tuple[np.ndarray, np.ndarray]], features: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
-    layers = _layers(values, layer_sizes)
+    """Flat gradient of the mean NLL; stacked layers, features [R, b, d] and
+    labels [R, b] give one gradient per run, [R, P]."""
     acts = _forward(layers, features)
-    m = labels.size
     g = acts.pop()  # probabilities, freshly computed, safe to mutate
-    g[np.arange(m), labels] -= 1.0
-    g /= m  # gradient of the MEAN loss
+    g.reshape(-1, g.shape[-1])[np.arange(labels.size), labels.ravel()] -= 1.0
+    g /= labels.shape[-1]  # gradient of the MEAN loss
 
     chunks_reversed = []
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]
-        chunks_reversed.append(np.concatenate([(acts[i].T @ g).ravel(), g.sum(axis=0)]))
+        gw = np.swapaxes(acts[i], -1, -2) @ g
+        chunks_reversed += [g.sum(axis=-2), gw.reshape(*gw.shape[:-2], -1)]
         if i > 0:
             # acts[i] = relu(z) > 0 exactly where z > 0, NaN included
-            g = (g @ w.T) * (acts[i] > 0.0)
-    return np.concatenate(chunks_reversed[::-1])
+            g = (g @ np.swapaxes(w, -1, -2)) * (acts[i] > 0.0)
+    return np.concatenate(chunks_reversed[::-1], axis=-1)
 
 
 def backward(params: ParamVector, batch: Dataset) -> ParamVector:
@@ -222,9 +225,8 @@ def backward(params: ParamVector, batch: Dataset) -> ParamVector:
             f"batch [{batch.dim} features, {batch.num_classes} classes] does not match "
             f"arch {params.arch.layer_sizes}"
         )
-    return ParamVector(
-        _grad(params.values, params.arch.layer_sizes, batch.features, batch.labels), params.arch
-    )
+    layers = _layers(params.values, params.arch.layer_sizes)
+    return ParamVector(_grad(layers, batch.features, batch.labels), params.arch)
 
 
 def sgd_step(params: ParamVector, gradient: ParamVector, lr: float) -> ParamVector:

@@ -28,6 +28,7 @@ from .nn import (
     MlpArchitecture,
     ParamVector,
     _grad,
+    _layers,
     _per_example_nll,
     init_params,
 )
@@ -147,6 +148,15 @@ def train_with_capture(
     evaluated on the full training and validation sets. Deterministic given
     (arch, data, val, cfg, seed).
     """
+    return _train_runs(arch, data, val, cfg, [seed], [capture_plan], batch_size)[0]
+
+
+def _train_runs(
+    arch: MlpArchitecture, data: Dataset, val: Dataset, cfg: CycleConfig,
+    seeds: list[int], capture_plans: list[Mapping[int, str]], batch_size: int,
+) -> list[SnapshotStore]:
+    """`train_with_capture` for each (seed, plan) pair, in one SGD loop over the runs'
+    stacked parameters [R, P]; batched products equal the per-run ones bit for bit."""
     for name, d in (("train", data), ("validation", val)):
         if d.dim != arch.input_dim or d.num_classes != arch.num_classes:
             raise InputError(
@@ -155,62 +165,51 @@ def train_with_capture(
             )
     if batch_size < 1:
         raise InputError(f"batch_size must be positive, got {batch_size}")
-    plan = {int(t): tag for t, tag in capture_plan.items()}
-    for t, tag in plan.items():
+    plans = [{int(t): tag for t, tag in plan.items()} for plan in capture_plans]
+    for t, tag in (item for plan in plans for item in plan.items()):
         if tag not in TAGS:
             raise InputError(f"unknown capture tag {tag!r}")
         if not 0 <= t < cfg.total_iters:
             raise InputError(f"capture iteration {t} outside [0, {cfg.total_iters})")
 
-    # the loop steps a raw array: a ParamVector copies and re-checks its values,
-    # which only the planned captures need
-    values = init_params(arch, seed).values
-    sizes = arch.layer_sizes
-    shuffle_rng = np.random.default_rng([seed, 1])  # stream separate from init
+    # the loop steps a raw array in place through layer views built once: a
+    # ParamVector copies and re-checks its values, which only the captures need
+    values = np.stack([init_params(arch, seed).values for seed in seeds])
+    layers = _layers(values, arch.layer_sizes)
+    shuffle_rngs = [np.random.default_rng([seed, 1]) for seed in seeds]  # apart from init
     m = data.num_examples
-    order = shuffle_rng.permutation(m)
-    pos = 0
-    pending: list[tuple[int, float, ParamVector]] = []
+    pos = m  # the first step draws each run's first shuffle
+    pending: list[list[tuple[int, float, ParamVector]]] = [[] for _ in seeds]
     for t in range(cfg.total_iters):
         if pos >= m:
-            order = shuffle_rng.permutation(m)
+            orders = np.stack([rng.permutation(m) for rng in shuffle_rngs])
             pos = 0
-        idx = order[pos : pos + batch_size]
+        idx = orders[:, pos : pos + batch_size]
         pos += batch_size
         lr = lr_at(cfg, t)
         with np.errstate(over="ignore", invalid="ignore"):  # divergence raises below
-            values = values - lr * _grad(values, sizes, data.features[idx], data.labels[idx])
-        if not np.all(np.isfinite(values)):
-            raise TrainingError(f"training diverged at iteration {t}")
-        if t in plan:
-            pending.append((t, lr, ParamVector(values, arch)))
+            values -= lr * _grad(layers, data.features[idx], data.labels[idx])
+        if not np.isfinite(values).all():
+            r = int(np.argmin(np.isfinite(values).all(axis=-1)))
+            raise TrainingError(f"training diverged at iteration {t} (seed {seeds[r]})")
+        for r, plan in enumerate(plans):
+            if t in plan:
+                pending[r].append((t, lr, ParamVector(values[r], arch)))
 
     # captured parameters are immutable, so scoring can wait until the loop is
     # done; one forward per snapshot covers both evaluation sets
     features = np.vstack([data.features, val.features])
     labels = np.concatenate([data.labels, val.labels])
-    captured = []
-    for t, lr, params in pending:
-        nlls = _per_example_nll(params, features, labels)
-        captured.append(
-            Snapshot(
-                params=params,
-                iteration=t,
-                lr_at_capture=lr,
-                train_nll=float(nlls[:m].mean()),
-                val_nll=float(nlls[m:].mean()),
-                tag=plan[t],
-            )
-        )
-    return SnapshotStore(
-        run_id=f"run-{seed}",
-        arch=arch,
-        cfg=cfg,
-        seed=seed,
-        train_fingerprint=fingerprint(data),
-        val_fingerprint=fingerprint(val),
-        snapshots=tuple(captured),
-    )
+    prints = fingerprint(data), fingerprint(val)
+    stores = []
+    for seed, plan, runs in zip(seeds, plans, pending):
+        captured = []
+        for t, lr, params in runs:
+            nlls = _per_example_nll(params, features, labels)
+            train_nll, val_nll = float(nlls[:m].mean()), float(nlls[m:].mean())
+            captured.append(Snapshot(params, t, lr, train_nll, val_nll, plan[t]))
+        stores.append(SnapshotStore(f"run-{seed}", arch, cfg, seed, *prints, tuple(captured)))
+    return stores
 
 
 def _cycles(store: SnapshotStore, policy: str, arg: int = 0) -> tuple[list, int | None]:

@@ -2,12 +2,13 @@
 
 import csv
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from snapstack import FormatError, InputError, load_store, stacking
+from snapstack import FormatError, InputError, harness, load_store, stacking, train_with_capture
 from snapstack.harness import (
     build_datasets,
     cmd_compare,
@@ -270,12 +271,40 @@ class TestCmdCompare:
         assert res["snapshot_trainings"] == 1
         assert res["independent_trainings"] == 1  # member 0 is the capture run's final
 
-    def test_independent_baseline_costs_extra_trainings(self, result):
-        # each independent member past the capture run needs a full run of its own
-        _, _, res = result
-        assert res["independent_train_time"] > 0.4 * res["independent_trainings"] * res[
-            "snapshot_train_time"
-        ]
+    def test_independent_members_equal_separate_runs(self, tmp_path, monkeypatch):
+        # the seeds train in one loop, yet each member is the run its seed gives alone
+        trained, train_runs = [], harness._train_runs
+
+        def recording(*args):
+            trained.extend(train_runs(*args))
+            return trained
+
+        cfg = small_config(num_independent=3)
+        monkeypatch.setattr(harness, "_train_runs", recording)
+        res = cmd_compare(cfg, tmp_path)
+        assert res["train_time"] > 0.0
+        assert res["independent_trainings"] == 2
+        members = [trained[0].snapshots[-1]] + [s.snapshots[0] for s in trained[1:]]
+        train, val, _, arch = build_datasets(cfg)
+        last = cfg.cycle.total_iters - 1
+        for seed, member in zip(range(3), members, strict=True):
+            alone = train_with_capture(
+                arch, train, val, cfg.cycle, seed, {last: "window"}, batch_size=cfg.batch_size
+            )
+            assert np.array_equal(member.params.values, alone.snapshots[0].params.values)
+
+    def test_each_snapshot_forwarded_once(self, tmp_path, monkeypatch):
+        # min is a subset of min+mid; single is independent member 0
+        calls = []
+        forward = stacking.forward_batch
+
+        def counting(params, features):
+            calls.append(id(params))
+            return forward(params, features)
+
+        monkeypatch.setattr(stacking, "forward_batch", counting)
+        cmd_compare(small_config(), tmp_path)
+        assert calls and len(calls) == len(set(calls))
 
     def test_one_member_ensemble_is_the_single_model(self, tmp_path):
         res = cmd_compare(small_config(num_independent=1), tmp_path)
@@ -523,6 +552,15 @@ class TestCli:
             cycle={"alpha_min": 1e6, "alpha_max": 1e7, "cycle_len": 50, "total_iters": 150},
         )
         assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+
+    def test_compare_divergence_names_seed(self, tmp_path, capsys):
+        cfg_path = self.write_config(
+            tmp_path,
+            cycle={"alpha_min": 0.02, "alpha_max": 1e7, "cycle_len": 50, "total_iters": 150},
+        )
+        assert main(["compare", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: training diverged at iteration \d+ \(seed \d+\)\n", err)
 
     def test_seed_override(self, tmp_path):
         cfg_path = self.write_config(tmp_path)

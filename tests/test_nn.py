@@ -19,6 +19,7 @@ from snapstack import (
     nll_loss,
     sgd_step,
 )
+from snapstack.nn import _grad, _layers
 
 
 def finite_difference_grad(params, batch, h=1e-5):
@@ -212,6 +213,26 @@ class TestBackward:
         bad = Dataset(np.zeros((2, 5)), [0, 1], 3)
         with pytest.raises(InputError):
             backward(pv, bad)
+
+
+class TestStackedGrad:
+    """_grad over a leading run axis equals the 2-D call per run, bit for bit."""
+
+    @pytest.mark.parametrize("sizes", [(6, 32, 3), (784, 32, 10)])
+    @pytest.mark.parametrize("runs", [1, 3])
+    # 600 rows in batches of 32 end on a 24-row minibatch; 1 row is the smallest
+    @pytest.mark.parametrize("rows", [32, 24, 1])
+    def test_equals_each_run_alone(self, sizes, runs, rows):
+        arch = MlpArchitecture(sizes)
+        rng = np.random.default_rng([runs, rows])
+        values = rng.normal(0.0, 0.3, (runs, arch.num_params))
+        feats = rng.normal(0.0, 1.0, (runs, rows, arch.input_dim))
+        labels = rng.integers(0, arch.num_classes, (runs, rows))
+        stacked = _grad(_layers(values, sizes), feats, labels)
+        assert stacked.shape == (runs, arch.num_params)
+        for r in range(runs):
+            alone = _grad(_layers(values[r], sizes), feats[r], labels[r])
+            assert np.array_equal(stacked[r], alone)
 
 
 class TestSgdStep:

@@ -36,6 +36,7 @@ from snapstack import (
     train_with_capture,
 )
 from snapstack.schedule import cycle_midpoints, cycle_minima, lr_at
+from snapstack.snapshots import _train_runs
 
 ARCH = MlpArchitecture((2, 4, 3))
 CFG = CycleConfig(0.02, 0.3, 20, 60)
@@ -130,6 +131,23 @@ class TestTrainWithCapture:
             firsts.append(mins[0].val_nll)
             lasts.append(mins[-1].val_nll)
         assert np.median(lasts) < np.median(firsts)
+
+
+class TestTrainRuns:
+    def test_each_run_equals_its_own_training(self):
+        # 96 training rows in batches of 20: every pass ends on a short minibatch
+        train, val = quick_split()
+        seeds = [5, 6, 7]
+        plans = [plan_captures(CFG, window_halfwidth=1), {59: "window"}, {7: "offset"}]
+        stores = _train_runs(ARCH, train, val, CFG, seeds, plans, 20)
+        for store, seed, plan in zip(stores, seeds, plans, strict=True):
+            assert store == train_with_capture(ARCH, train, val, CFG, seed, plan, batch_size=20)
+
+    def test_divergence_names_seed(self):
+        train, val = quick_split()
+        wild = CycleConfig(1e7, 1e8, 20, 60)
+        with pytest.raises(TrainingError, match=r"iteration \d+ \(seed 4\)"):
+            _train_runs(ARCH, train, val, wild, [4, 9], [{}, {}], 16)
 
 
 class TestSelectMin:
