@@ -210,11 +210,11 @@ def _grad(
     chunks_reversed = []
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]
-        gw = np.swapaxes(acts[i], -1, -2) @ g
+        gw = acts[i].swapaxes(-1, -2) @ g
         chunks_reversed += [g.sum(axis=-2), gw.reshape(*gw.shape[:-2], -1)]
         if i > 0:
             # acts[i] = relu(z) > 0 exactly where z > 0, NaN included
-            g = (g @ np.swapaxes(w, -1, -2)) * (acts[i] > 0.0)
+            g = (g @ w.swapaxes(-1, -2)) * (acts[i] > 0.0)
     return np.concatenate(chunks_reversed[::-1], axis=-1)
 
 

@@ -180,21 +180,21 @@ def _train_runs(
     m = data.num_examples
     pos = m  # the first step draws each run's first shuffle
     pending: list[list[tuple[int, float, ParamVector]]] = [[] for _ in seeds]
-    for t in range(cfg.total_iters):
-        if pos >= m:
-            orders = np.stack([rng.permutation(m) for rng in shuffle_rngs])
-            pos = 0
-        idx = orders[:, pos : pos + batch_size]
-        pos += batch_size
-        lr = lr_at(cfg, t)
-        with np.errstate(over="ignore", invalid="ignore"):  # divergence raises below
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence raises below
+        for t in range(cfg.total_iters):
+            if pos >= m:
+                orders = np.stack([rng.permutation(m) for rng in shuffle_rngs])
+                pos = 0
+            idx = orders[:, pos : pos + batch_size]
+            pos += batch_size
+            lr = lr_at(cfg, t)
             values -= lr * _grad(layers, data.features[idx], data.labels[idx])
-        if not np.isfinite(values).all():
-            r = int(np.argmin(np.isfinite(values).all(axis=-1)))
-            raise TrainingError(f"training diverged at iteration {t} (seed {seeds[r]})")
-        for r, plan in enumerate(plans):
-            if t in plan:
-                pending[r].append((t, lr, ParamVector(values[r], arch)))
+            if not np.isfinite(values).all():
+                r = int(np.argmin(np.isfinite(values).all(axis=-1)))
+                raise TrainingError(f"training diverged at iteration {t} (seed {seeds[r]})")
+            for r, plan in enumerate(plans):
+                if t in plan:
+                    pending[r].append((t, lr, ParamVector(values[r], arch)))
 
     # captured parameters are immutable, so scoring can wait until the loop is
     # done; one forward per snapshot covers both evaluation sets
