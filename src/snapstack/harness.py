@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -57,6 +58,7 @@ TEST_SEED_OFFSET = 1_000_003
 DEFAULT_TAU_GRID = (0.1, 0.3, 0.5, 0.9, 1.0, 2.0, 5.0, 10.0, 1000.0)
 
 POLICIES = ("min", "mid", "min+mid", "window", "offset")
+IDX_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
 
 SWEEP_COLUMNS = ("tau", "n_models", "accuracy", "mean_nll", "policy", "source")
 OFFSET_COLUMNS = ("offset", "tau", "n_models", "accuracy", "mean_nll", "policy", "source")
@@ -94,6 +96,8 @@ class ExperimentConfig:
         if self.num_independent < 1:
             raise InputError("num_independent must be at least 1")
         if self.n_models_grid is not None:
+            if not self.n_models_grid:
+                raise InputError("ensemble size grid must not be empty")
             bad = [n for n in self.n_models_grid if n < 1 or n > self.cycle.num_cycles]
             if bad:
                 raise InputError(
@@ -114,12 +118,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             # a string or an object would iterate as characters or keys
             if raw.get(key) is not None and not isinstance(raw[key], list):
                 raise InputError(f"config key {key!r} must be a JSON array, got {raw[key]!r}")
-        dataset = dict(raw["dataset"])
-        kind = dataset.get("kind")
-        if kind not in ("blobs", "idx"):
-            raise InputError(f"dataset.kind must be 'blobs' or 'idx', got {kind!r}")
         return ExperimentConfig(
-            dataset=dataset,
+            dataset=_dataset_from_dict(dict(raw["dataset"])),
             hidden=tuple(int(h) for h in raw.get("hidden", (32,))),
             cycle=CycleConfig(
                 alpha_min=float(raw["cycle"]["alpha_min"]),
@@ -148,6 +148,28 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise InputError(f"malformed config value: {e}") from e
 
 
+def _dataset_from_dict(ds: dict) -> dict:
+    """The dataset section with typed values; an error names its key."""
+    kind = ds.get("kind")
+    if kind == "blobs":  # test_per_class defaults to per_class
+        ds = {"test_per_class": ds.get("per_class"), **ds}
+        casts = dict(num_classes=int, per_class=int, dim=int, spread=float, test_per_class=int)
+    elif kind == "idx":  # os.fspath takes no JSON value but a string; null means absent
+        optional = [k for k in ("limit", "test_limit", "num_classes") if ds.get(k) is not None]
+        casts = {**dict.fromkeys(IDX_PATHS, os.fspath), **dict.fromkeys(optional, int)}
+    else:
+        raise InputError(f"dataset.kind must be 'blobs' or 'idx', got {kind!r}")
+    parsed = {"kind": kind}
+    for key, cast in casts.items():
+        try:
+            parsed[key] = cast(ds[key])
+        except KeyError:
+            raise InputError(f"config missing required key: 'dataset.{key}'") from None
+        except (TypeError, ValueError, OverflowError) as e:
+            raise InputError(f"malformed config value dataset.{key}: {e}") from e
+    return parsed
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         raw = json.loads(Path(path).read_text())
@@ -160,42 +182,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset, MlpArchitecture]:
     """Materialize (train, val, test) and the matching architecture."""
-    ds = config.dataset
+    ds, seed = config.dataset, config.seed
     if ds["kind"] == "blobs":
-        try:
-            k = int(ds["num_classes"])
-            per_class = int(ds["per_class"])
-            dim = int(ds["dim"])
-            spread = float(ds["spread"])
-            test_per_class = int(ds.get("test_per_class", per_class))
-        except KeyError as e:
-            raise InputError(f"blobs dataset config missing key: {e}") from e
-        except (TypeError, ValueError, OverflowError) as e:
-            raise InputError(f"malformed blobs dataset config: {e}") from e
-        pool = make_blobs(k, per_class, dim, spread, seed=config.seed, centers_seed=config.seed)
-        train, val = split(pool, SplitSpec(config.val_fraction, config.seed))
-        test = make_blobs(
-            k, test_per_class, dim, spread,
-            seed=config.seed + TEST_SEED_OFFSET, centers_seed=config.seed,
-        )
+        k, dim, spread = ds["num_classes"], ds["dim"], ds["spread"]
+        pool = make_blobs(k, ds["per_class"], dim, spread, seed=seed, centers_seed=seed)
+        train, val = split(pool, SplitSpec(config.val_fraction, seed))
+        test_seed = seed + TEST_SEED_OFFSET
+        test = make_blobs(k, ds["test_per_class"], dim, spread, seed=test_seed, centers_seed=seed)
     else:
-        try:
-            paths = [ds["train_images"], ds["train_labels"], ds["test_images"], ds["test_labels"]]
-            limit = int(ds["limit"]) if ds.get("limit") is not None else None
-            test_limit = int(ds["test_limit"]) if ds.get("test_limit") is not None else None
-            k = int(ds["num_classes"]) if ds.get("num_classes") is not None else None
-        except KeyError as e:
-            raise InputError(f"idx dataset config missing key: {e}") from e
-        except (TypeError, ValueError, OverflowError) as e:
-            raise InputError(f"malformed idx dataset config: {e}") from e
-        if not all(isinstance(p, str) for p in paths):
-            raise InputError(f"idx dataset paths must be strings, got {paths!r}")
-        pool = load_idx(paths[0], paths[1], limit=limit, num_classes=k)
-        test = load_idx(
-            paths[2], paths[3], limit=test_limit,
-            num_classes=k if k is not None else pool.num_classes,
-        )
-        train, val = split(pool, SplitSpec(config.val_fraction, config.seed))
+        pool = load_idx(ds["train_images"], ds["train_labels"], ds.get("limit"), ds.get("num_classes"))
+        test = load_idx(ds["test_images"], ds["test_labels"], ds.get("test_limit"), pool.num_classes)
+        if test.dim != pool.dim:
+            raise InputError(f"{ds['test_images']}: {test.dim} features, training has {pool.dim}")
+        train, val = split(pool, SplitSpec(config.val_fraction, seed))
     arch = MlpArchitecture((train.dim, *config.hidden, train.num_classes))
     return train, val, test, arch
 
@@ -230,12 +229,6 @@ def _write_csv(path: Path, columns: tuple[str, ...], rows: list[tuple]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _full_plan(config: ExperimentConfig) -> dict[int, str]:
-    return plan_captures(
-        config.cycle, config.window_halfwidth, [*config.offsets, config.offset_steps]
-    )
-
-
 def _prepare(
     config: ExperimentConfig, out_dir: str | Path, store: SnapshotStore | None = None
 ) -> tuple[Path, Dataset, Dataset, Dataset, MlpArchitecture]:
@@ -253,10 +246,8 @@ def _prepare(
     return out_dir, train, val, test, arch
 
 
-def _scorer(snaps: list[Snapshot], test: Dataset, probs=None):
-    """Forward each snapshot over test once, unless their stacked outputs come as probs;
-    metrics(spec, n) scores the last n as an ensemble."""
-    probs = member_probs(snaps, test.features) if probs is None else probs
+def _scorer(snaps: list[Snapshot], test: Dataset, probs: np.ndarray):
+    """metrics(spec, n) scores the last n snaps as an ensemble from their test outputs probs."""
 
     def metrics(spec: WeightingSpec, n: int = len(snaps)) -> EvalMetrics:
         return evaluate(weighted_mean(probs[-n:], build_ensemble(snaps[-n:], spec).weights), test)
@@ -269,7 +260,9 @@ def cmd_train(config: ExperimentConfig, out_dir: str | Path) -> Path:
     if config.cycle.cycle_len < 4:
         warnings.warn(f"degenerate cycle_len {config.cycle.cycle_len}: schedule has almost no descent")
     out_dir, train, val, _, arch = _prepare(config, out_dir)
-    plan = _full_plan(config)
+    plan = plan_captures(
+        config.cycle, config.window_halfwidth, [*config.offsets, config.offset_steps]
+    )
     t0 = time.perf_counter()
     store = train_with_capture(
         arch, train, val, config.cycle, config.seed, plan, batch_size=config.batch_size
@@ -301,7 +294,7 @@ def cmd_sweep_temperature(
     """
     out_dir, _, _, test, _ = _prepare(config, out_dir, store)
     snaps = policy_snapshots(store, policy, config)
-    metrics = _scorer(snaps, test)
+    metrics = _scorer(snaps, test, member_probs(snaps, test.features))
     rows = []
     for tau in config.tau_grid:
         for n in config.n_grid:
@@ -319,8 +312,9 @@ def cmd_sweep_offset(
     config: ExperimentConfig, store: SnapshotStore, out_dir: str | Path, tau: float
 ) -> Path:
     """Accuracy per capture offset from the rate minima, at a fixed temperature."""
-    out_dir, _, _, test, _ = _prepare(config, out_dir, store)
     src = config.weighting_source
+    spec = WeightingSpec("temperature", tau=tau, source=src)  # checks tau before any work
+    out_dir, _, _, test, _ = _prepare(config, out_dir, store)
     rows = []
     for steps in config.offsets:
         try:
@@ -328,7 +322,7 @@ def cmd_sweep_offset(
         except SelectionError as e:
             warnings.warn(f"offset {steps} skipped: {e}")
             continue
-        met = _scorer(snaps, test)(WeightingSpec("temperature", tau=tau, source=src))
+        met = _scorer(snaps, test, member_probs(snaps, test.features))(spec)
         rows.append((steps, float(tau), len(snaps), met.accuracy, met.mean_nll, "offset", src))
     path = out_dir / "sweep_offset.csv"
     _write_csv(path, OFFSET_COLUMNS, rows)
@@ -344,26 +338,23 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
     """
     out_dir, train, val, test, arch = _prepare(config, out_dir)
 
-    # independent member 0 would be seed config.seed again; captures do not change
-    # the trajectory, so the capture run's final iterate is that member
+    # the capture run plans only what the rows read, the final iterate last; captures
+    # do not change the trajectory, so that iterate is independent member 0 (config.seed)
     last = config.cycle.total_iters - 1
     seeds = list(range(config.seed, config.seed + config.num_independent))
-    plans = [_full_plan(config)] + [{last: "window"}] * (len(seeds) - 1)
+    plans = [plan_captures(config.cycle, offsets=[config.offset_steps])]
+    plans += [{last: "window"}] * (len(seeds) - 1)
     t0 = time.perf_counter()
     store, *others = _train_runs(arch, train, val, config.cycle, seeds, plans, config.batch_size)
     train_time = time.perf_counter() - t0
-    # the full plan captures the final iteration, the store's last snapshot
     finals = [store.snapshots[-1]] + [run.snapshots[0] for run in others]
 
-    # test outputs by snapshot object: the other seeds' finals share the last
-    # iteration; every snapshot lives in store or finals, so no id is reused
-    forwarded: dict[int, np.ndarray] = {}
+    # one forward per member; the seeds' finals share an iteration, so look up by object
+    members = [*store.snapshots, *finals[1:]]
+    probs = dict(zip(map(id, members), member_probs(members, test.features)))
 
     def scorer(snaps: list[Snapshot]):
-        new = [s for s in snaps if id(s) not in forwarded]
-        if new:
-            forwarded.update(zip(map(id, new), member_probs(new, test.features)))
-        return _scorer(snaps, test, np.stack([forwarded[id(s)] for s in snaps]))
+        return _scorer(snaps, test, np.stack([probs[id(s)] for s in snaps]))
 
     rows: list[tuple] = []
     single = scorer(finals[:1])(WeightingSpec("equal"))
@@ -509,7 +500,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--store", required=True, help="snapshot store file")
     p.add_argument("--policy", default="min", choices=POLICIES)
-    p.add_argument("--source", default="train", choices=("train", "validation"))
+    p.add_argument("--source", choices=("train", "validation"),
+                   help="weighting source (default: the config's weighting_source)")
 
     p = sub.add_parser("sweep-offset", help="accuracy vs capture offset from the minima")
     add_common(p)
@@ -539,7 +531,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         cmd_train(config, args.out_dir)
     elif args.command == "sweep-temp":
         store = load_store(args.store)
-        out = cmd_sweep_temperature(config, store, args.policy, args.source, args.out_dir)
+        source = args.source or config.weighting_source
+        out = cmd_sweep_temperature(config, store, args.policy, source, args.out_dir)
         print(f"wrote {out}")
     elif args.command == "sweep-offset":
         store = load_store(args.store)

@@ -157,7 +157,11 @@ def _forward(layers: list[tuple[np.ndarray, np.ndarray]], features: np.ndarray) 
     """
     acts = [features]
     for w, b in layers[:-1]:
-        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+        # in place, one [m, h] array per layer: the two temporaries of relu(x @ w + b)
+        # let malloc hand the heap top back and fault it in again on every call
+        z = acts[-1] @ w
+        z += b
+        acts.append(np.maximum(z, 0.0, out=z))
     w, b = layers[-1]
     acts.append(_softmax(acts[-1] @ w + b))
     return acts

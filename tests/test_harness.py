@@ -294,17 +294,32 @@ class TestCmdCompare:
             assert np.array_equal(member.params.values, alone.snapshots[0].params.values)
 
     def test_each_snapshot_forwarded_once(self, tmp_path, monkeypatch):
-        # min is a subset of min+mid; single is independent member 0
-        calls = []
-        forward = stacking.forward_batch
+        # min is a subset of min+mid; single is independent member 0; the capture
+        # store holds only what the rows read, so every snapshot is forwarded
+        calls, trained = [], []
+        forward, train_runs = stacking.forward_batch, harness._train_runs
 
         def counting(params, features):
             calls.append(id(params))
             return forward(params, features)
 
+        def recording(*args):
+            trained.extend(train_runs(*args))
+            return trained
+
         monkeypatch.setattr(stacking, "forward_batch", counting)
-        cmd_compare(small_config(), tmp_path)
+        monkeypatch.setattr(harness, "_train_runs", recording)
+        cfg = small_config(num_independent=3)
+        cmd_compare(cfg, tmp_path)
         assert calls and len(calls) == len(set(calls))
+        assert len(calls) == len(trained[0].snapshots) + cfg.num_independent - 1
+
+    def test_reads_no_window_or_sweep_offsets(self, tmp_path):
+        # compare captures no windows and no sweep offsets, so it takes values train rejects
+        cfg = small_config(window_halfwidth=25, offsets=[60])
+        assert cmd_compare(cfg, tmp_path)["rows"]
+        with pytest.raises(InputError):
+            cmd_train(cfg, tmp_path)
 
     def test_one_member_ensemble_is_the_single_model(self, tmp_path):
         res = cmd_compare(small_config(num_independent=1), tmp_path)
@@ -488,6 +503,7 @@ class TestCli:
         pytest.param({"offsets": "0"}, [], id="string-offsets"),
         pytest.param({"tau_grid": "5"}, [], id="string-tau-grid"),
         pytest.param({"n_models_grid": {"1": 1}}, [], id="dict-n-models-grid"),
+        pytest.param({"n_models_grid": []}, [], id="empty-n-models-grid"),
         pytest.param(b'{"seed": "\xff"}', [], id="not-utf8"),
         pytest.param(b'{"seed": ' + b"9" * 5000 + b"}", [], id="seed-5000-digits"),
     ])
@@ -518,6 +534,63 @@ class TestCli:
             main(["train", "--help"])
         assert exit_info.value.code == 0
         assert "--config" in capsys.readouterr().out
+
+    def test_malformed_dataset_fails_at_load(self, tmp_path, capsys):
+        # the dataset section is parsed with the config, before the store or out-dir
+        cfg_path = self.write_config(tmp_path, dataset={**SMALL["dataset"], "dim": "x"})
+        out_dir = tmp_path / "out"
+        assert main([
+            "sweep-temp", "--config", str(cfg_path), "--store", str(tmp_path / "none.snap"),
+            "--out-dir", str(out_dir),
+        ]) == 1
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 1
+        assert not out_dir.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(e.startswith("error: ") and "dataset.dim" in e for e in err)
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_idx_test_width_mismatch(self, tmp_path, capsys, monkeypatch, command):
+        from conftest import write_idx_pair
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained despite a bad dataset")
+
+        monkeypatch.setattr(harness, "train_with_capture", no_training)
+        monkeypatch.setattr(harness, "_train_runs", no_training)
+        rng = np.random.default_rng(0)
+        paths = {}
+        for part, n, side in (("train", 60, 4), ("test", 50, 3)):
+            (tmp_path / part).mkdir()
+            paths[f"{part}_images"], paths[f"{part}_labels"] = map(str, write_idx_pair(
+                tmp_path / part, rng.integers(0, 256, (n, side, side)), rng.integers(0, 3, n)
+            ))
+        cfg_path = self.write_config(tmp_path, dataset={"kind": "idx", **paths})
+        assert main([command, "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [^\n]*\n", err) and paths["test_images"] in err
+
+    @pytest.mark.parametrize("offsets", [[], [7]], ids=["no-offsets", "uncaptured-offset"])
+    @pytest.mark.parametrize("tau", ["-1", "nan"])
+    def test_sweep_offset_checks_tau_without_rows(self, setup, tmp_path, capsys, offsets, tau):
+        _, _, store_dir = setup
+        cfg_path = self.write_config(tmp_path, offsets=offsets)
+        assert main([
+            "sweep-offset", "--config", str(cfg_path), "--store", str(store_dir / "store.snap"),
+            "--out-dir", str(tmp_path), "--tau", tau,
+        ]) == 1
+        assert re.fullmatch(r"error: [^\n]*tau[^\n]*\n", capsys.readouterr().err)
+        assert not (tmp_path / "sweep_offset.csv").exists()
+
+    def test_sweep_temp_source_defaults_to_config(self, setup, tmp_path):
+        _, _, store_dir = setup
+        cfg_path = self.write_config(tmp_path, weighting_source="validation")
+        common = ["--config", str(cfg_path), "--store", str(store_dir / "store.snap"),
+                  "--out-dir", str(tmp_path)]
+        assert main(["sweep-temp", *common]) == 0
+        rows = read_rows(tmp_path / "sweep_temp_min_validation.csv")
+        assert rows and {r["source"] for r in rows} == {"validation"}
+        assert main(["sweep-temp", *common, "--source", "train"]) == 0  # the flag wins
+        assert {r["source"] for r in read_rows(tmp_path / "sweep_temp_min_train.csv")} == {"train"}
 
     def test_missing_store_exit_code(self, tmp_path):
         cfg_path = self.write_config(tmp_path)

@@ -47,8 +47,12 @@ BASE_CONFIG = {
     "cycle": {"alpha_min": 0.01, "alpha_max": 0.1, "cycle_len": 10, "total_iters": 30},
     "seed": 0,
 }
+IDX_DATASET = {"kind": "idx", "train_images": "a", "train_labels": "b", "test_images": "c",
+               "test_labels": "d"}
 CONFIG_KEYS = (
-    "dataset", "dataset.kind", "dataset.per_class", "dataset.train_images", "hidden", "cycle",
+    "dataset", "dataset.kind", "dataset.num_classes", "dataset.per_class", "dataset.dim",
+    "dataset.spread", "dataset.test_per_class", "dataset.limit", "dataset.test_limit",
+    "dataset.train_images", "dataset.test_images", "hidden", "cycle",
     "cycle.alpha_min", "cycle.alpha_max", "cycle.cycle_len", "cycle.total_iters", "seed",
     "val_fraction", "batch_size", "window_halfwidth", "offsets", "offset_steps", "tau_grid",
     "n_models_grid", "num_independent", "weighting_source",
@@ -85,9 +89,13 @@ def with_overrides(overrides: dict) -> dict:
 
 
 @PROPERTY
-@given(st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES | st.just(DELETE), max_size=4))
-def test_config_from_dict_value_or_error(overrides):
-    outcome(config_from_dict, with_overrides(overrides))
+@given(
+    st.sampled_from([BASE_CONFIG["dataset"], IDX_DATASET]),
+    st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES | st.just(DELETE), max_size=4),
+)
+def test_config_from_dict_value_or_error(dataset, overrides):
+    # either dataset kind as the base, so the overrides reach each kind's keys
+    outcome(config_from_dict, with_overrides({"dataset": dict(dataset), **overrides}))
 
 
 CSV_COLUMNS = ["model", "tau", "accuracy", "mean_nll"]
