@@ -32,6 +32,12 @@ class SplitSpec:
             raise InputError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """Mark a fresh array read-only so Dataset keeps it instead of copying it."""
+    arr.setflags(write=False)
+    return arr
+
+
 def make_blobs(
     num_classes: int,
     per_class: int,
@@ -65,7 +71,7 @@ def make_blobs(
         rows = slice(c * per_class, (c + 1) * per_class)
         feats[rows] = centers[c] + spread * noise_rng.normal(0.0, 1.0, (per_class, dim))
         labels[rows] = c
-    return Dataset(feats, labels, num_classes)
+    return Dataset(_read_only(feats), labels, num_classes)
 
 
 def _read_idx_header(buf: bytes, path: str, magic: int, n_dims: int) -> tuple[int, ...]:
@@ -99,7 +105,9 @@ def load_idx(
     count, rows, cols = _read_idx_header(img_buf, str(images_path), IDX_IMAGE_MAGIC, 3)
     if count == 0:
         raise FormatError(f"{images_path}: declares 0 images")
-    payload = img_buf[16:]
+    if rows == 0 or cols == 0:
+        raise FormatError(f"{images_path}: declares {rows}x{cols}-pixel images")
+    payload = memoryview(img_buf)[16:]
     if len(payload) < count * rows * cols:
         raise TruncatedFileError(
             f"{images_path}: payload holds {len(payload)} bytes, "
@@ -109,7 +117,7 @@ def load_idx(
     with open(labels_path, "rb") as f:
         lbl_buf = f.read()
     (lbl_count,) = _read_idx_header(lbl_buf, str(labels_path), IDX_LABEL_MAGIC, 1)
-    lbl_payload = lbl_buf[8:]
+    lbl_payload = memoryview(lbl_buf)[8:]
     if len(lbl_payload) < lbl_count:
         raise TruncatedFileError(
             f"{labels_path}: payload holds {len(lbl_payload)} bytes, "
@@ -124,10 +132,11 @@ def load_idx(
 
     take = count if limit is None else min(limit, count)
     pixels = np.frombuffer(payload, dtype=np.uint8, count=take * rows * cols)
-    feats = pixels.reshape(take, rows * cols).astype(np.float64) / 255.0
+    feats = pixels.reshape(take, rows * cols).astype(np.float64)
+    feats /= 255.0
     labels = np.frombuffer(lbl_payload, dtype=np.uint8, count=take).astype(np.int64)
     k = num_classes if num_classes is not None else int(labels.max()) + 1
-    return Dataset(feats, labels, k)
+    return Dataset(_read_only(feats), labels, k)
 
 
 def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
@@ -147,8 +156,8 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     perm = np.random.default_rng(spec.seed).permutation(m)
     tr, va = perm[:n_train], perm[n_train:]
     return (
-        Dataset(data.features[tr], data.labels[tr], data.num_classes),
-        Dataset(data.features[va], data.labels[va], data.num_classes),
+        Dataset(_read_only(data.features[tr]), data.labels[tr], data.num_classes),
+        Dataset(_read_only(data.features[va]), data.labels[va], data.num_classes),
     )
 
 
@@ -156,6 +165,7 @@ def fingerprint(data: Dataset) -> str:
     """Content hash of a dataset, for store metadata."""
     h = hashlib.sha256()
     h.update(str(data.num_classes).encode())
-    h.update(np.ascontiguousarray(data.features).tobytes())
-    h.update(np.ascontiguousarray(data.labels).tobytes())
+    # hash the C-ordered buffers in place; the bytes are those of tobytes()
+    h.update(np.ascontiguousarray(data.features))
+    h.update(np.ascontiguousarray(data.labels))
     return h.hexdigest()

@@ -190,11 +190,13 @@ def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset,
         test_seed = seed + TEST_SEED_OFFSET
         test = make_blobs(k, ds["test_per_class"], dim, spread, seed=test_seed, centers_seed=seed)
     else:
+        # the pool is split and dropped before the test set loads, so each matrix is held once
         pool = load_idx(ds["train_images"], ds["train_labels"], ds.get("limit"), ds.get("num_classes"))
-        test = load_idx(ds["test_images"], ds["test_labels"], ds.get("test_limit"), pool.num_classes)
-        if test.dim != pool.dim:
-            raise InputError(f"{ds['test_images']}: {test.dim} features, training has {pool.dim}")
         train, val = split(pool, SplitSpec(config.val_fraction, seed))
+        del pool
+        test = load_idx(ds["test_images"], ds["test_labels"], ds.get("test_limit"), train.num_classes)
+        if test.dim != train.dim:
+            raise InputError(f"{ds['test_images']}: {test.dim} features, training has {train.dim}")
     arch = MlpArchitecture((train.dim, *config.hidden, train.num_classes))
     return train, val, test, arch
 
@@ -232,9 +234,10 @@ def _write_csv(path: Path, columns: tuple[str, ...], rows: list[tuple]) -> None:
 def _prepare(
     config: ExperimentConfig, out_dir: str | Path, store: SnapshotStore | None = None
 ) -> tuple[Path, Dataset, Dataset, Dataset, MlpArchitecture]:
-    """Create out_dir and build (train, val, test, arch); warn if store saw other data."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Build (train, val, test, arch), warn if store saw other data, then create out_dir.
+
+    The directory comes last, so a dataset that fails to build leaves nothing behind.
+    """
     train, val, test, arch = build_datasets(config)
     if store is not None and (
         store.train_fingerprint != fingerprint(train) or store.val_fingerprint != fingerprint(val)
@@ -243,6 +246,8 @@ def _prepare(
             "store was trained on different data than this config produces; "
             "weights may be stale"
         )
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir, train, val, test, arch
 
 
@@ -259,7 +264,8 @@ def cmd_train(config: ExperimentConfig, out_dir: str | Path) -> Path:
     """Train once with the full capture plan; write the store and its sidecar."""
     if config.cycle.cycle_len < 4:
         warnings.warn(f"degenerate cycle_len {config.cycle.cycle_len}: schedule has almost no descent")
-    out_dir, train, val, _, arch = _prepare(config, out_dir)
+    out_dir, train, val, test, arch = _prepare(config, out_dir)
+    del test  # built so a bad test file fails train; training never reads it
     plan = plan_captures(
         config.cycle, config.window_halfwidth, [*config.offsets, config.offset_steps]
     )

@@ -79,14 +79,27 @@ class ParamVector:
 
 @dataclass(eq=False)
 class Dataset:
-    """Feature matrix [m, d], integer labels [m] in {0..k-1}, and class count k."""
+    """Feature matrix [m, d], integer labels [m] in {0..k-1}, and class count k.
+
+    A float64 ndarray that owns its memory and is already read-only is kept as
+    the feature matrix, so the data builders hand over the matrices they make
+    without a copy. Any other features are copied.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
 
     def __post_init__(self):
-        feats = np.array(self.features, dtype=np.float64)
+        feats = self.features
+        owned = (
+            type(feats) is np.ndarray
+            and feats.dtype == np.float64
+            and feats.flags.owndata
+            and not feats.flags.writeable
+        )
+        if not owned:
+            feats = np.array(feats, dtype=np.float64)
         labels = np.array(self.labels, dtype=np.int64).ravel()
         if feats.ndim != 2:
             raise InputError(f"features must be a 2-d matrix, got shape {feats.shape}")

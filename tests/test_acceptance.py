@@ -510,6 +510,9 @@ def test_c10_io_robustness(tmp_path):
             "idx_zero_images": (
                 struct.pack(">IIII", 0x00000803, 0, 2, 2), lambda p: load_idx(p, lbl_path)
             ),
+            "idx_zero_rows": (
+                struct.pack(">IIII", 0x00000803, 3, 0, 2), lambda p: load_idx(p, lbl_path)
+            ),
             "idx_count_mismatch": (
                 struct.pack(">II", 0x00000801, 5) + bytes([0, 1, 2, 0, 1]),
                 lambda p: load_idx(img_path, p),

@@ -7,6 +7,7 @@ from conftest import write_idx_pair
 from snapstack import (
     BadMagicError,
     CountMismatchError,
+    Dataset,
     FormatError,
     InputError,
     SplitSpec,
@@ -105,6 +106,12 @@ class TestLoadIdx:
         with pytest.raises(FormatError, match="images.idx.*0 images"):
             load_idx(img, lbl)
 
+    @pytest.mark.parametrize("shape", [(2, 0, 2), (2, 2, 0)], ids=["0-rows", "0-cols"])
+    def test_zero_pixel_images_rejected_naming_file(self, tmp_path, shape):
+        img, lbl = write_idx_pair(tmp_path, np.zeros(shape, dtype=np.uint8), [0, 1])
+        with pytest.raises(FormatError, match="images.idx.*-pixel images"):
+            load_idx(img, lbl)
+
     def test_bad_magic(self, tmp_path):
         img, lbl = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
         corrupted = tmp_path / "corrupt.idx"
@@ -160,3 +167,9 @@ def test_fingerprint_distinguishes_data():
     b = make_blobs(3, 10, 2, 1.0, seed=1)
     assert fingerprint(a) == fingerprint(a)
     assert fingerprint(a) != fingerprint(b)
+
+
+def test_fingerprint_digest_is_stable():
+    # store headers carry this digest, so its bytes must not change
+    data = Dataset(np.arange(12.0).reshape(4, 3) / 8.0, [0, 2, 1, 2], 3)
+    assert fingerprint(data) == "331daef12348b832a7c2e8c3c10e745cbf8cee7578925a487205e66fa0220bb5"

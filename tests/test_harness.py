@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,6 +367,29 @@ def test_idx_dataset_pipeline(tmp_path):
     assert len(rows) == len(cfg.tau_grid) * len(cfg.n_grid)
 
 
+def test_idx_build_holds_each_matrix_once(tmp_path):
+    # no transient copies: the build peaks near the bytes of what it returns
+    from conftest import write_idx_pair
+
+    rng = np.random.default_rng(0)
+    paths = {}
+    for part, n in (("train", 400), ("test", 400)):
+        (tmp_path / part).mkdir()
+        paths[f"{part}_images"], paths[f"{part}_labels"] = map(str, write_idx_pair(
+            tmp_path / part, rng.integers(0, 256, (n, 28, 28)), rng.integers(0, 10, n)
+        ))
+    cfg = small_config(dataset={"kind": "idx", "num_classes": 10, **paths})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        datasets = build_datasets(cfg)[:3]
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    held = sum(ds.features.nbytes + ds.labels.nbytes for ds in datasets)
+    assert peak <= 1.25 * held, f"peak {peak} bytes for {held} bytes of datasets"
+
+
 def test_weighting_source_choice_barely_matters():
     # stacking on train-side vs validation-side likelihoods lands within
     # 2 percentage points of the same best accuracy (median over 10 seeds)
@@ -568,6 +592,17 @@ class TestCli:
         assert main([command, "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: [^\n]*\n", err) and paths["test_images"] in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_missing_idx_file_creates_nothing(self, tmp_path, capsys, command):
+        # the output directory is created only once the datasets are built
+        missing = str(tmp_path / "missing.idx")
+        cfg_path = self.write_config(tmp_path, dataset={**self.IDX, "train_images": missing})
+        out_dir = tmp_path / "o"
+        assert main([command, "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 3
+        assert not out_dir.exists()
+        assert missing in capsys.readouterr().err
 
     @pytest.mark.parametrize("offsets", [[], [7]], ids=["no-offsets", "uncaptured-offset"])
     @pytest.mark.parametrize("tau", ["-1", "nan"])

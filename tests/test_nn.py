@@ -90,6 +90,25 @@ class TestDataset:
         with pytest.raises(InputError):
             Dataset(np.zeros((0, 2)), [], 2)
 
+    def test_copies_writeable_features(self):
+        feats = np.zeros((2, 2))
+        ds = Dataset(feats, [0, 1], 2)
+        feats[0, 0] = 5.0
+        assert ds.features[0, 0] == 0.0
+
+    def test_copies_read_only_view_of_writeable_base(self):
+        base = np.zeros((3, 2))
+        view = base[:2]
+        view.setflags(write=False)
+        ds = Dataset(view, [0, 1], 2)
+        base[0, 0] = 5.0
+        assert ds.features is not view and ds.features[0, 0] == 0.0
+
+    def test_keeps_owned_read_only_features(self):
+        feats = np.zeros((2, 2))
+        feats.setflags(write=False)
+        assert Dataset(feats, [0, 1], 2).features is feats
+
 
 class TestForward:
     def test_zero_params_give_uniform(self):
