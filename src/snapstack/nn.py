@@ -83,7 +83,8 @@ class Dataset:
 
     A float64 ndarray that owns its memory and is already read-only is kept as
     the feature matrix, so the data builders hand over the matrices they make
-    without a copy. Any other features are copied.
+    without a copy; the caller must not write it again through a view taken
+    earlier or by setting it writeable. Any other features are copied.
     """
 
     features: np.ndarray
