@@ -47,8 +47,10 @@ from .stacking import (
     WeightingSpec,
     build_ensemble,
     evaluate,
+    evaluate_rows,
     member_probs,
     swa_average,
+    weight_rows,
     weighted_mean,
 )
 
@@ -252,10 +254,11 @@ def _prepare(
 
 
 def _scorer(snaps: list[Snapshot], test: Dataset, probs: np.ndarray):
-    """metrics(spec, n) scores the last n snaps as an ensemble from their test outputs probs."""
+    """metrics(specs, n) scores the last n snaps as one ensemble per spec, in one pass
+    over their test outputs probs; it returns one EvalMetrics per spec."""
 
-    def metrics(spec: WeightingSpec, n: int = len(snaps)) -> EvalMetrics:
-        return evaluate(weighted_mean(probs[-n:], build_ensemble(snaps[-n:], spec).weights), test)
+    def metrics(specs: list[WeightingSpec], n: int = len(snaps)) -> list[EvalMetrics]:
+        return evaluate_rows(weighted_mean(probs[-n:], weight_rows(snaps[-n:], specs)), test)
 
     return metrics
 
@@ -296,18 +299,23 @@ def cmd_sweep_temperature(
 
     For each cell the LAST n snapshots of the policy (the most recent cycles)
     are stacked with temperature weights and scored on the held-out test set.
-    Each snapshot is forwarded once; a cell is a weighted mean of those outputs.
+    Each snapshot is forwarded once, and each ensemble size scores all its taus
+    in one pass over those outputs.
     """
     out_dir, _, _, test, _ = _prepare(config, out_dir, store)
     snaps = policy_snapshots(store, policy, config)
     metrics = _scorer(snaps, test, member_probs(snaps, test.features))
+    specs = [WeightingSpec("temperature", tau=tau, source=source) for tau in config.tau_grid]
+    scored = {n: metrics(specs, n) for n in config.n_grid if n <= len(snaps)}
     rows = []
-    for tau in config.tau_grid:
+    for i, tau in enumerate(config.tau_grid):
         for n in config.n_grid:
-            if n > len(snaps):
-                warnings.warn(f"policy {policy!r} has {len(snaps)} snapshots, skipping n={n}")
+            if n not in scored:
+                warnings.warn(
+                    f"policy {policy!r} has {len(snaps)} snapshots, skipping n={n} at tau={tau}"
+                )
                 continue
-            met = metrics(WeightingSpec("temperature", tau=tau, source=source), n)
+            met = scored[n][i]
             rows.append((float(tau), n, met.accuracy, met.mean_nll, policy, source))
     path = out_dir / f"sweep_temp_{policy.replace('+', '_')}_{source}.csv"
     _write_csv(path, SWEEP_COLUMNS, rows)
@@ -328,7 +336,7 @@ def cmd_sweep_offset(
         except SelectionError as e:
             warnings.warn(f"offset {steps} skipped: {e}")
             continue
-        met = _scorer(snaps, test, member_probs(snaps, test.features))(spec)
+        (met,) = _scorer(snaps, test, member_probs(snaps, test.features))([spec])
         rows.append((steps, float(tau), len(snaps), met.accuracy, met.mean_nll, "offset", src))
     path = out_dir / "sweep_offset.csv"
     _write_csv(path, OFFSET_COLUMNS, rows)
@@ -362,21 +370,23 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
     def scorer(snaps: list[Snapshot]):
         return _scorer(snaps, test, np.stack([probs[id(s)] for s in snaps]))
 
+    equal = [WeightingSpec("equal")]
     rows: list[tuple] = []
-    single = scorer(finals[:1])(WeightingSpec("equal"))
+    (single,) = scorer(finals[:1])(equal)
     rows.append(("single", "-", 1, "-", single.accuracy, single.mean_nll))
-    met = scorer(finals)(WeightingSpec("equal"))
+    (met,) = scorer(finals)(equal)
     rows.append(("ensemble", "individual", len(finals), "-", met.accuracy, met.mean_nll))
+
+    src = config.weighting_source
+    pair_specs = equal + [
+        WeightingSpec("temperature", tau=tau, source=src) for tau in config.tau_grid
+    ]
 
     def add_pair(model: str, label: str, n: int, metrics) -> None:
         """The equal-weight row, then the stacked row at the first tau with the best accuracy."""
-        met = metrics(WeightingSpec("equal"))
+        met, *stacked = metrics(pair_specs)
         rows.append((model, f"{label}, eq", n, "-", met.accuracy, met.mean_nll))
-        src = config.weighting_source
-        scored = [
-            (float(tau), metrics(WeightingSpec("temperature", tau=tau, source=src)))
-            for tau in config.tau_grid
-        ]
+        scored = zip(map(float, config.tau_grid), stacked)
         tau, met = max(scored, key=lambda tau_met: tau_met[1].accuracy)  # max keeps the first
         rows.append((model, f"{label}, stack", n, tau, met.accuracy, met.mean_nll))
 
@@ -390,9 +400,9 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
 
     swa_snaps = select_min(store)
 
-    def swa_metrics(spec: WeightingSpec):
-        swa = swa_average(build_ensemble(swa_snaps, spec))
-        return evaluate(forward_batch(swa, test.features), test)
+    def swa_metrics(specs: list[WeightingSpec]) -> list[EvalMetrics]:
+        swas = (swa_average(build_ensemble(swa_snaps, spec)) for spec in specs)
+        return [evaluate(forward_batch(swa, test.features), test) for swa in swas]
 
     add_pair("swa", "min", len(swa_snaps), swa_metrics)
 

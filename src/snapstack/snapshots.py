@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
 import warnings
 from collections.abc import Iterable, Mapping
@@ -353,73 +354,77 @@ def save_store(store: SnapshotStore, path: str | Path) -> None:
 
 
 def load_store(path: str | Path) -> SnapshotStore:
-    """Read a store written by save_store; round-trips bit-exactly."""
+    """Read a store written by save_store; round-trips bit-exactly.
+
+    The header is read first, then each snapshot's parameters in turn, so the
+    file is never held whole next to the parameter vectors made from it.
+    """
     with open(path, "rb") as f:
-        buf = f.read()
-    if len(buf) < len(STORE_MAGIC):
-        raise TruncatedFileError(f"{path}: too short for a store header")
-    if buf[: len(STORE_MAGIC)] != STORE_MAGIC:
-        raise BadMagicError(f"{path}: not a snapshot store (bad magic bytes)")
-    ofs = len(STORE_MAGIC)
-    if len(buf) < ofs + 6:
-        raise TruncatedFileError(f"{path}: truncated store header")
-    (version,) = struct.unpack_from("<H", buf, ofs)
-    if version != STORE_VERSION:
-        raise BadVersionError(f"{path}: store version {version}, expected {STORE_VERSION}")
-    (header_len,) = struct.unpack_from("<I", buf, ofs + 2)
-    ofs += 6
-    if len(buf) < ofs + header_len:
-        raise TruncatedFileError(f"{path}: truncated store header")
-    try:
-        header = json.loads(buf[ofs : ofs + header_len].decode())
-    except ValueError as e:  # also JSONDecodeError, UnicodeDecodeError and over-long integers
-        raise FormatError(f"{path}: store header is not valid JSON ({e})") from e
-    ofs += header_len
+        buf = f.read(len(STORE_MAGIC))
+        if len(buf) < len(STORE_MAGIC):
+            raise TruncatedFileError(f"{path}: too short for a store header")
+        if buf != STORE_MAGIC:
+            raise BadMagicError(f"{path}: not a snapshot store (bad magic bytes)")
+        buf = f.read(6)
+        if len(buf) < 6:
+            raise TruncatedFileError(f"{path}: truncated store header")
+        version, header_len = struct.unpack("<HI", buf)
+        if version != STORE_VERSION:
+            raise BadVersionError(f"{path}: store version {version}, expected {STORE_VERSION}")
+        ofs = len(STORE_MAGIC) + 6
+        size = os.fstat(f.fileno()).st_size
+        if size < ofs + header_len:
+            raise TruncatedFileError(f"{path}: truncated store header")
+        try:
+            header = json.loads(f.read(header_len).decode())
+        except ValueError as e:  # also JSONDecodeError, UnicodeDecodeError and over-long integers
+            raise FormatError(f"{path}: store header is not valid JSON ({e})") from e
+        ofs += header_len
 
-    try:
-        arch = MlpArchitecture(
-            tuple(header["arch"]["layer_sizes"]), header["arch"]["hidden_activation"]
-        )
-        cfg = CycleConfig(**header["cfg"])
-        snap_meta = list(header["snapshots"])  # a non-iterable fails here, not at len()
-        param_count = int(header["param_count"])
-    except (KeyError, TypeError, ValueError, OverflowError, InputError) as e:
-        raise FormatError(f"{path}: malformed store header ({e})") from e
-    if param_count != arch.num_params:
-        raise ArchMismatchError(
-            f"{path}: header declares {param_count} parameters but architecture "
-            f"{arch.layer_sizes} needs {arch.num_params}"
-        )
-    expected = len(snap_meta) * param_count * 8
-    if len(buf) - ofs != expected:
-        raise TruncatedFileError(
-            f"{path}: parameter payload is {len(buf) - ofs} bytes, expected {expected}"
-        )
-
-    snapshots = []
-    try:
-        for i, meta in enumerate(snap_meta):
-            values = np.frombuffer(
-                buf, dtype="<f8", count=param_count, offset=ofs + i * param_count * 8
+        try:
+            arch = MlpArchitecture(
+                tuple(header["arch"]["layer_sizes"]), header["arch"]["hidden_activation"]
             )
-            snapshots.append(
-                Snapshot(
-                    params=ParamVector(values, arch),
-                    iteration=int(meta["iteration"]),
-                    lr_at_capture=float(meta["lr_at_capture"]),
-                    train_nll=float(meta["train_nll"]),
-                    val_nll=float(meta["val_nll"]),
-                    tag=meta["tag"],
+            cfg = CycleConfig(**header["cfg"])
+            snap_meta = list(header["snapshots"])  # a non-iterable fails here, not at len()
+            param_count = int(header["param_count"])
+        except (KeyError, TypeError, ValueError, OverflowError, InputError) as e:
+            raise FormatError(f"{path}: malformed store header ({e})") from e
+        if param_count != arch.num_params:
+            raise ArchMismatchError(
+                f"{path}: header declares {param_count} parameters but architecture "
+                f"{arch.layer_sizes} needs {arch.num_params}"
+            )
+        expected = len(snap_meta) * param_count * 8
+        if size - ofs != expected:
+            raise TruncatedFileError(
+                f"{path}: parameter payload is {size - ofs} bytes, expected {expected}"
+            )
+
+        snapshots = []
+        try:
+            for meta in snap_meta:
+                values = np.empty(param_count, dtype="<f8")  # ParamVector copies it out
+                if f.readinto(values) != values.nbytes:
+                    raise TruncatedFileError(f"{path}: parameter payload ended early")
+                snapshots.append(
+                    Snapshot(
+                        params=ParamVector(values, arch),
+                        iteration=int(meta["iteration"]),
+                        lr_at_capture=float(meta["lr_at_capture"]),
+                        train_nll=float(meta["train_nll"]),
+                        val_nll=float(meta["val_nll"]),
+                        tag=meta["tag"],
+                    )
                 )
+            return SnapshotStore(
+                run_id=header["run_id"],
+                arch=arch,
+                cfg=cfg,
+                seed=int(header["seed"]),
+                train_fingerprint=header["train_fingerprint"],
+                val_fingerprint=header["val_fingerprint"],
+                snapshots=tuple(snapshots),
             )
-        return SnapshotStore(
-            run_id=header["run_id"],
-            arch=arch,
-            cfg=cfg,
-            seed=int(header["seed"]),
-            train_fingerprint=header["train_fingerprint"],
-            val_fingerprint=header["val_fingerprint"],
-            snapshots=tuple(snapshots),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError, InputError) as e:
-        raise FormatError(f"{path}: malformed store contents ({e})") from e
+        except (KeyError, TypeError, ValueError, OverflowError, InputError) as e:
+            raise FormatError(f"{path}: malformed store contents ({e})") from e

@@ -71,7 +71,8 @@ class EnsembleModel:
 
 
 def _as_weights(raw: np.ndarray) -> np.ndarray:
-    return raw * (raw.size / raw.sum())
+    """Scale each row [..., N] to sum to N."""
+    return raw * (raw.shape[-1] / raw.sum(axis=-1, keepdims=True))
 
 
 def weights_equal(n: int) -> np.ndarray:
@@ -90,41 +91,62 @@ def weights_inverse_loss(losses) -> np.ndarray:
     return _as_weights(1.0 / arr)
 
 
-def weights_temperature(log_liks, tau: float) -> np.ndarray:
+def weights_temperature(log_liks, tau) -> np.ndarray:
     """Weights proportional to exp(log_lik / tau), normalized to sum to N.
 
+    tau is one temperature, giving weights [N], or an array of them, giving
+    one row of N weights per tau ([T, N] for T taus); each row equals the
+    weights of its tau alone.
     The exponent is shifted by the max log-likelihood, which cancels under
     normalization but keeps exp() in range. Underflowed entries are floored
     at the smallest positive double so weights stay strictly positive.
     """
-    if not tau > 0.0:
-        raise InputError(f"temperature tau must be positive, got {tau}")
+    taus = np.asarray(tau, dtype=np.float64)
+    for t in taus.ravel().tolist():
+        if not t > 0.0:
+            raise InputError(f"temperature tau must be positive, got {t}")
     arr = np.asarray(log_liks, dtype=np.float64)
     if arr.size < 1:
         raise InputError("need at least one log-likelihood value")
     if not np.all(np.isfinite(arr)):
         raise InputError("log-likelihoods must be finite")
-    raw = np.exp((arr - arr.max()) / tau)
+    raw = np.exp((arr - arr.max()) / taus[..., None])
     raw = np.maximum(raw, np.finfo(np.float64).tiny)
     return _as_weights(raw)
 
 
-def build_ensemble(snapshots: list[Snapshot], spec: WeightingSpec) -> EnsembleModel:
-    """Pair snapshots with weights computed by the chosen rule."""
+def _losses(snapshots: list[Snapshot], source: str) -> np.ndarray:
+    return np.array([s.train_nll if source == "train" else s.val_nll for s in snapshots])
+
+
+def weight_rows(snapshots: list[Snapshot], specs: list[WeightingSpec]) -> np.ndarray:
+    """One weight row per spec for an ensemble of snapshots, [len(specs), N].
+
+    The temperature specs of one loss source share one weights_temperature
+    call over their taus.
+    """
     if not snapshots:
         raise InputError("cannot build an ensemble from zero snapshots")
-    if spec.rule == "equal":
-        w = weights_equal(len(snapshots))
-    else:
-        nlls = np.array(
-            [s.train_nll if spec.source == "train" else s.val_nll for s in snapshots]
-        )
-        if spec.rule == "inverse_loss":
-            w = weights_inverse_loss(nlls)
+    rows = np.empty((len(specs), len(snapshots)))
+    temperatures: dict[str, tuple[list[int], list[float]]] = {}
+    for i, spec in enumerate(specs):
+        if spec.rule == "equal":
+            rows[i] = weights_equal(len(snapshots))
+        elif spec.rule == "inverse_loss":
+            rows[i] = weights_inverse_loss(_losses(snapshots, spec.source))
         else:
             # likelihood is the tau = 1 temperature rule; one code path keeps that exact
-            w = weights_temperature(-nlls, 1.0 if spec.rule == "likelihood" else spec.tau)
-    return EnsembleModel(list(zip(snapshots, (float(x) for x in w))))
+            index, taus = temperatures.setdefault(spec.source, ([], []))
+            index.append(i)
+            taus.append(1.0 if spec.rule == "likelihood" else spec.tau)
+    for source, (index, taus) in temperatures.items():
+        rows[index] = weights_temperature(-_losses(snapshots, source), taus)
+    return rows
+
+
+def build_ensemble(snapshots: list[Snapshot], spec: WeightingSpec) -> EnsembleModel:
+    """Pair snapshots with weights computed by the chosen rule."""
+    return EnsembleModel(list(zip(snapshots, weight_rows(snapshots, [spec])[0].tolist())))
 
 
 def member_probs(snapshots: list[Snapshot], features: np.ndarray) -> np.ndarray:
@@ -133,8 +155,22 @@ def member_probs(snapshots: list[Snapshot], features: np.ndarray) -> np.ndarray:
 
 
 def weighted_mean(probs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(1/K) * sum_k w_k * probs[k] over stacked member probabilities [K, m, k]."""
-    return (probs * weights[:, None, None]).sum(axis=0) / len(weights)
+    """(1/K) * sum_k w_k * probs[k] over stacked member probabilities [K, m, k].
+
+    Weights [..., K] give one mean per weight row, [..., m, k]. The members are
+    added in index order into one accumulator, the order in which a sum over
+    axis 0 adds them, so each row equals the mean under its own weights alone.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape[-1:] != (len(probs),):
+        raise InputError(f"weights of shape {w.shape} for {len(probs)} members")
+    w = w[..., None, None]
+    acc = probs[0] * w[..., 0, :, :]
+    term = np.empty_like(acc)
+    for i in range(1, len(probs)):
+        acc += np.multiply(probs[i], w[..., i, :, :], out=term)
+    acc /= len(probs)
+    return acc
 
 
 def ensemble_predict_batch(ens: EnsembleModel, features: np.ndarray) -> np.ndarray:
@@ -165,9 +201,21 @@ def evaluate(probs: np.ndarray, data: Dataset) -> EvalMetrics:
             f"probabilities have shape {probs.shape}, expected "
             f"({data.num_examples}, {data.num_classes})"
         )
-    preds = probs.argmax(axis=1)  # argmax returns the first max: lowest class index
-    p_true = probs[np.arange(data.num_examples), data.labels]
-    return EvalMetrics(
-        accuracy=float((preds == data.labels).mean()),
-        mean_nll=float(-np.log(np.maximum(p_true, PROB_FLOOR)).mean()),
-    )
+    return evaluate_rows(probs[None], data)[0]
+
+
+def evaluate_rows(probs: np.ndarray, data: Dataset) -> list[EvalMetrics]:
+    """evaluate() of each prediction in stacked class probabilities [T, m, k]."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 3 or probs.shape[1:] != (data.num_examples, data.num_classes):
+        raise InputError(
+            f"probabilities have shape {probs.shape}, expected "
+            f"(T, {data.num_examples}, {data.num_classes})"
+        )
+    preds = probs.argmax(axis=-1)  # argmax returns the first max: lowest class index
+    # the gathered [T, m] block comes out strided, and a strided mean sums in
+    # another order; a contiguous copy keeps each row's sum that of a 1-D mean
+    p_true = np.ascontiguousarray(probs[:, np.arange(data.num_examples), data.labels])
+    accuracy = (preds == data.labels).mean(axis=-1)
+    mean_nll = (-np.log(np.maximum(p_true, PROB_FLOOR))).mean(axis=-1)
+    return [EvalMetrics(a, nll) for a, nll in zip(accuracy.tolist(), mean_nll.tolist())]

@@ -2,13 +2,18 @@
 
 import csv
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import snapstack
 from snapstack import FormatError, InputError, harness, load_store, stacking, train_with_capture
 from snapstack.harness import (
     build_datasets,
@@ -626,6 +631,24 @@ class TestCli:
         assert rows and {r["source"] for r in rows} == {"validation"}
         assert main(["sweep-temp", *common, "--source", "train"]) == 0  # the flag wins
         assert {r["source"] for r in read_rows(tmp_path / "sweep_temp_min_train.csv")} == {"train"}
+
+    def test_sweep_temp_warns_once_per_skipped_cell(self, setup, tmp_path):
+        # Python shows a warning once per message and source line, so each names its tau
+        cfg, store, store_dir = setup
+        cfg_path = self.write_config(tmp_path)
+        src = str(Path(snapstack.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "snapstack", "sweep-temp", "--config", str(cfg_path),
+             "--store", str(store_dir / "store.snap"), "--policy", "window",
+             "--out-dir", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        have = len(policy_snapshots(store, "window", cfg))
+        skipped = [(str(n), str(tau)) for tau in cfg.tau_grid for n in cfg.n_grid if n > have]
+        assert len(skipped) == len(cfg.tau_grid)
+        assert len(re.findall(r"skipping n=\d+", proc.stderr)) == len(skipped)
+        assert re.findall(r"skipping n=(\d+) at tau=(\S+)", proc.stderr) == skipped
 
     def test_missing_store_exit_code(self, tmp_path):
         cfg_path = self.write_config(tmp_path)

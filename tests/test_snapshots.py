@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -309,6 +310,31 @@ class TestStoreIO:
         path = tmp_path / "run.snap"
         save_store(store, path)
         assert load_store(path) == store
+
+    def test_load_holds_the_file_about_once(self, tmp_path):
+        # an idx784-shaped store: the parameters are read one snapshot at a time,
+        # never from a whole-file buffer held next to the vectors made from it
+        arch = MlpArchitecture((784, 32, 10))
+        rng = np.random.default_rng(0)
+        snaps = tuple(
+            Snapshot(ParamVector(rng.normal(0.0, 0.1, arch.num_params), arch), t, 0.05, 0.3, 0.4,
+                     "window")
+            for t in range(40)
+        )
+        store = SnapshotStore(run_id="idx784-shaped", arch=arch, cfg=CycleConfig(0.01, 0.1, 100, 500),
+                              seed=0, train_fingerprint="", val_fingerprint="", snapshots=snaps)
+        path = tmp_path / "run.snap"
+        save_store(store, path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_store(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert loaded == store
+        size = path.stat().st_size
+        assert peak <= 1.1 * size, f"peak {peak} bytes for a {size}-byte store"
 
     def test_sidecar_written(self, tmp_path):
         store = small_run(plan_captures(CFG))

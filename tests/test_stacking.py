@@ -9,6 +9,7 @@ from conftest import likelihood_weights
 from snapstack import (
     Dataset,
     EnsembleModel,
+    EvalMetrics,
     InputError,
     MlpArchitecture,
     ParamVector,
@@ -24,6 +25,9 @@ from snapstack import (
     weights_inverse_loss,
     weights_temperature,
 )
+from snapstack.harness import _scorer
+from snapstack.nn import PROB_FLOOR
+from snapstack.stacking import SOURCES, evaluate_rows, weighted_mean
 
 ARCH_1D = MlpArchitecture((1, 2))
 
@@ -319,3 +323,100 @@ class TestEvaluate:
         single = evaluate(forward_batch(snap.params, data.features), data)
         ens = evaluate(ensemble_predict_batch(EnsembleModel([(snap, 1.0)]), data.features), data)
         assert single == ens
+
+
+def reference_weights(log_liks, tau: float) -> np.ndarray:
+    """The temperature rule for one tau, written out as it was before taus were batched."""
+    arr = np.asarray(log_liks, dtype=np.float64)
+    raw = np.maximum(np.exp((arr - arr.max()) / tau), np.finfo(np.float64).tiny)
+    return raw * (raw.size / raw.sum())
+
+
+def reference_cell(probs: np.ndarray, w: np.ndarray, labels: np.ndarray) -> EvalMetrics:
+    """One ensemble scored as it was before cells were batched: weighted mean, then evaluate."""
+    mix = (probs * w[:, None, None]).sum(axis=0) / len(w)
+    preds = mix.argmax(axis=1)
+    p_true = mix[np.arange(len(labels)), labels]
+    return EvalMetrics(
+        accuracy=float((preds == labels).mean()),
+        mean_nll=float(-np.log(np.maximum(p_true, PROB_FLOOR)).mean()),
+    )
+
+
+class TestBatchedScoring:
+    """The batched scorer against the per-cell formulas, compared with ==, at the
+    benchmark grid's scale: 40 members, 600 test rows, 15 taus."""
+
+    TAUS = (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0, 1000.0)
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        rng = np.random.default_rng(10)
+        members, m, k = 40, 600, 3
+        logits = rng.normal(0.0, 2.0, (members, m, k))
+        probs = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
+        arch = MlpArchitecture((2, 3))
+        zeros = ParamVector(np.zeros(arch.num_params), arch)
+        snaps = [
+            Snapshot(zeros, i, 0.01, float(tr), float(va), "min")
+            for i, (tr, va) in enumerate(rng.uniform(0.2, 1.4, (members, 2)))
+        ]
+        test = Dataset(np.zeros((m, 2)), rng.integers(0, k, m), k)
+        return snaps, probs, test
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_sweep_rows_equal_per_cell_path(self, grid, source):
+        snaps, probs, test = grid
+        metrics = _scorer(snaps, test, probs)
+        specs = [WeightingSpec("temperature", tau=tau, source=source) for tau in self.TAUS]
+        nlls = np.array([s.train_nll if source == "train" else s.val_nll for s in snaps])
+        for n in range(1, len(snaps) + 1):
+            expected = [
+                reference_cell(probs[-n:], reference_weights(-nlls[-n:], tau), test.labels)
+                for tau in self.TAUS
+            ]
+            assert metrics(specs, n) == expected, n
+
+    def test_compare_pair_equals_per_cell_path(self, grid):
+        snaps, probs, test = grid
+        specs = [WeightingSpec("equal")] + [
+            WeightingSpec("temperature", tau=tau, source="validation") for tau in self.TAUS
+        ]
+        nlls = np.array([s.val_nll for s in snaps])
+        expected = [reference_cell(probs, np.ones(len(snaps)), test.labels)] + [
+            reference_cell(probs, reference_weights(-nlls, tau), test.labels) for tau in self.TAUS
+        ]
+        assert _scorer(snaps, test, probs)(specs) == expected
+
+    def test_underflowing_tau_equals_per_cell_path(self, grid):
+        snaps, probs, test = grid
+        tau = 1e-3
+        lls = -np.array([s.train_nll for s in snaps])
+        assert np.any(np.exp((lls - lls.max()) / tau) == 0.0)  # the tiny floor is in use
+        w = reference_weights(lls, tau)
+        specs = [WeightingSpec("temperature", tau=tau), WeightingSpec("temperature", tau=1.0)]
+        met = _scorer(snaps, test, probs)(specs)[0]
+        assert met == reference_cell(probs, w, test.labels)
+
+    def test_weight_rows_equal_single_tau_weights(self, grid):
+        snaps, _, _ = grid
+        lls = -np.array([s.train_nll for s in snaps])
+        taus = np.array((1e-3, *self.TAUS))
+        rows = weights_temperature(lls, taus)
+        assert rows.shape == (len(taus), len(lls))
+        for i, tau in enumerate(taus):
+            assert np.array_equal(rows[i], weights_temperature(lls, taus[i]))
+            assert np.array_equal(rows[i], reference_weights(lls, tau))
+
+    def test_rejects_mismatched_shapes(self, grid):
+        _, probs, test = grid
+        with pytest.raises(InputError, match="weights of shape"):
+            weighted_mean(probs[:2], np.ones((4, 3)))
+        with pytest.raises(InputError, match="probabilities have shape"):
+            evaluate_rows(probs[0], test)
+
+    def test_rejects_bad_tau_in_array(self):
+        with pytest.raises(InputError, match="got 0.0"):
+            weights_temperature([-1.0, -2.0], [1.0, 0.0])
+        with pytest.raises(InputError, match="got nan"):
+            weights_temperature([-1.0, -2.0], [np.nan, 1.0])
