@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 import warnings
@@ -27,7 +26,7 @@ from .errors import (
     SelectionError,
     TrainingError,
 )
-from .nn import Dataset, MlpArchitecture, forward_batch
+from .nn import Dataset, MlpArchitecture
 from .schedule import CycleConfig
 from .snapshots import (
     Snapshot,
@@ -45,11 +44,9 @@ from .snapshots import (
 from .stacking import (
     EvalMetrics,
     WeightingSpec,
-    build_ensemble,
-    evaluate,
     evaluate_rows,
     member_probs,
-    swa_average,
+    swa_probs,
     weight_rows,
     weighted_mean,
 )
@@ -113,6 +110,33 @@ class ExperimentConfig:
         return tuple(range(1, self.cycle.num_cycles + 1))
 
 
+# the JSON values each config type takes: Python counts a bool as an int, JSON does not
+_JSON_KINDS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
+def _typed(kind: type, key: str, value):
+    """value as kind, if it is a JSON value of that kind; the error names key. JSON has
+    no NaN or Infinity, though Python's parser reads them."""
+    types, name = _JSON_KINDS[kind]
+    if type(value) not in types:
+        raise InputError(f"config key {key!r} must be {name}, got {value!r}")
+    try:
+        value = kind(value)
+    except OverflowError:  # an integer too large for a float
+        value = math.inf
+    if kind is float and not math.isfinite(value):
+        raise InputError(f"config key {key!r} must be a finite number")
+    return value
+
+
+def _typed_items(kind: type, key: str, values) -> tuple:
+    return tuple(_typed(kind, f"{key}[{i}]", v) for i, v in enumerate(values))
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build and validate a config from parsed JSON."""
     try:
@@ -120,28 +144,29 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             # a string or an object would iterate as characters or keys
             if raw.get(key) is not None and not isinstance(raw[key], list):
                 raise InputError(f"config key {key!r} must be a JSON array, got {raw[key]!r}")
+        cycle = raw["cycle"]
         return ExperimentConfig(
             dataset=_dataset_from_dict(dict(raw["dataset"])),
-            hidden=tuple(int(h) for h in raw.get("hidden", (32,))),
+            hidden=_typed_items(int, "hidden", raw.get("hidden", (32,))),
             cycle=CycleConfig(
-                alpha_min=float(raw["cycle"]["alpha_min"]),
-                alpha_max=float(raw["cycle"]["alpha_max"]),
-                cycle_len=int(raw["cycle"]["cycle_len"]),
-                total_iters=int(raw["cycle"]["total_iters"]),
+                alpha_min=_typed(float, "cycle.alpha_min", cycle["alpha_min"]),
+                alpha_max=_typed(float, "cycle.alpha_max", cycle["alpha_max"]),
+                cycle_len=_typed(int, "cycle.cycle_len", cycle["cycle_len"]),
+                total_iters=_typed(int, "cycle.total_iters", cycle["total_iters"]),
             ),
-            seed=int(raw["seed"]),
-            val_fraction=float(raw.get("val_fraction", 0.2)),
-            batch_size=int(raw.get("batch_size", 32)),
-            window_halfwidth=int(raw.get("window_halfwidth", 0)),
-            offsets=tuple(int(o) for o in raw.get("offsets", ())),
-            offset_steps=int(raw.get("offset_steps", 10)),
-            tau_grid=tuple(float(t) for t in raw.get("tau_grid", DEFAULT_TAU_GRID)),
+            seed=_typed(int, "seed", raw["seed"]),
+            val_fraction=_typed(float, "val_fraction", raw.get("val_fraction", 0.2)),
+            batch_size=_typed(int, "batch_size", raw.get("batch_size", 32)),
+            window_halfwidth=_typed(int, "window_halfwidth", raw.get("window_halfwidth", 0)),
+            offsets=_typed_items(int, "offsets", raw.get("offsets", ())),
+            offset_steps=_typed(int, "offset_steps", raw.get("offset_steps", 10)),
+            tau_grid=_typed_items(float, "tau_grid", raw.get("tau_grid", DEFAULT_TAU_GRID)),
             n_models_grid=(
-                tuple(int(n) for n in raw["n_models_grid"])
+                _typed_items(int, "n_models_grid", raw["n_models_grid"])
                 if raw.get("n_models_grid") is not None
                 else None
             ),
-            num_independent=int(raw.get("num_independent", 5)),
+            num_independent=_typed(int, "num_independent", raw.get("num_independent", 5)),
             weighting_source=str(raw.get("weighting_source", "train")),
         )
     except KeyError as e:
@@ -155,20 +180,18 @@ def _dataset_from_dict(ds: dict) -> dict:
     kind = ds.get("kind")
     if kind == "blobs":  # test_per_class defaults to per_class
         ds = {"test_per_class": ds.get("per_class"), **ds}
-        casts = dict(num_classes=int, per_class=int, dim=int, spread=float, test_per_class=int)
-    elif kind == "idx":  # os.fspath takes no JSON value but a string; null means absent
+        kinds = dict(num_classes=int, per_class=int, dim=int, spread=float, test_per_class=int)
+    elif kind == "idx":  # null means absent
         optional = [k for k in ("limit", "test_limit", "num_classes") if ds.get(k) is not None]
-        casts = {**dict.fromkeys(IDX_PATHS, os.fspath), **dict.fromkeys(optional, int)}
+        kinds = {**dict.fromkeys(IDX_PATHS, str), **dict.fromkeys(optional, int)}
     else:
         raise InputError(f"dataset.kind must be 'blobs' or 'idx', got {kind!r}")
     parsed = {"kind": kind}
-    for key, cast in casts.items():
+    for key, key_kind in kinds.items():
         try:
-            parsed[key] = cast(ds[key])
+            parsed[key] = _typed(key_kind, f"dataset.{key}", ds[key])
         except KeyError:
             raise InputError(f"config missing required key: 'dataset.{key}'") from None
-        except (TypeError, ValueError, OverflowError) as e:
-            raise InputError(f"malformed config value dataset.{key}: {e}") from e
     return parsed
 
 
@@ -233,51 +256,58 @@ def _write_csv(path: Path, columns: tuple[str, ...], rows: list[tuple]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _prepare(
-    config: ExperimentConfig, out_dir: str | Path, store: SnapshotStore | None = None
-) -> tuple[Path, Dataset, Dataset, Dataset, MlpArchitecture]:
-    """Build (train, val, test, arch), warn if store saw other data, then create out_dir.
+class _Experiment:
+    """One command's datasets, output directory and ensemble scorer. out_dir is created
+    last, so a dataset that fails to build leaves nothing behind; a store command keeps
+    only the test set, the one dataset it reads."""
 
-    The directory comes last, so a dataset that fails to build leaves nothing behind.
-    """
-    train, val, test, arch = build_datasets(config)
-    if store is not None and (
-        store.train_fingerprint != fingerprint(train) or store.val_fingerprint != fingerprint(val)
+    def __init__(
+        self, config: ExperimentConfig, out_dir: str | Path, store: SnapshotStore | None = None
     ):
-        warnings.warn(
-            "store was trained on different data than this config produces; "
-            "weights may be stale"
-        )
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir, train, val, test, arch
+        train, val, self.test, self.arch = build_datasets(config)
+        self.train, self.val = (train, val) if store is None else (None, None)
+        if store is not None and (
+            store.train_fingerprint != fingerprint(train)
+            or store.val_fingerprint != fingerprint(val)
+        ):
+            warnings.warn(
+                "store was trained on different data than this config produces; "
+                "weights may be stale"
+            )
+        self.out_dir = Path(out_dir)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
 
+    def scorer(self, pool: list[Snapshot], swa: bool = False):
+        """metrics(specs, members) scores members, drawn from pool (all of it by default), as
+        one ensemble per spec in one pass: the mean of their test outputs, or with swa the
+        outputs of their mean parameters. Each pool snapshot is forwarded once, here, and
+        looked up by object: the seeds' finals in compare share an iteration."""
+        probs = {} if swa else dict(zip(map(id, pool), member_probs(pool, self.test.features)))
 
-def _scorer(snaps: list[Snapshot], test: Dataset, probs: np.ndarray):
-    """metrics(specs, n) scores the last n snaps as one ensemble per spec, in one pass
-    over their test outputs probs; it returns one EvalMetrics per spec."""
+        def metrics(specs: list[WeightingSpec], members=pool) -> list[EvalMetrics]:
+            w = weight_rows(members, specs)
+            if swa:
+                return evaluate_rows(swa_probs(members, w, self.test.features), self.test)
+            return evaluate_rows(weighted_mean([probs[id(s)] for s in members], w), self.test)
 
-    def metrics(specs: list[WeightingSpec], n: int = len(snaps)) -> list[EvalMetrics]:
-        return evaluate_rows(weighted_mean(probs[-n:], weight_rows(snaps[-n:], specs)), test)
-
-    return metrics
+        return metrics
 
 
 def cmd_train(config: ExperimentConfig, out_dir: str | Path) -> Path:
     """Train once with the full capture plan; write the store and its sidecar."""
     if config.cycle.cycle_len < 4:
         warnings.warn(f"degenerate cycle_len {config.cycle.cycle_len}: schedule has almost no descent")
-    out_dir, train, val, test, arch = _prepare(config, out_dir)
-    del test  # built so a bad test file fails train; training never reads it
+    exp = _Experiment(config, out_dir)
+    exp.test = None  # built so a bad test file fails train; training never reads it
     plan = plan_captures(
         config.cycle, config.window_halfwidth, [*config.offsets, config.offset_steps]
     )
     t0 = time.perf_counter()
     store = train_with_capture(
-        arch, train, val, config.cycle, config.seed, plan, batch_size=config.batch_size
+        exp.arch, exp.train, exp.val, config.cycle, config.seed, plan, batch_size=config.batch_size
     )
     elapsed = time.perf_counter() - t0
-    path = out_dir / "store.snap"
+    path = exp.out_dir / "store.snap"
     save_store(store, path)
     for i, snap in enumerate(select_min(store), start=1):
         print(
@@ -299,14 +329,13 @@ def cmd_sweep_temperature(
 
     For each cell the LAST n snapshots of the policy (the most recent cycles)
     are stacked with temperature weights and scored on the held-out test set.
-    Each snapshot is forwarded once, and each ensemble size scores all its taus
-    in one pass over those outputs.
+    Each ensemble size scores all its taus in one pass over one forward per snapshot.
     """
-    out_dir, _, _, test, _ = _prepare(config, out_dir, store)
+    exp = _Experiment(config, out_dir, store)
     snaps = policy_snapshots(store, policy, config)
-    metrics = _scorer(snaps, test, member_probs(snaps, test.features))
+    metrics = exp.scorer(snaps)
     specs = [WeightingSpec("temperature", tau=tau, source=source) for tau in config.tau_grid]
-    scored = {n: metrics(specs, n) for n in config.n_grid if n <= len(snaps)}
+    scored = {n: metrics(specs, snaps[-n:]) for n in config.n_grid if n <= len(snaps)}
     rows = []
     for i, tau in enumerate(config.tau_grid):
         for n in config.n_grid:
@@ -317,7 +346,7 @@ def cmd_sweep_temperature(
                 continue
             met = scored[n][i]
             rows.append((float(tau), n, met.accuracy, met.mean_nll, policy, source))
-    path = out_dir / f"sweep_temp_{policy.replace('+', '_')}_{source}.csv"
+    path = exp.out_dir / f"sweep_temp_{policy.replace('+', '_')}_{source}.csv"
     _write_csv(path, SWEEP_COLUMNS, rows)
     return path
 
@@ -328,7 +357,7 @@ def cmd_sweep_offset(
     """Accuracy per capture offset from the rate minima, at a fixed temperature."""
     src = config.weighting_source
     spec = WeightingSpec("temperature", tau=tau, source=src)  # checks tau before any work
-    out_dir, _, _, test, _ = _prepare(config, out_dir, store)
+    exp = _Experiment(config, out_dir, store)
     rows = []
     for steps in config.offsets:
         try:
@@ -336,9 +365,9 @@ def cmd_sweep_offset(
         except SelectionError as e:
             warnings.warn(f"offset {steps} skipped: {e}")
             continue
-        (met,) = _scorer(snaps, test, member_probs(snaps, test.features))([spec])
+        (met,) = exp.scorer(snaps)([spec])
         rows.append((steps, float(tau), len(snaps), met.accuracy, met.mean_nll, "offset", src))
-    path = out_dir / "sweep_offset.csv"
+    path = exp.out_dir / "sweep_offset.csv"
     _write_csv(path, OFFSET_COLUMNS, rows)
     return path
 
@@ -350,7 +379,7 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
     independent-ensemble baseline trains additional models, in the same SGD
     loop as the capture run.
     """
-    out_dir, train, val, test, arch = _prepare(config, out_dir)
+    exp = _Experiment(config, out_dir)
 
     # the capture run plans only what the rows read, the final iterate last; captures
     # do not change the trajectory, so that iterate is independent member 0 (config.seed)
@@ -359,22 +388,17 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
     plans = [plan_captures(config.cycle, offsets=[config.offset_steps])]
     plans += [{last: "window"}] * (len(seeds) - 1)
     t0 = time.perf_counter()
-    store, *others = _train_runs(arch, train, val, config.cycle, seeds, plans, config.batch_size)
+    store, *others = _train_runs(exp.arch, exp.train, exp.val, config.cycle, seeds, plans,
+                                 config.batch_size)
     train_time = time.perf_counter() - t0
     finals = [store.snapshots[-1]] + [run.snapshots[0] for run in others]
-
-    # one forward per member; the seeds' finals share an iteration, so look up by object
-    members = [*store.snapshots, *finals[1:]]
-    probs = dict(zip(map(id, members), member_probs(members, test.features)))
-
-    def scorer(snaps: list[Snapshot]):
-        return _scorer(snaps, test, np.stack([probs[id(s)] for s in snaps]))
+    metrics = exp.scorer([*store.snapshots, *finals[1:]])
 
     equal = [WeightingSpec("equal")]
     rows: list[tuple] = []
-    (single,) = scorer(finals[:1])(equal)
+    (single,) = metrics(equal, finals[:1])
     rows.append(("single", "-", 1, "-", single.accuracy, single.mean_nll))
-    (met,) = scorer(finals)(equal)
+    (met,) = metrics(equal, finals)
     rows.append(("ensemble", "individual", len(finals), "-", met.accuracy, met.mean_nll))
 
     src = config.weighting_source
@@ -382,13 +406,13 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
         WeightingSpec("temperature", tau=tau, source=src) for tau in config.tau_grid
     ]
 
-    def add_pair(model: str, label: str, n: int, metrics) -> None:
+    def add_pair(model: str, label: str, snaps: list[Snapshot], metrics) -> None:
         """The equal-weight row, then the stacked row at the first tau with the best accuracy."""
-        met, *stacked = metrics(pair_specs)
-        rows.append((model, f"{label}, eq", n, "-", met.accuracy, met.mean_nll))
+        met, *stacked = metrics(pair_specs, snaps)
+        rows.append((model, f"{label}, eq", len(snaps), "-", met.accuracy, met.mean_nll))
         scored = zip(map(float, config.tau_grid), stacked)
         tau, met = max(scored, key=lambda tau_met: tau_met[1].accuracy)  # max keeps the first
-        rows.append((model, f"{label}, stack", n, tau, met.accuracy, met.mean_nll))
+        rows.append((model, f"{label}, stack", len(snaps), tau, met.accuracy, met.mean_nll))
 
     for policy in ("min", "min+mid", "offset"):
         try:
@@ -396,26 +420,18 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
         except SelectionError as e:
             warnings.warn(f"policy {policy!r} skipped: {e}")
             continue
-        add_pair("snapshot", policy, len(snaps), scorer(snaps))
-
+        add_pair("snapshot", policy, snaps, metrics)
     swa_snaps = select_min(store)
+    add_pair("swa", "min", swa_snaps, exp.scorer(swa_snaps, swa=True))
 
-    def swa_metrics(specs: list[WeightingSpec]) -> list[EvalMetrics]:
-        swas = (swa_average(build_ensemble(swa_snaps, spec)) for spec in specs)
-        return [evaluate(forward_batch(swa, test.features), test) for swa in swas]
-
-    add_pair("swa", "min", len(swa_snaps), swa_metrics)
-
-    csv_path = out_dir / "compare.csv"
+    csv_path = exp.out_dir / "compare.csv"
     _write_csv(csv_path, COMPARE_COLUMNS, rows)
-    md_path = out_dir / "compare.md"
+    md_path = exp.out_dir / "compare.md"
     md_path.write_text(_compare_markdown(rows))
     return {
         "rows": rows,
         "csv_path": csv_path,
         "md_path": md_path,
-        "snapshot_trainings": 1,
-        "independent_trainings": config.num_independent - 1,
         "train_time": train_time,
     }
 

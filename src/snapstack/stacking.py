@@ -154,22 +154,21 @@ def member_probs(snapshots: list[Snapshot], features: np.ndarray) -> np.ndarray:
     return np.stack([forward_batch(s.params, features) for s in snapshots])
 
 
-def weighted_mean(probs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(1/K) * sum_k w_k * probs[k] over stacked member probabilities [K, m, k].
-
-    Weights [..., K] give one mean per weight row, [..., m, k]. The members are
-    added in index order into one accumulator, the order in which a sum over
-    axis 0 adds them, so each row equals the mean under its own weights alone.
-    """
+def weighted_mean(values, weights: np.ndarray) -> np.ndarray:
+    """(1/K) * sum_k w_k * values[k] over K members, a sequence or stack of probability
+    matrices [m, k] or parameter vectors [P]. Weights [..., K] give one mean per row. The
+    members are added in index order into one accumulator, the order in which a sum over
+    axis 0 adds them, so each row equals the mean under its own weights alone."""
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape[-1:] != (len(probs),):
-        raise InputError(f"weights of shape {w.shape} for {len(probs)} members")
-    w = w[..., None, None]
-    acc = probs[0] * w[..., 0, :, :]
+    if w.shape[-1:] != (len(values),):
+        raise InputError(f"weights of shape {w.shape} for {len(values)} members")
+    w = np.moveaxis(w, -1, 0)
+    w = w.reshape(w.shape + (1,) * np.ndim(values[0]))  # w[k] broadcasts over one member
+    acc = values[0] * w[0]
     term = np.empty_like(acc)
-    for i in range(1, len(probs)):
-        acc += np.multiply(probs[i], w[..., i, :, :], out=term)
-    acc /= len(probs)
+    for i in range(1, len(values)):
+        acc += np.multiply(values[i], w[i], out=term)
+    acc /= len(values)
     return acc
 
 
@@ -181,9 +180,16 @@ def ensemble_predict_batch(ens: EnsembleModel, features: np.ndarray) -> np.ndarr
 def swa_average(ensemble: EnsembleModel) -> ParamVector:
     """The ensemble's weighted mean parameter vector: ensembling in weight space."""
     snaps = ensemble.snapshots
-    stacked = np.stack([s.params.values for s in snaps])
-    avg = (ensemble.weights[:, None] * stacked).sum(axis=0) / len(snaps)
-    return ParamVector(avg, snaps[0].params.arch)
+    values = [s.params.values for s in snaps]
+    return ParamVector(weighted_mean(values, ensemble.weights), snaps[0].params.arch)
+
+
+def swa_probs(snapshots: list[Snapshot], weights: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Class probabilities [T, m, k] of the snapshots' weighted mean parameter
+    vector under each weight row [T, K]; each mean is forwarded on its own."""
+    arch = snapshots[0].params.arch
+    means = weighted_mean([s.params.values for s in snapshots], weights)
+    return np.stack([forward_batch(ParamVector(mean, arch), features) for mean in means])
 
 
 @dataclass(frozen=True)

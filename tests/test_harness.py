@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 import struct
@@ -253,6 +254,19 @@ def result(tmp_path_factory):
     return small_config(), tmp, cmd_compare(small_config(), tmp)
 
 
+@pytest.fixture
+def train_runs(monkeypatch):
+    """Records each harness._train_runs call as (seeds, the stores it returned)."""
+    calls, train_runs = [], harness._train_runs
+
+    def recording(arch, train, val, cycle, seeds, *rest):
+        calls.append((list(seeds), train_runs(arch, train, val, cycle, seeds, *rest)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(harness, "_train_runs", recording)
+    return calls
+
+
 class TestCmdCompare:
 
     def test_expected_rows(self, result):
@@ -272,24 +286,23 @@ class TestCmdCompare:
         assert single[2] == 1
         assert 0.0 <= single[4] <= 1.0
 
-    def test_snapshot_rows_from_one_training(self, result):
-        _, _, res = result
-        assert res["snapshot_trainings"] == 1
-        assert res["independent_trainings"] == 1  # member 0 is the capture run's final
+    def test_snapshot_rows_from_one_training(self, tmp_path, monkeypatch, train_runs):
+        # one training call: the capture run is member 0, the other seeds train beside it
+        def no_training(*args, **kwargs):
+            raise AssertionError("compare trained outside _train_runs")
 
-    def test_independent_members_equal_separate_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "train_with_capture", no_training)
+        cfg = small_config()
+        cmd_compare(cfg, tmp_path)
+        assert [seeds for seeds, _ in train_runs] == [[0, 1]]
+
+    def test_independent_members_equal_separate_runs(self, tmp_path, train_runs):
         # the seeds train in one loop, yet each member is the run its seed gives alone
-        trained, train_runs = [], harness._train_runs
-
-        def recording(*args):
-            trained.extend(train_runs(*args))
-            return trained
-
         cfg = small_config(num_independent=3)
-        monkeypatch.setattr(harness, "_train_runs", recording)
         res = cmd_compare(cfg, tmp_path)
         assert res["train_time"] > 0.0
-        assert res["independent_trainings"] == 2
+        ((seeds, trained),) = train_runs
+        assert seeds == [0, 1, 2]
         members = [trained[0].snapshots[-1]] + [s.snapshots[0] for s in trained[1:]]
         train, val, _, arch = build_datasets(cfg)
         last = cfg.cycle.total_iters - 1
@@ -299,26 +312,27 @@ class TestCmdCompare:
             )
             assert np.array_equal(member.params.values, alone.snapshots[0].params.values)
 
-    def test_each_snapshot_forwarded_once(self, tmp_path, monkeypatch):
+    def test_each_snapshot_forwarded_once(self, tmp_path, monkeypatch, train_runs):
         # min is a subset of min+mid; single is independent member 0; the capture
-        # store holds only what the rows read, so every snapshot is forwarded
-        calls, trained = [], []
-        forward, train_runs = stacking.forward_batch, harness._train_runs
+        # store holds only what the rows read, so every snapshot is forwarded once.
+        # The SWA rows forward one averaged parameter vector per spec besides.
+        calls, forward = [], stacking.forward_batch
 
         def counting(params, features):
-            calls.append(id(params))
+            calls.append(params)  # held, so no two forwarded vectors share an id
             return forward(params, features)
 
-        def recording(*args):
-            trained.extend(train_runs(*args))
-            return trained
-
         monkeypatch.setattr(stacking, "forward_batch", counting)
-        monkeypatch.setattr(harness, "_train_runs", recording)
         cfg = small_config(num_independent=3)
         cmd_compare(cfg, tmp_path)
-        assert calls and len(calls) == len(set(calls))
-        assert len(calls) == len(trained[0].snapshots) + cfg.num_independent - 1
+        ((_, (store, *others)),) = train_runs
+        snapshots = [*store.snapshots, *(run.snapshots[0] for run in others)]
+        member_ids = {id(s.params) for s in snapshots}
+        assert len(member_ids) == len(store.snapshots) + cfg.num_independent - 1
+        snapshot_calls = [id(p) for p in calls if id(p) in member_ids]
+        assert sorted(snapshot_calls) == sorted(member_ids)
+        swa_calls = len(calls) - len(snapshot_calls)
+        assert swa_calls == 1 + len(cfg.tau_grid)  # the equal spec and each tau
 
     def test_reads_no_window_or_sweep_offsets(self, tmp_path):
         # compare captures no windows and no sweep offsets, so it takes values train rejects
@@ -327,11 +341,11 @@ class TestCmdCompare:
         with pytest.raises(InputError):
             cmd_train(cfg, tmp_path)
 
-    def test_one_member_ensemble_is_the_single_model(self, tmp_path):
+    def test_one_member_ensemble_is_the_single_model(self, tmp_path, train_runs):
         res = cmd_compare(small_config(num_independent=1), tmp_path)
         rows = {(r[0], r[1]): r[2:] for r in res["rows"]}
         assert rows[("ensemble", "individual")] == rows[("single", "-")]
-        assert res["independent_trainings"] == 0
+        assert [seeds for seeds, _ in train_runs] == [[0]]
 
     def test_outputs_written(self, result):
         _, tmp, res = result
@@ -496,6 +510,35 @@ class TestCli:
         assert csv_path.exists()
         assert main(["report", str(csv_path), "--out", str(tmp_path / "report.md")]) == 0
         assert (tmp_path / "report.md").exists()
+
+    INT_KEYS = ("seed", "cycle.cycle_len", "batch_size", "hidden.0", "offsets.0",
+                "num_independent", "dataset.per_class")
+    FLOAT_KEYS = ("cycle.alpha_min", "val_fraction", "tau_grid.0", "dataset.spread")
+
+    @pytest.mark.parametrize("key,value", [
+        *((key, value) for key in INT_KEYS for value in (1.5, True)),
+        *((key, True) for key in FLOAT_KEYS),
+        pytest.param("cycle.alpha_min", 10**400, id="cycle.alpha_min-1e400"),
+        pytest.param("dataset.spread", 10**400, id="dataset.spread-1e400"),
+        ("cycle.alpha_max", math.inf),
+        ("tau_grid.0", math.nan),
+    ])
+    def test_key_takes_only_its_json_type(self, tmp_path, capsys, key, value):
+        # int() and float() would truncate 1.5 and read true as 1 and train on that;
+        # an integer too large for a float, NaN and Infinity must also name their key
+        raw = json.loads(json.dumps({**SMALL, "val_fraction": 0.2}))
+        *path, last = key.split(".")
+        node = raw
+        for part in path:
+            node = node[part]
+        node[int(last) if isinstance(node, list) else last] = value
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        out_dir = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 1
+        named = re.sub(r"\.(\d+)$", r"[\1]", key)
+        assert f"'{named}' must be" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_validation_error_exit_code(self, tmp_path):
         cfg_path = self.write_config(

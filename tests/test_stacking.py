@@ -25,11 +25,17 @@ from snapstack import (
     weights_inverse_loss,
     weights_temperature,
 )
-from snapstack.harness import _scorer
+from snapstack import harness
 from snapstack.nn import PROB_FLOOR
 from snapstack.stacking import SOURCES, evaluate_rows, weighted_mean
 
 ARCH_1D = MlpArchitecture((1, 2))
+
+
+def experiment(test: Dataset, monkeypatch, tmp_path) -> harness._Experiment:
+    """An experiment context whose test set is `test`; it builds no other dataset."""
+    monkeypatch.setattr(harness, "build_datasets", lambda config: (None, None, test, None))
+    return harness._Experiment(None, tmp_path)
 
 
 def snap_with_bias(bias0: float, bias1: float, train_nll=0.5, val_nll=0.6, it=0) -> Snapshot:
@@ -276,6 +282,13 @@ class TestSwaAverage:
         with pytest.raises(InputError):
             swa_average(EnsembleModel([(snap_with_bias(0, 0), 2.0)]))
 
+    def test_overflowing_average_rejected(self):
+        # each member is finite, their sum is not: the average fails the ParamVector check
+        arch = MlpArchitecture((1, 1))
+        big = Snapshot(ParamVector(np.array([1.5e308, 0.0]), arch), 0, 0.1, 0.5, 0.5, "min")
+        with np.errstate(over="ignore"), pytest.raises(InputError, match="non-finite"):
+            swa_average(EnsembleModel([(big, 1.0), (big, 1.0)]))
+
 
 class TestEvaluate:
     def test_perfect_predictor(self):
@@ -353,21 +366,24 @@ class TestBatchedScoring:
     def grid(self):
         rng = np.random.default_rng(10)
         members, m, k = 40, 600, 3
-        logits = rng.normal(0.0, 2.0, (members, m, k))
-        probs = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
-        arch = MlpArchitecture((2, 3))
-        zeros = ParamVector(np.zeros(arch.num_params), arch)
+        # one-hot test rows: each member's output on row j is the softmax of its own
+        # random logits for that row, so the members disagree row by row
+        arch = MlpArchitecture((m, k))
         snaps = [
-            Snapshot(zeros, i, 0.01, float(tr), float(va), "min")
+            Snapshot(
+                ParamVector(np.append(rng.normal(0.0, 2.0, m * k), np.zeros(k)), arch),
+                i, 0.01, float(tr), float(va), "min",
+            )
             for i, (tr, va) in enumerate(rng.uniform(0.2, 1.4, (members, 2)))
         ]
-        test = Dataset(np.zeros((m, 2)), rng.integers(0, k, m), k)
+        test = Dataset(np.eye(m), rng.integers(0, k, m), k)
+        probs = np.stack([forward_batch(s.params, test.features) for s in snaps])
         return snaps, probs, test
 
     @pytest.mark.parametrize("source", SOURCES)
-    def test_sweep_rows_equal_per_cell_path(self, grid, source):
+    def test_sweep_rows_equal_per_cell_path(self, grid, source, monkeypatch, tmp_path):
         snaps, probs, test = grid
-        metrics = _scorer(snaps, test, probs)
+        metrics = experiment(test, monkeypatch, tmp_path).scorer(snaps)
         specs = [WeightingSpec("temperature", tau=tau, source=source) for tau in self.TAUS]
         nlls = np.array([s.train_nll if source == "train" else s.val_nll for s in snaps])
         for n in range(1, len(snaps) + 1):
@@ -375,9 +391,9 @@ class TestBatchedScoring:
                 reference_cell(probs[-n:], reference_weights(-nlls[-n:], tau), test.labels)
                 for tau in self.TAUS
             ]
-            assert metrics(specs, n) == expected, n
+            assert metrics(specs, snaps[-n:]) == expected, n
 
-    def test_compare_pair_equals_per_cell_path(self, grid):
+    def test_compare_pair_equals_per_cell_path(self, grid, monkeypatch, tmp_path):
         snaps, probs, test = grid
         specs = [WeightingSpec("equal")] + [
             WeightingSpec("temperature", tau=tau, source="validation") for tau in self.TAUS
@@ -386,16 +402,16 @@ class TestBatchedScoring:
         expected = [reference_cell(probs, np.ones(len(snaps)), test.labels)] + [
             reference_cell(probs, reference_weights(-nlls, tau), test.labels) for tau in self.TAUS
         ]
-        assert _scorer(snaps, test, probs)(specs) == expected
+        assert experiment(test, monkeypatch, tmp_path).scorer(snaps)(specs) == expected
 
-    def test_underflowing_tau_equals_per_cell_path(self, grid):
+    def test_underflowing_tau_equals_per_cell_path(self, grid, monkeypatch, tmp_path):
         snaps, probs, test = grid
         tau = 1e-3
         lls = -np.array([s.train_nll for s in snaps])
         assert np.any(np.exp((lls - lls.max()) / tau) == 0.0)  # the tiny floor is in use
         w = reference_weights(lls, tau)
         specs = [WeightingSpec("temperature", tau=tau), WeightingSpec("temperature", tau=1.0)]
-        met = _scorer(snaps, test, probs)(specs)[0]
+        met = experiment(test, monkeypatch, tmp_path).scorer(snaps)(specs)[0]
         assert met == reference_cell(probs, w, test.labels)
 
     def test_weight_rows_equal_single_tau_weights(self, grid):
@@ -420,3 +436,51 @@ class TestBatchedScoring:
             weights_temperature([-1.0, -2.0], [1.0, 0.0])
         with pytest.raises(InputError, match="got nan"):
             weights_temperature([-1.0, -2.0], [np.nan, 1.0])
+
+
+class TestBatchedSwa:
+    """The SWA rows the experiment scores in one call against the single-spec path,
+    compared with ==, at the benchmark grid's scale: 20 min members of a [6, 32, 3]
+    MLP, 600 test rows, the equal spec plus 15 taus."""
+
+    @pytest.fixture(scope="class")
+    def members(self):
+        rng = np.random.default_rng(12)
+        arch = MlpArchitecture((6, 32, 3))
+        # members along one path: a shared point plus a small step each
+        base = rng.normal(0.0, 0.8, arch.num_params)
+        snaps = [
+            Snapshot(
+                ParamVector(base + rng.normal(0.0, 0.2, arch.num_params), arch),
+                i, 0.01, float(tr), float(va), "min",
+            )
+            for i, (tr, va) in enumerate(rng.uniform(0.2, 1.4, (20, 2)))
+        ]
+        test = Dataset(rng.normal(0.0, 1.0, (600, 6)), rng.integers(0, 3, 600), 3)
+        return snaps, test
+
+    @staticmethod
+    def specs(source: str) -> list[WeightingSpec]:
+        return [WeightingSpec("equal")] + [
+            WeightingSpec("temperature", tau=tau, source=source) for tau in TestBatchedScoring.TAUS
+        ]
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_rows_equal_single_spec_path(self, members, source, monkeypatch, tmp_path):
+        snaps, test = members
+        specs = self.specs(source)
+        expected = [
+            evaluate(forward_batch(swa_average(build_ensemble(snaps, spec)), test.features), test)
+            for spec in specs
+        ]
+        assert experiment(test, monkeypatch, tmp_path).scorer(snaps, swa=True)(specs) == expected
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_average_equals_sum_over_members(self, members, source):
+        snaps, _ = members
+        stacked = np.stack([s.params.values for s in snaps])
+        for spec in self.specs(source):
+            ens = build_ensemble(snaps, spec)
+            w = ens.weights
+            expected = (w[:, None] * stacked).sum(axis=0) / len(snaps)
+            assert np.array_equal(swa_average(ens).values, expected), spec
