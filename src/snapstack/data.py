@@ -16,7 +16,7 @@ from .errors import (
     InputError,
     TruncatedFileError,
 )
-from .nn import Dataset
+from .nn import Dataset, _check_labels
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -86,17 +86,11 @@ def _read_idx_header(buf: bytes, path: str, magic: int, n_dims: int) -> tuple[in
     return struct.unpack(f">{n_dims}I", buf[4:header_len])
 
 
-def load_idx(
-    images_path: str,
-    labels_path: str,
-    limit: int | None = None,
-    num_classes: int | None = None,
-) -> Dataset:
-    """Load an IDX image/label file pair into a flat-feature dataset.
-
-    Pixels are scaled to [0, 1] by division by 255; images are flattened
-    row-wise. `limit` truncates to the first `limit` examples.
-    """
+def _read_idx(
+    images_path: str, labels_path: str, limit: int | None, num_classes: int | None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Checked IDX image/label pair: uint8 pixel rows [n, rows * cols], flattened
+    row-wise and viewing the file's bytes, int64 labels [n] and the class count."""
     if limit is not None and limit < 1:
         raise InputError(f"limit must be positive, got {limit}")
 
@@ -132,19 +126,53 @@ def load_idx(
 
     take = count if limit is None else min(limit, count)
     pixels = np.frombuffer(payload, dtype=np.uint8, count=take * rows * cols)
-    feats = pixels.reshape(take, rows * cols).astype(np.float64)
-    feats /= 255.0
     labels = np.frombuffer(lbl_payload, dtype=np.uint8, count=take).astype(np.int64)
     k = num_classes if num_classes is not None else int(labels.max()) + 1
-    return Dataset(_read_only(feats), labels, k)
+    return pixels.reshape(take, rows * cols), labels, k
 
 
-def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Seed-deterministic disjoint train/validation partition.
+def _scaled(pixels: np.ndarray) -> np.ndarray:
+    """uint8 pixel rows as a fresh read-only float64 matrix, divided by 255."""
+    feats = pixels.astype(np.float64)
+    feats /= 255.0
+    return _read_only(feats)
 
-    Training gets ceil(m * (1 - val_fraction)) rows, validation the rest.
+
+def load_idx(
+    images_path: str,
+    labels_path: str,
+    limit: int | None = None,
+    num_classes: int | None = None,
+) -> Dataset:
+    """Load an IDX image/label file pair into a flat-feature dataset.
+
+    Pixels are scaled to [0, 1] by division by 255; images are flattened
+    row-wise. `limit` truncates to the first `limit` examples.
     """
-    m = data.num_examples
+    pixels, labels, k = _read_idx(images_path, labels_path, limit, num_classes)
+    return Dataset(_scaled(pixels), labels, k)
+
+
+def load_idx_split(
+    images_path: str,
+    labels_path: str,
+    spec: SplitSpec,
+    limit: int | None = None,
+    num_classes: int | None = None,
+) -> tuple[Dataset, Dataset]:
+    """`split(load_idx(images_path, labels_path, limit, num_classes), spec)`.
+
+    The same datasets and errors, without the scaled pool: the uint8 pixel
+    rows are split first and each part is scaled on its own.
+    """
+    pixels, labels, k = _read_idx(images_path, labels_path, limit, num_classes)
+    _check_labels(labels, k)  # the pool's label error comes before the split's
+    parts = _split_rows(labels.size, spec)
+    return tuple(Dataset(_scaled(pixels[rows]), labels[rows], k) for rows in parts)
+
+
+def _split_rows(m: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of the (train, validation) parts that `split` takes of m rows."""
     # snap the ceil so 100 * (1 - 0.2) style float noise cannot shift a row
     n_train = math.ceil(m * (1.0 - spec.val_fraction) - 1e-9)
     n_val = m - n_train
@@ -154,10 +182,18 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
             f"{n_train} train / {n_val} val; validation must be nonempty and smaller"
         )
     perm = np.random.default_rng(spec.seed).permutation(m)
-    tr, va = perm[:n_train], perm[n_train:]
-    return (
-        Dataset(_read_only(data.features[tr]), data.labels[tr], data.num_classes),
-        Dataset(_read_only(data.features[va]), data.labels[va], data.num_classes),
+    return perm[:n_train], perm[n_train:]
+
+
+def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
+    """Seed-deterministic disjoint train/validation partition.
+
+    Training gets ceil(m * (1 - val_fraction)) rows, validation the rest.
+    """
+    parts = _split_rows(data.num_examples, spec)
+    return tuple(
+        Dataset(_read_only(data.features[rows]), data.labels[rows], data.num_classes)
+        for rows in parts
     )
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SplitSpec, fingerprint, load_idx, make_blobs, split
+from .data import SplitSpec, fingerprint, load_idx, load_idx_split, make_blobs, split
 from .errors import (
     FormatError,
     InputError,
@@ -215,10 +215,12 @@ def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset,
         test_seed = seed + TEST_SEED_OFFSET
         test = make_blobs(k, ds["test_per_class"], dim, spread, seed=test_seed, centers_seed=seed)
     else:
-        # the pool is split and dropped before the test set loads, so each matrix is held once
-        pool = load_idx(ds["train_images"], ds["train_labels"], ds.get("limit"), ds.get("num_classes"))
-        train, val = split(pool, SplitSpec(config.val_fraction, seed))
-        del pool
+        # the pool is split as uint8 pixels before the test set loads, so each float
+        # matrix is held once
+        train, val = load_idx_split(
+            ds["train_images"], ds["train_labels"], SplitSpec(config.val_fraction, seed),
+            ds.get("limit"), ds.get("num_classes"),
+        )
         test = load_idx(ds["test_images"], ds["test_labels"], ds.get("test_limit"), train.num_classes)
         if test.dim != train.dim:
             raise InputError(f"{ds['test_images']}: {test.dim} features, training has {train.dim}")

@@ -77,6 +77,17 @@ class ParamVector:
         return self.arch == other.arch and np.array_equal(self.values, other.values)
 
 
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+    """Raise unless num_classes is positive and every label lies in [0, num_classes)."""
+    if num_classes < 1:
+        raise InputError("num_classes must be positive")
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise InputError(
+            f"labels must lie in [0, {num_classes}), got range "
+            f"[{labels.min()}, {labels.max()}]"
+        )
+
+
 @dataclass(eq=False)
 class Dataset:
     """Feature matrix [m, d], integer labels [m] in {0..k-1}, and class count k.
@@ -112,13 +123,7 @@ class Dataset:
             raise InputError("dataset must contain at least one example")
         if not np.all(np.isfinite(feats)):
             raise InputError("features contain non-finite values")
-        if self.num_classes < 1:
-            raise InputError("num_classes must be positive")
-        if labels.min() < 0 or labels.max() >= self.num_classes:
-            raise InputError(
-                f"labels must lie in [0, {self.num_classes}), got range "
-                f"[{labels.min()}, {labels.max()}]"
-            )
+        _check_labels(labels, self.num_classes)
         feats.setflags(write=False)
         labels.setflags(write=False)
         self.features = feats
@@ -216,24 +221,26 @@ def nll_loss(params: ParamVector, data: Dataset) -> float:
 
 
 def _grad(
-    layers: list[tuple[np.ndarray, np.ndarray]], features: np.ndarray, labels: np.ndarray
-) -> np.ndarray:
-    """Flat gradient of the mean NLL; stacked layers, features [R, b, d] and
-    labels [R, b] give one gradient per run, [R, P]."""
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    features: np.ndarray,
+    labels: np.ndarray,
+    out: list[tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """Gradient of the mean NLL, written into `out`, the `_layers` views of a flat
+    [P] buffer; stacked layers, features [R, b, d] and labels [R, b] write one
+    gradient per run into the views of an [R, P] buffer."""
     acts = _forward(layers, features)
     g = acts.pop()  # probabilities, freshly computed, safe to mutate
     g.reshape(-1, g.shape[-1])[np.arange(labels.size), labels.ravel()] -= 1.0
     g /= labels.shape[-1]  # gradient of the MEAN loss
 
-    chunks_reversed = []
     for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        gw = acts[i].swapaxes(-1, -2) @ g
-        chunks_reversed += [g.sum(axis=-2), gw.reshape(*gw.shape[:-2], -1)]
+        gw, gb = out[i]
+        np.matmul(acts[i].swapaxes(-1, -2), g, out=gw)
+        g.sum(axis=-2, keepdims=True, out=gb)
         if i > 0:
             # acts[i] = relu(z) > 0 exactly where z > 0, NaN included
-            g = (g @ w.swapaxes(-1, -2)) * (acts[i] > 0.0)
-    return np.concatenate(chunks_reversed[::-1], axis=-1)
+            g = (g @ layers[i][0].swapaxes(-1, -2)) * (acts[i] > 0.0)
 
 
 def backward(params: ParamVector, batch: Dataset) -> ParamVector:
@@ -243,8 +250,10 @@ def backward(params: ParamVector, batch: Dataset) -> ParamVector:
             f"batch [{batch.dim} features, {batch.num_classes} classes] does not match "
             f"arch {params.arch.layer_sizes}"
         )
-    layers = _layers(params.values, params.arch.layer_sizes)
-    return ParamVector(_grad(layers, batch.features, batch.labels), params.arch)
+    sizes = params.arch.layer_sizes
+    grad = np.empty(params.arch.num_params)
+    _grad(_layers(params.values, sizes), batch.features, batch.labels, _layers(grad, sizes))
+    return ParamVector(grad, params.arch)
 
 
 def sgd_step(params: ParamVector, gradient: ParamVector, lr: float) -> ParamVector:

@@ -174,11 +174,16 @@ def _train_runs(
             raise InputError(f"capture iteration {t} outside [0, {cfg.total_iters})")
 
     # the loop steps a raw array in place through layer views built once: a
-    # ParamVector copies and re-checks its values, which only the captures need
+    # ParamVector copies and re-checks its values, which only the captures need.
+    # The gradient and the minibatch go to buffers allocated here, so a step
+    # makes no array that grows with the model
     values = np.stack([init_params(arch, seed).values for seed in seeds])
     layers = _layers(values, arch.layer_sizes)
-    shuffle_rngs = [np.random.default_rng([seed, 1]) for seed in seeds]  # apart from init
+    grad = np.empty_like(values)
+    grad_layers = _layers(grad, arch.layer_sizes)
     m = data.num_examples
+    minibatch = np.empty((len(seeds), min(batch_size, m), data.dim))
+    shuffle_rngs = [np.random.default_rng([seed, 1]) for seed in seeds]  # apart from init
     pos = m  # the first step draws each run's first shuffle
     pending: list[list[tuple[int, float, ParamVector]]] = [[] for _ in seeds]
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises below
@@ -188,8 +193,14 @@ def _train_runs(
                 pos = 0
             idx = orders[:, pos : pos + batch_size]
             pos += batch_size
+            batch = minibatch[:, : idx.shape[1]]  # short at the end of a pass
+            # the indices are a permutation's, so clip never moves one; the default
+            # mode="raise" would gather into a temporary and copy that into `batch`
+            data.features.take(idx, axis=0, out=batch, mode="clip")
             lr = lr_at(cfg, t)
-            values -= lr * _grad(layers, data.features[idx], data.labels[idx])
+            _grad(layers, batch, data.labels.take(idx), grad_layers)
+            grad *= lr  # then values -= grad: the bits of values -= lr * grad
+            values -= grad
             if not np.isfinite(values).all():
                 r = int(np.argmin(np.isfinite(values).all(axis=-1)))
                 raise TrainingError(f"training diverged at iteration {t} (seed {seeds[r]})")
@@ -197,6 +208,7 @@ def _train_runs(
                 if t in plan:
                     pending[r].append((t, lr, ParamVector(values[r], arch)))
 
+    del grad, grad_layers, minibatch, batch
     # captured parameters are immutable, so scoring can wait until the loop is
     # done; one forward per snapshot covers both evaluation sets
     features = np.vstack([data.features, val.features])

@@ -17,6 +17,7 @@ from snapstack import (
     make_blobs,
     split,
 )
+from snapstack.data import load_idx_split
 
 
 class TestMakeBlobs:
@@ -127,6 +128,41 @@ class TestLoadIdx:
         cut.write_bytes(img.read_bytes()[:-5])
         with pytest.raises(TruncatedFileError):
             load_idx(cut, lbl)
+
+
+class TestLoadIdxSplit:
+    """load_idx_split equals split(load_idx(...)): datasets, fingerprints, errors."""
+
+    @pytest.mark.parametrize("limit, num_classes, fraction", [(None, None, 0.2), (37, 10, 0.33)])
+    def test_equals_split_of_load(self, tmp_path, limit, num_classes, fraction):
+        rng = np.random.default_rng(4)
+        img, lbl = write_idx_pair(
+            tmp_path, rng.integers(0, 256, (50, 3, 4)), rng.integers(0, 9, 50)
+        )
+        spec = SplitSpec(fraction, 11)
+        want = split(load_idx(img, lbl, limit, num_classes), spec)
+        got = load_idx_split(img, lbl, spec, limit, num_classes)
+        assert got[0] == want[0] and got[1] == want[1]
+        assert [fingerprint(d) for d in got] == [fingerprint(d) for d in want]
+        assert all(not d.features.flags.writeable for d in got)
+
+    def test_split_error_equals_split_of_load(self, tmp_path):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
+        with pytest.raises(InputError) as want:
+            split(load_idx(img, lbl), SplitSpec(0.5, 0))
+        with pytest.raises(InputError) as got:
+            load_idx_split(img, lbl, SplitSpec(0.5, 0))
+        assert str(got.value) == str(want.value)
+
+    def test_pool_label_error_comes_before_split_error(self, tmp_path):
+        # 2 rows cannot be split, and label 5 lies outside 3 classes
+        img, lbl = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 5])
+        with pytest.raises(InputError) as want:
+            split(load_idx(img, lbl, num_classes=3), SplitSpec(0.5, 0))
+        with pytest.raises(InputError) as got:
+            load_idx_split(img, lbl, SplitSpec(0.5, 0), num_classes=3)
+        assert str(got.value) == str(want.value)
+        assert "labels must lie in [0, 3), got range [0, 5]" in str(got.value)
 
 
 class TestSplit:

@@ -387,26 +387,31 @@ def test_idx_dataset_pipeline(tmp_path):
 
 
 def test_idx_build_holds_each_matrix_once(tmp_path):
-    # no transient copies: the build peaks near the bytes of what it returns
+    # no transient copies: the build peaks near the bytes of what it returns, also
+    # when the pool is much larger than the test set
     from conftest import write_idx_pair
 
     rng = np.random.default_rng(0)
-    paths = {}
-    for part, n in (("train", 400), ("test", 400)):
-        (tmp_path / part).mkdir()
-        paths[f"{part}_images"], paths[f"{part}_labels"] = map(str, write_idx_pair(
-            tmp_path / part, rng.integers(0, 256, (n, 28, 28)), rng.integers(0, 10, n)
-        ))
-    cfg = small_config(dataset={"kind": "idx", "num_classes": 10, **paths})
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        datasets = build_datasets(cfg)[:3]
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    held = sum(ds.features.nbytes + ds.labels.nbytes for ds in datasets)
-    assert peak <= 1.25 * held, f"peak {peak} bytes for {held} bytes of datasets"
+    for pool_rows, test_rows in ((400, 400), (2000, 200)):
+        paths = {}
+        for part, n in (("train", pool_rows), ("test", test_rows)):
+            (tmp_path / f"{part}{pool_rows}").mkdir()
+            paths[f"{part}_images"], paths[f"{part}_labels"] = map(str, write_idx_pair(
+                tmp_path / f"{part}{pool_rows}", rng.integers(0, 256, (n, 28, 28)),
+                rng.integers(0, 10, n),
+            ))
+        cfg = small_config(dataset={"kind": "idx", "num_classes": 10, **paths})
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            datasets = build_datasets(cfg)[:3]
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        held = sum(ds.features.nbytes + ds.labels.nbytes for ds in datasets)
+        assert peak <= 1.25 * held, (
+            f"{pool_rows}/{test_rows} rows: peak {peak} bytes for {held} bytes of datasets"
+        )
 
 
 def test_weighting_source_choice_barely_matters():

@@ -19,7 +19,7 @@ from snapstack import (
     nll_loss,
     sgd_step,
 )
-from snapstack.nn import _grad, _layers
+from snapstack.nn import _forward, _grad, _layers
 
 
 def finite_difference_grad(params, batch, h=1e-5):
@@ -234,6 +234,21 @@ class TestBackward:
             backward(pv, bad)
 
 
+def concatenate_grad(layers, features, labels):
+    """Reference for _grad on one run: every layer's weight and bias gradients
+    as fresh arrays, concatenated in parameter order."""
+    acts = _forward(layers, features)
+    g = acts.pop()
+    g[np.arange(labels.size), labels] -= 1.0
+    g /= labels.size
+    chunks = []
+    for i in range(len(layers) - 1, -1, -1):
+        chunks = [(acts[i].T @ g).ravel(), g.sum(axis=0)] + chunks
+        if i > 0:
+            g = (g @ layers[i][0].T) * (acts[i] > 0.0)
+    return np.concatenate(chunks)
+
+
 class TestStackedGrad:
     """_grad over a leading run axis equals the 2-D call per run, bit for bit."""
 
@@ -247,11 +262,27 @@ class TestStackedGrad:
         values = rng.normal(0.0, 0.3, (runs, arch.num_params))
         feats = rng.normal(0.0, 1.0, (runs, rows, arch.input_dim))
         labels = rng.integers(0, arch.num_classes, (runs, rows))
-        stacked = _grad(_layers(values, sizes), feats, labels)
-        assert stacked.shape == (runs, arch.num_params)
+        # NaN-filled, so an entry _grad leaves unwritten fails the comparison
+        stacked = np.full((runs, arch.num_params), np.nan)
+        _grad(_layers(values, sizes), feats, labels, _layers(stacked, sizes))
         for r in range(runs):
-            alone = _grad(_layers(values[r], sizes), feats[r], labels[r])
+            alone = np.full(arch.num_params, np.nan)
+            _grad(_layers(values[r], sizes), feats[r], labels[r], _layers(alone, sizes))
             assert np.array_equal(stacked[r], alone)
+
+    @pytest.mark.parametrize("sizes", [(6, 32, 3), (784, 32, 10)])
+    @pytest.mark.parametrize("rows", [32, 24, 1])
+    def test_equals_concatenate_reference(self, sizes, rows):
+        # one run's gradient written into the middle row of an [R, P] buffer
+        arch = MlpArchitecture(sizes)
+        rng = np.random.default_rng([7, rows])
+        values = rng.normal(0.0, 0.3, arch.num_params)
+        feats = rng.normal(0.0, 1.0, (rows, arch.input_dim))
+        labels = rng.integers(0, arch.num_classes, rows)
+        buf = np.full((3, arch.num_params), np.nan)
+        _grad(_layers(values, sizes), feats, labels, _layers(buf[1], sizes))
+        assert (buf[1] == concatenate_grad(_layers(values, sizes), feats, labels)).all()
+        assert np.isnan(buf[[0, 2]]).all()
 
 
 class TestSgdStep:

@@ -22,11 +22,13 @@ from snapstack import (
     SelectionError,
     Snapshot,
     SnapshotStore,
+    SplitSpec,
     TrainingError,
     TruncatedFileError,
     backward,
     init_params,
     load_store,
+    make_blobs,
     plan_captures,
     save_store,
     select_mid,
@@ -34,6 +36,7 @@ from snapstack import (
     select_offset,
     select_window,
     sgd_step,
+    split,
     train_with_capture,
 )
 from snapstack.schedule import cycle_midpoints, cycle_minima, lr_at
@@ -143,6 +146,17 @@ class TestTrainRuns:
         stores = _train_runs(ARCH, train, val, CFG, seeds, plans, 20)
         for store, seed, plan in zip(stores, seeds, plans, strict=True):
             assert store == train_with_capture(ARCH, train, val, CFG, seed, plan, batch_size=20)
+
+    def test_mnist_shaped_runs_equal_their_own_training(self):
+        # 784-32-10 on 10 x 10 blobs: 80 training rows in batches of 32, so each
+        # pass ends on a 16-row minibatch
+        arch = MlpArchitecture((784, 32, 10))
+        train, val = split(make_blobs(10, 10, 784, 0.5, seed=3), SplitSpec(0.2, 3))
+        seeds = [5, 6, 7]
+        plans = [plan_captures(CFG, window_halfwidth=1), {59: "window"}, {7: "offset"}]
+        stores = _train_runs(arch, train, val, CFG, seeds, plans, 32)
+        for store, seed, plan in zip(stores, seeds, plans, strict=True):
+            assert store == train_with_capture(arch, train, val, CFG, seed, plan, batch_size=32)
 
     def test_divergence_names_seed(self):
         train, val = quick_split()
