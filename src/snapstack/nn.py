@@ -2,7 +2,8 @@
 
 Parameters live in one flat float64 vector so that training trajectories can
 be captured, serialized, and averaged without caring about layer structure.
-All operations here are pure functions of their inputs.
+All operations here are pure functions of their inputs, apart from the
+buffers a caller hands in to be written.
 """
 
 from __future__ import annotations
@@ -161,29 +162,66 @@ def _layers(values: np.ndarray, sizes: tuple[int, ...]) -> list[tuple[np.ndarray
     return out
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    # row-wise, shifted by the row max for stability
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+class Workspace:
+    """The arrays `_forward` and `_grad` write into, made for one input array `x`
+    [..., b, d] that the caller refills before each call: each layer's output,
+    the one-hot label rows `targets` [..., b, k] (also the caller's to fill), the
+    backprop deltas and ReLU masks of the hidden layers, and one [..., b, 1]
+    buffer for the softmax reductions. The transposed views of the inputs and of
+    `layers`' weights are built here once, so a workspace serves only the
+    layers and the input it was made for. `grad=False` makes only what a
+    forward pass needs.
+    """
+
+    def __init__(
+        self, layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, grad: bool = True
+    ):
+        lead = x.shape[:-1]
+        self.x = x
+        self.acts = [np.empty((*lead, w.shape[-1])) for w, _ in layers]
+        self.sums = np.empty((*lead, 1))
+        if grad:
+            hidden = self.acts[:-1]
+            self.targets = np.empty_like(self.acts[-1])
+            self.deltas = [np.empty_like(a) for a in hidden]
+            self.masks = [np.empty(a.shape, dtype=bool) for a in hidden]
+            self.inputs_t = [a.swapaxes(-1, -2) for a in (x, *hidden)]
+            self.weights_t = [w.swapaxes(-1, -2) for w, _ in layers]
 
 
-def _forward(layers: list[tuple[np.ndarray, np.ndarray]], features: np.ndarray) -> list[np.ndarray]:
+def _softmax(z: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of the logits z [..., k], in place, with the row reductions
+    written to `sums` [..., 1]; maximum.reduce and add.reduce are the reductions
+    ndarray.max and ndarray.sum run."""
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True, out=sums)  # shift by the row max
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True, out=sums)
+    return z
+
+
+def _forward(
+    layers: list[tuple[np.ndarray, np.ndarray]], features: np.ndarray, ws: Workspace | None = None
+) -> list[np.ndarray]:
     """The input to each layer, then the class probabilities [..., m, k].
 
     The one forward pass: prediction, scoring and backprop all run it, so
     their numbers agree bit for bit. Stacked runs take features [R, m, d].
+    Every array is written into the workspace `ws`, which must have been made
+    for `features` (`ws.x`); without one, a forward-only workspace is made for
+    this call.
     """
-    acts = [features]
-    for w, b in layers[:-1]:
-        # in place, one [m, h] array per layer: the two temporaries of relu(x @ w + b)
-        # let malloc hand the heap top back and fault it in again on every call
-        z = acts[-1] @ w
+    if ws is None:
+        ws = Workspace(layers, features, grad=False)
+    x = features
+    for (w, b), z in zip(layers[:-1], ws.acts):
+        np.matmul(x, w, out=z)
         z += b
-        acts.append(np.maximum(z, 0.0, out=z))
+        x = np.maximum(z, 0.0, out=z)
     w, b = layers[-1]
-    acts.append(_softmax(acts[-1] @ w + b))
-    return acts
+    z = np.matmul(x, w, out=ws.acts[-1])
+    z += b
+    _softmax(z, ws.sums)
+    return [features, *ws.acts]
 
 
 def forward_batch(params: ParamVector, features: np.ndarray) -> np.ndarray:
@@ -223,24 +261,31 @@ def nll_loss(params: ParamVector, data: Dataset) -> float:
 def _grad(
     layers: list[tuple[np.ndarray, np.ndarray]],
     features: np.ndarray,
-    labels: np.ndarray,
+    targets: np.ndarray,
     out: list[tuple[np.ndarray, np.ndarray]],
+    ws: Workspace | None = None,
 ) -> None:
     """Gradient of the mean NLL, written into `out`, the `_layers` views of a flat
-    [P] buffer; stacked layers, features [R, b, d] and labels [R, b] write one
-    gradient per run into the views of an [R, P] buffer."""
-    acts = _forward(layers, features)
+    [P] buffer; `targets` are the one-hot label rows [b, k]. Stacked layers,
+    features [R, b, d] and targets [R, b, k] write one gradient per run into the
+    views of an [R, P] buffer. With a workspace `ws`, `features` must be `ws.x`
+    and the call makes no array that grows with the model or the batch;
+    without one, a workspace is made for it."""
+    if ws is None:
+        ws = Workspace(layers, features)
+    acts = _forward(layers, features, ws)
     g = acts.pop()  # probabilities, freshly computed, safe to mutate
-    g.reshape(-1, g.shape[-1])[np.arange(labels.size), labels.ravel()] -= 1.0
-    g /= labels.shape[-1]  # gradient of the MEAN loss
+    g -= targets  # p - 0.0 == p: the bits of subtracting 1 at each true label
+    g /= targets.shape[-2]  # gradient of the MEAN loss
 
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = out[i]
-        np.matmul(acts[i].swapaxes(-1, -2), g, out=gw)
-        g.sum(axis=-2, keepdims=True, out=gb)
+        np.matmul(ws.inputs_t[i], g, out=gw)
+        np.add.reduce(g, axis=-2, keepdims=True, out=gb)
         if i > 0:
+            g = np.matmul(g, ws.weights_t[i], out=ws.deltas[i - 1])
             # acts[i] = relu(z) > 0 exactly where z > 0, NaN included
-            g = (g @ layers[i][0].swapaxes(-1, -2)) * (acts[i] > 0.0)
+            g *= np.greater(acts[i], 0.0, out=ws.masks[i - 1])
 
 
 def backward(params: ParamVector, batch: Dataset) -> ParamVector:
@@ -252,7 +297,8 @@ def backward(params: ParamVector, batch: Dataset) -> ParamVector:
         )
     sizes = params.arch.layer_sizes
     grad = np.empty(params.arch.num_params)
-    _grad(_layers(params.values, sizes), batch.features, batch.labels, _layers(grad, sizes))
+    targets = np.eye(batch.num_classes)[batch.labels]
+    _grad(_layers(params.values, sizes), batch.features, targets, _layers(grad, sizes))
     return ParamVector(grad, params.arch)
 
 

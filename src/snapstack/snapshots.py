@@ -28,6 +28,7 @@ from .nn import (
     Dataset,
     MlpArchitecture,
     ParamVector,
+    Workspace,
     _grad,
     _layers,
     _per_example_nll,
@@ -175,14 +176,20 @@ def _train_runs(
 
     # the loop steps a raw array in place through layer views built once: a
     # ParamVector copies and re-checks its values, which only the captures need.
-    # The gradient and the minibatch go to buffers allocated here, so a step
-    # makes no array that grows with the model
+    # The gradient, the finiteness mask and each minibatch size's workspace (its
+    # input rows, one-hot label rows and every array of the step) are allocated
+    # here, so a step makes no array that grows with the model or the batch
     values = np.stack([init_params(arch, seed).values for seed in seeds])
     layers = _layers(values, arch.layer_sizes)
     grad = np.empty_like(values)
     grad_layers = _layers(grad, arch.layer_sizes)
+    finite = np.empty(values.shape, dtype=bool)
     m = data.num_examples
     minibatch = np.empty((len(seeds), min(batch_size, m), data.dim))
+    onehot = np.eye(arch.num_classes)[data.labels]
+    spaces: dict[int, Workspace] = {}  # by minibatch size: full, and short at the end of a pass
+    rates = [lr_at(cfg, t) for t in range(cfg.cycle_len)]  # the rate depends on the phase only
+    planned = set().union(*plans)
     shuffle_rngs = [np.random.default_rng([seed, 1]) for seed in seeds]  # apart from init
     pos = m  # the first step draws each run's first shuffle
     pending: list[list[tuple[int, float, ParamVector]]] = [[] for _ in seeds]
@@ -193,22 +200,26 @@ def _train_runs(
                 pos = 0
             idx = orders[:, pos : pos + batch_size]
             pos += batch_size
-            batch = minibatch[:, : idx.shape[1]]  # short at the end of a pass
+            ws = spaces.get(idx.shape[1])
+            if ws is None:
+                ws = spaces[idx.shape[1]] = Workspace(layers, minibatch[:, : idx.shape[1]])
             # the indices are a permutation's, so clip never moves one; the default
-            # mode="raise" would gather into a temporary and copy that into `batch`
-            data.features.take(idx, axis=0, out=batch, mode="clip")
-            lr = lr_at(cfg, t)
-            _grad(layers, batch, data.labels.take(idx), grad_layers)
+            # mode="raise" would gather into a temporary and copy that into `out`
+            data.features.take(idx, axis=0, out=ws.x, mode="clip")
+            onehot.take(idx, axis=0, out=ws.targets, mode="clip")
+            lr = rates[t % cfg.cycle_len]
+            _grad(layers, ws.x, ws.targets, grad_layers, ws)
             grad *= lr  # then values -= grad: the bits of values -= lr * grad
             values -= grad
-            if not np.isfinite(values).all():
-                r = int(np.argmin(np.isfinite(values).all(axis=-1)))
+            if not np.isfinite(values, out=finite).all():
+                r = int(np.argmin(finite.all(axis=-1)))
                 raise TrainingError(f"training diverged at iteration {t} (seed {seeds[r]})")
-            for r, plan in enumerate(plans):
-                if t in plan:
-                    pending[r].append((t, lr, ParamVector(values[r], arch)))
+            if t in planned:
+                for r, plan in enumerate(plans):
+                    if t in plan:
+                        pending[r].append((t, lr, ParamVector(values[r], arch)))
 
-    del grad, grad_layers, minibatch, batch
+    del grad, grad_layers, finite, minibatch, onehot, spaces, ws
     # captured parameters are immutable, so scoring can wait until the loop is
     # done; one forward per snapshot covers both evaluation sets
     features = np.vstack([data.features, val.features])

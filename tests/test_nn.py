@@ -19,7 +19,7 @@ from snapstack import (
     nll_loss,
     sgd_step,
 )
-from snapstack.nn import _forward, _grad, _layers
+from snapstack.nn import Workspace, _forward, _grad, _layers
 
 
 def finite_difference_grad(params, batch, h=1e-5):
@@ -261,13 +261,13 @@ class TestStackedGrad:
         rng = np.random.default_rng([runs, rows])
         values = rng.normal(0.0, 0.3, (runs, arch.num_params))
         feats = rng.normal(0.0, 1.0, (runs, rows, arch.input_dim))
-        labels = rng.integers(0, arch.num_classes, (runs, rows))
+        targets = np.eye(arch.num_classes)[rng.integers(0, arch.num_classes, (runs, rows))]
         # NaN-filled, so an entry _grad leaves unwritten fails the comparison
         stacked = np.full((runs, arch.num_params), np.nan)
-        _grad(_layers(values, sizes), feats, labels, _layers(stacked, sizes))
+        _grad(_layers(values, sizes), feats, targets, _layers(stacked, sizes))
         for r in range(runs):
             alone = np.full(arch.num_params, np.nan)
-            _grad(_layers(values[r], sizes), feats[r], labels[r], _layers(alone, sizes))
+            _grad(_layers(values[r], sizes), feats[r], targets[r], _layers(alone, sizes))
             assert np.array_equal(stacked[r], alone)
 
     @pytest.mark.parametrize("sizes", [(6, 32, 3), (784, 32, 10)])
@@ -280,9 +280,30 @@ class TestStackedGrad:
         feats = rng.normal(0.0, 1.0, (rows, arch.input_dim))
         labels = rng.integers(0, arch.num_classes, rows)
         buf = np.full((3, arch.num_params), np.nan)
-        _grad(_layers(values, sizes), feats, labels, _layers(buf[1], sizes))
+        targets = np.eye(arch.num_classes)[labels]
+        _grad(_layers(values, sizes), feats, targets, _layers(buf[1], sizes))
         assert (buf[1] == concatenate_grad(_layers(values, sizes), feats, labels)).all()
         assert np.isnan(buf[[0, 2]]).all()
+
+    @pytest.mark.parametrize("sizes", [(6, 32, 3), (784, 32, 10)])
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_workspace_equals_fresh_arrays(self, sizes, runs):
+        # one workspace refilled for three steps writes what a call without one gives
+        arch = MlpArchitecture(sizes)
+        rng = np.random.default_rng([runs, 5])
+        values = rng.normal(0.0, 0.3, (runs, arch.num_params))
+        layers = _layers(values, sizes)
+        ws = Workspace(layers, np.empty((runs, 24, arch.input_dim)))
+        for _ in range(3):
+            ws.x[...] = rng.normal(0.0, 1.0, ws.x.shape)
+            labels = rng.integers(0, arch.num_classes, (runs, 24))
+            ws.targets[...] = np.eye(arch.num_classes)[labels]
+            into_ws = np.full(values.shape, np.nan)
+            _grad(layers, ws.x, ws.targets, _layers(into_ws, sizes), ws)
+            fresh = np.full(values.shape, np.nan)
+            _grad(layers, ws.x.copy(), ws.targets.copy(), _layers(fresh, sizes))
+            assert np.array_equal(into_ws, fresh)
+            values += 0.01 * into_ws  # the next step sees new weights through the same views
 
 
 class TestSgdStep:

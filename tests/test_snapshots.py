@@ -51,6 +51,48 @@ def small_run(capture_plan, seed=0, cfg=CFG):
     return train_with_capture(ARCH, train, val, cfg, seed, capture_plan, batch_size=16)
 
 
+def reference_steps(arch, train, cfg, seed, batch_size):
+    """(iteration, params after its update) of one run stepped through the public
+    backward + sgd_step, over the shuffle stream the training loop draws for seed."""
+    params = init_params(arch, seed)
+    rng = np.random.default_rng([seed, 1])
+    m = train.num_examples
+    order, pos = rng.permutation(m), 0
+    for t in range(cfg.total_iters):
+        if pos >= m:
+            order, pos = rng.permutation(m), 0
+        idx = order[pos : pos + batch_size]
+        pos += batch_size
+        batch = Dataset(train.features[idx], train.labels[idx], train.num_classes)
+        params = sgd_step(params, backward(params, batch), lr_at(cfg, t))
+        yield t, params
+
+
+def reference_divergence(arch, train, cfg, seed, batch_size):
+    """The iteration whose update first leaves a non-finite value in the reference
+    loop: a non-finite gradient (rejected as a ParamVector) or a non-finite step."""
+    t = -1
+    try:
+        with np.errstate(all="ignore"):
+            for t, _ in reference_steps(arch, train, cfg, seed, batch_size):
+                pass
+    except (InputError, TrainingError):
+        return t + 1
+    return None
+
+
+# 96 training rows in batches of 20, and 80 in batches of 32: every pass ends
+# on a 16-row minibatch, so the loop switches to the short batch and back
+REFERENCE_CASES = [
+    pytest.param((6, 32, 3), 40, 20, id="6-32-3"),
+    pytest.param((784, 32, 10), 10, 32, id="784-32-10"),
+]
+
+
+def reference_split(sizes, per_class):
+    return split(make_blobs(sizes[-1], per_class, sizes[0], 1.0, seed=3), SplitSpec(0.2, 3))
+
+
 class TestTrainWithCapture:
     def test_empty_plan_trains_without_snapshots(self):
         store = small_run({})
@@ -66,22 +108,10 @@ class TestTrainWithCapture:
         assert len(store.snapshots) == len(plan)
 
     def test_captures_equal_public_sgd_loop(self):
-        # reference: the same shuffle stream stepped through backward + sgd_step
         train, _ = quick_split()
         plan = plan_captures(CFG, window_halfwidth=1)
         store = small_run(plan, seed=5)
-        params = init_params(ARCH, 5)
-        rng = np.random.default_rng([5, 1])
-        order, pos, expected = rng.permutation(train.num_examples), 0, {}
-        for t in range(CFG.total_iters):
-            if pos >= train.num_examples:
-                order, pos = rng.permutation(train.num_examples), 0
-            idx = order[pos : pos + 16]
-            pos += 16
-            batch = Dataset(train.features[idx], train.labels[idx], train.num_classes)
-            params = sgd_step(params, backward(params, batch), lr_at(CFG, t))
-            if t in plan:
-                expected[t] = params
+        expected = {t: p for t, p in reference_steps(ARCH, train, CFG, 5, 16) if t in plan}
         assert {s.iteration: s.params for s in store.snapshots} == expected
 
     def test_auto_tags_from_schedule(self):
@@ -157,6 +187,33 @@ class TestTrainRuns:
         stores = _train_runs(arch, train, val, CFG, seeds, plans, 32)
         for store, seed, plan in zip(stores, seeds, plans, strict=True):
             assert store == train_with_capture(arch, train, val, CFG, seed, plan, batch_size=32)
+
+    @pytest.mark.parametrize("sizes, per_class, batch", REFERENCE_CASES)
+    def test_runs_equal_public_sgd_loop(self, sizes, per_class, batch):
+        arch = MlpArchitecture(sizes)
+        train, val = reference_split(sizes, per_class)
+        seeds = [5, 6, 7]
+        plans = [plan_captures(CFG, window_halfwidth=1), {59: "window"}, {7: "offset", 58: "min"}]
+        stores = _train_runs(arch, train, val, CFG, seeds, plans, batch)
+        for store, seed, plan in zip(stores, seeds, plans, strict=True):
+            steps = reference_steps(arch, train, CFG, seed, batch)
+            expected = {t: p for t, p in steps if t in plan}
+            assert {s.iteration: s.params for s in store.snapshots} == expected
+            assert [s.lr_at_capture for s in store.snapshots] == [lr_at(CFG, t) for t in expected]
+
+    @pytest.mark.parametrize("sizes, per_class, batch", REFERENCE_CASES)
+    def test_divergence_at_reference_iteration(self, sizes, per_class, batch):
+        # rates large enough that the runs blow up late, a few iterations apart
+        arch = MlpArchitecture(sizes)
+        train, val = reference_split(sizes, per_class)
+        wild = CycleConfig(1e3, 1e4, 20, 60)
+        seeds = [6, 5, 7]
+        diverged = [reference_divergence(arch, train, wild, s, batch) for s in seeds]
+        assert None not in diverged
+        t = min(diverged)
+        seed = seeds[diverged.index(t)]
+        with pytest.raises(TrainingError, match=rf"iteration {t} \(seed {seed}\)$"):
+            _train_runs(arch, train, val, wild, seeds, [{}] * 3, batch)
 
     def test_divergence_names_seed(self):
         train, val = quick_split()
