@@ -189,14 +189,13 @@ class Workspace:
             self.weights_t = [w.swapaxes(-1, -2) for w, _ in layers]
 
 
-def _softmax(z: np.ndarray, sums: np.ndarray) -> np.ndarray:
+def _softmax(z: np.ndarray, sums: np.ndarray) -> None:
     """Row-wise softmax of the logits z [..., k], in place, with the row reductions
     written to `sums` [..., 1]; maximum.reduce and add.reduce are the reductions
     ndarray.max and ndarray.sum run."""
     z -= np.maximum.reduce(z, axis=-1, keepdims=True, out=sums)  # shift by the row max
     np.exp(z, out=z)
     z /= np.add.reduce(z, axis=-1, keepdims=True, out=sums)
-    return z
 
 
 def _forward(
