@@ -16,7 +16,7 @@ from .errors import (
     InputError,
     TruncatedFileError,
 )
-from .nn import Dataset, _check_labels
+from .nn import Dataset, _check_labels, _read_only
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -30,12 +30,6 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.val_fraction < 1.0:
             raise InputError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    """Mark a fresh array read-only so Dataset keeps it instead of copying it."""
-    arr.setflags(write=False)
-    return arr
 
 
 def make_blobs(
@@ -131,9 +125,18 @@ def _read_idx(
     return pixels.reshape(take, rows * cols), labels, k
 
 
-def _scaled(pixels: np.ndarray) -> np.ndarray:
-    """uint8 pixel rows as a fresh read-only float64 matrix, divided by 255."""
-    feats = pixels.astype(np.float64)
+def _scaled(pixels: np.ndarray, parts: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+    """uint8 pixel rows as a fresh read-only float64 matrix, divided by 255: all of
+    them, or the rows of each index array in `parts` one part after another, each
+    part gathered on its own."""
+    if parts is None:
+        feats = pixels.astype(np.float64)
+    else:
+        feats = np.empty((sum(len(rows) for rows in parts), pixels.shape[1]))
+        start = 0
+        for rows in parts:
+            feats[start : start + len(rows)] = pixels[rows]
+            start += len(rows)
     feats /= 255.0
     return _read_only(feats)
 
@@ -162,13 +165,13 @@ def load_idx_split(
 ) -> tuple[Dataset, Dataset]:
     """`split(load_idx(images_path, labels_path, limit, num_classes), spec)`.
 
-    The same datasets and errors, without the scaled pool: the uint8 pixel
-    rows are split first and each part is scaled on its own.
+    The same datasets and errors, without the scaled pool in its file order: each
+    part's uint8 pixel rows are scaled into the joined matrix in split order.
     """
     pixels, labels, k = _read_idx(images_path, labels_path, limit, num_classes)
     _check_labels(labels, k)  # the pool's label error comes before the split's
     parts = _split_rows(labels.size, spec)
-    return tuple(Dataset(_scaled(pixels[rows]), labels[rows], k) for rows in parts)
+    return _parts(_scaled(pixels, parts), labels, parts, k)
 
 
 def _split_rows(m: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -188,12 +191,24 @@ def _split_rows(m: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
 def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Seed-deterministic disjoint train/validation partition.
 
-    Training gets ceil(m * (1 - val_fraction)) rows, validation the rest.
+    Training gets ceil(m * (1 - val_fraction)) rows, validation the rest. Both
+    feature matrices are row blocks of one read-only [train; val] matrix.
     """
     parts = _split_rows(data.num_examples, spec)
-    return tuple(
-        Dataset(_read_only(data.features[rows]), data.labels[rows], data.num_classes)
-        for rows in parts
+    joined = _read_only(data.features[np.concatenate(parts)])
+    return _parts(joined, data.labels, parts, data.num_classes)
+
+
+def _parts(
+    joined: np.ndarray, labels: np.ndarray, parts: tuple[np.ndarray, np.ndarray], k: int
+) -> tuple[Dataset, Dataset]:
+    """The (train, validation) datasets over the read-only matrix `joined` of their
+    rows in that order: each keeps its block of rows as a view, so a caller that
+    scores both sets reads them as one matrix without a copy."""
+    n_train = len(parts[0])
+    return (
+        Dataset(joined[:n_train], labels[parts[0]], k),
+        Dataset(joined[n_train:], labels[parts[1]], k),
     )
 
 

@@ -9,7 +9,9 @@ buffers a caller hands in to be written.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -50,19 +52,48 @@ class MlpArchitecture:
         return sum(i * o + o for i, o in zip(self.layer_sizes, self.layer_sizes[1:]))
 
 
+def _frozen(arr) -> bool:
+    """True for a read-only float64 ndarray whose memory belongs to a read-only
+    ndarray that owns it: itself, or the base of a C-contiguous view."""
+    if type(arr) is not np.ndarray or arr.dtype != np.float64 or arr.flags.writeable:
+        return False
+    if arr.flags.owndata:
+        return True
+    base = arr.base
+    return (
+        arr.flags.c_contiguous
+        and type(base) is np.ndarray
+        and base.flags.owndata
+        and not base.flags.writeable
+    )
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """Mark a fresh array read-only, so ParamVector or Dataset keeps it instead of
+    copying it."""
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(eq=False)
 class ParamVector:
     """Flat float64 parameter vector tied to an architecture.
 
     Layout: for each layer, the weight matrix in row-major order
     (fan_in x fan_out) followed by the bias vector.
+
+    A 1-d float64 ndarray that owns its memory and is already read-only is
+    kept as it is, as `Dataset` keeps its features, and the caller must not
+    write it again; any other values are copied.
     """
 
     values: np.ndarray
     arch: MlpArchitecture
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64).ravel()
+        v = self.values
+        if not (_frozen(v) and v.ndim == 1 and v.flags.owndata):
+            v = np.array(v, dtype=np.float64).ravel()
         if v.size != self.arch.num_params:
             raise InputError(
                 f"parameter vector has {v.size} values, arch needs {self.arch.num_params}"
@@ -93,10 +124,12 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
 class Dataset:
     """Feature matrix [m, d], integer labels [m] in {0..k-1}, and class count k.
 
-    A float64 ndarray that owns its memory and is already read-only is kept as
-    the feature matrix, so the data builders hand over the matrices they make
-    without a copy; the caller must not write it again through a view taken
-    earlier or by setting it writeable. Any other features are copied.
+    A read-only float64 ndarray is kept as the feature matrix when it owns its
+    memory, or when it is a C-contiguous view (a block of rows) of a read-only
+    float64 ndarray that owns it, so the data builders hand over the matrices
+    they make without a copy; the caller must not write that memory again
+    through a view taken earlier or by setting it writeable. Any other features
+    are copied, among them a view of a writeable array.
     """
 
     features: np.ndarray
@@ -105,13 +138,7 @@ class Dataset:
 
     def __post_init__(self):
         feats = self.features
-        owned = (
-            type(feats) is np.ndarray
-            and feats.dtype == np.float64
-            and feats.flags.owndata
-            and not feats.flags.writeable
-        )
-        if not owned:
+        if not _frozen(feats):
             feats = np.array(feats, dtype=np.float64)
         labels = np.array(self.labels, dtype=np.int64).ravel()
         if feats.ndim != 2:
@@ -198,6 +225,13 @@ def _softmax(z: np.ndarray, sums: np.ndarray) -> None:
     z /= np.add.reduce(z, axis=-1, keepdims=True, out=sums)
 
 
+def _hidden(x: np.ndarray, w: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """One hidden layer, relu(x @ w + b), written into z."""
+    np.matmul(x, w, out=z)
+    z += b
+    return np.maximum(z, 0.0, out=z)
+
+
 def _forward(
     layers: list[tuple[np.ndarray, np.ndarray]], features: np.ndarray, ws: Workspace | None = None
 ) -> list[np.ndarray]:
@@ -213,9 +247,7 @@ def _forward(
         ws = Workspace(layers, features, grad=False)
     x = features
     for (w, b), z in zip(layers[:-1], ws.acts):
-        np.matmul(x, w, out=z)
-        z += b
-        x = np.maximum(z, 0.0, out=z)
+        x = _hidden(x, w, b, z)
     w, b = layers[-1]
     z = np.matmul(x, w, out=ws.acts[-1])
     z += b
@@ -223,13 +255,18 @@ def _forward(
     return [features, *ws.acts]
 
 
+def _checked_features(features: np.ndarray, arch: MlpArchitecture) -> np.ndarray:
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != arch.input_dim:
+        raise InputError(
+            f"expected features of shape [m, {arch.input_dim}], got {features.shape}"
+        )
+    return features
+
+
 def forward_batch(params: ParamVector, features: np.ndarray) -> np.ndarray:
     """Class probabilities for a feature matrix [m, d] -> [m, k]."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != params.arch.input_dim:
-        raise InputError(
-            f"expected features of shape [m, {params.arch.input_dim}], got {features.shape}"
-        )
+    features = _checked_features(features, params.arch)
     return _forward(_layers(params.values, params.arch.layer_sizes), features)[-1]
 
 
@@ -241,8 +278,75 @@ def forward(params: ParamVector, x: np.ndarray) -> np.ndarray:
     return forward_batch(params, x[None, :])[0]
 
 
-def _per_example_nll(params: ParamVector, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    probs = _forward(_layers(params.values, params.arch.layer_sizes), features)[-1]
+# OpenBLAS builds for AVX-512 run a GEMM of at most this many multiply-adds
+# through a small-matrix kernel whose summation order depends on the width
+_SMALL_GEMM = 10**6
+
+
+def _block_size(rows: int, layer_sizes: tuple[int, ...]) -> int:
+    """How many parameter vectors `forward_each` runs through one first-layer GEMM
+    over `rows` input rows: min(d, 128) // h for input width d and first hidden
+    width h, and at least 1. A block is thus at most 128 columns wide (beyond that,
+    OpenBLAS touches more of its packing buffer and the peak RSS grows) and holds
+    one member where d < 2h, where a wider GEMM saves no time.
+
+    Each member's columns of a block's GEMM must carry the bits of its own GEMM,
+    so the block is also 1 wherever the BLAS may compute a member's own product
+    another way: without a hidden layer (the block would end in the softmax), for
+    one row (numpy takes its matrix-vector path), for an h that is not a multiple
+    of 8 (such columns came out of wider products with other bits), and for
+    products of at most _SMALL_GEMM multiply-adds.
+    """
+    if len(layer_sizes) < 3:
+        return 1
+    d, h = layer_sizes[0], layer_sizes[1]
+    if rows < 2 or h % 8 or rows * d * h <= _SMALL_GEMM:
+        return 1
+    return max(1, min(d, 128) // h)
+
+
+def forward_each(params: Iterable[ParamVector], features: np.ndarray) -> Iterator[np.ndarray]:
+    """Class probabilities [m, k] of each parameter vector in turn for one feature
+    matrix [m, d]; each equals forward_batch(p, features) bit for bit.
+
+    The vectors share one architecture. Blocks of `_block_size` of them share the
+    first layer: their weights and biases are copied side by side into [d, B*h] and
+    [B*h] buffers, one GEMM, bias add and ReLU run over [m, B*h], and the rest of
+    `_forward` runs on each member's column slice. A block of one runs `_forward`
+    on its member alone. `params` is read one block at a time, so an iterator that
+    makes its vectors holds at most one block of them.
+    """
+    params = iter(params)
+    first = next(params, None)
+    if first is None:
+        return
+    arch = first.arch
+    sizes = arch.layer_sizes
+    features = _checked_features(features, arch)
+    size = _block_size(features.shape[0], sizes)
+    members = chain([first], params)
+    if size > 1:
+        (m, d), h = features.shape, sizes[1]
+        w_buf, b_buf, z_buf = np.empty(d * size * h), np.empty(size * h), np.empty(m * size * h)
+    while block := list(islice(members, size)):
+        if any(p.arch != arch for p in block):
+            raise InputError("parameter vectors of one forward must share an architecture")
+        layers = [_layers(p.values, sizes) for p in block]
+        if len(block) == 1:
+            yield _forward(layers[0], features)[-1]
+            continue
+        n = len(block) * h  # a short last block uses contiguous leading parts of the buffers
+        w, b, z = w_buf[: d * n].reshape(d, n), b_buf[:n], z_buf[: m * n].reshape(m, n)
+        for j, ((w1, b1), *_) in enumerate(layers):
+            w[:, j * h : (j + 1) * h] = w1
+            b[j * h : (j + 1) * h] = b1[0]
+        _hidden(features, w, b, z)
+        for j, (_, *rest) in enumerate(layers):
+            yield _forward(rest, z[:, j * h : (j + 1) * h])[-1]
+
+
+def _example_nll(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-example NLL of the true labels under class probabilities [m, k]."""
     p_true = probs[np.arange(labels.size), labels]
     return -np.log(np.maximum(p_true, PROB_FLOOR))
 
@@ -254,7 +358,8 @@ def nll_loss(params: ParamVector, data: Dataset) -> float:
             f"dataset [{data.dim} features, {data.num_classes} classes] does not match "
             f"arch {params.arch.layer_sizes}"
         )
-    return float(_per_example_nll(params, data.features, data.labels).mean())
+    probs = _forward(_layers(params.values, params.arch.layer_sizes), data.features)[-1]
+    return float(_example_nll(probs, data.labels).mean())
 
 
 def _grad(

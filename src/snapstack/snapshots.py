@@ -29,9 +29,11 @@ from .nn import (
     MlpArchitecture,
     ParamVector,
     Workspace,
+    _example_nll,
     _grad,
     _layers,
-    _per_example_nll,
+    _read_only,
+    forward_each,
     init_params,
 )
 from .schedule import CycleConfig, cycle_minima, lr_at
@@ -221,19 +223,41 @@ def _train_runs(
 
     del grad, grad_layers, finite, minibatch, onehot, spaces, ws
     # captured parameters are immutable, so scoring can wait until the loop is
-    # done; one forward per snapshot covers both evaluation sets
-    features = np.vstack([data.features, val.features])
+    # done; one forward per snapshot covers both evaluation sets, and the
+    # snapshots of every run share the blocked forward in capture order
+    features = _stacked_rows(data.features, val.features)
     labels = np.concatenate([data.labels, val.labels])
+    probs = forward_each((params for runs in pending for _, _, params in runs), features)
     prints = fingerprint(data), fingerprint(val)
     stores = []
     for seed, plan, runs in zip(seeds, plans, pending):
         captured = []
         for t, lr, params in runs:
-            nlls = _per_example_nll(params, features, labels)
+            nlls = _example_nll(next(probs), labels)
             train_nll, val_nll = float(nlls[:m].mean()), float(nlls[m:].mean())
             captured.append(Snapshot(params, t, lr, train_nll, val_nll, plan[t]))
         stores.append(SnapshotStore(f"run-{seed}", arch, cfg, seed, *prints, tuple(captured)))
     return stores
+
+
+def _stacked_rows(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """[top; bottom] for two C-contiguous matrices: a view of the array both view
+    when bottom's rows directly follow top's in it, as `split` leaves a training and
+    a validation set, and otherwise a copy."""
+    base = top.base
+    if (
+        isinstance(base, np.ndarray)
+        and base is bottom.base
+        and base.flags.c_contiguous
+        and top.flags.c_contiguous
+        and bottom.flags.c_contiguous
+        and top.dtype == bottom.dtype
+        and top.shape[1:] == bottom.shape[1:]
+        and bottom.ctypes.data == top.ctypes.data + top.nbytes
+    ):
+        shape = (len(top) + len(bottom), *top.shape[1:])
+        return np.ndarray(shape, top.dtype, base, top.ctypes.data - base.ctypes.data)
+    return np.vstack([top, bottom])
 
 
 def _cycles(store: SnapshotStore, policy: str, arg: int = 0) -> tuple[list, int | None]:
@@ -360,8 +384,8 @@ def save_store(store: SnapshotStore, path: str | Path) -> None:
         f.write(struct.pack("<H", STORE_VERSION))
         f.write(struct.pack("<I", len(header)))
         f.write(header)
-        for snap in store.snapshots:
-            f.write(snap.params.values.astype("<f8").tobytes())
+        for snap in store.snapshots:  # the array's own buffer, when it is already "<f8"
+            f.write(np.ascontiguousarray(snap.params.values, dtype="<f8"))
     sidecar = {
         "run_id": store.run_id,
         "seed": store.seed,
@@ -427,12 +451,13 @@ def load_store(path: str | Path) -> SnapshotStore:
         snapshots = []
         try:
             for meta in snap_meta:
-                values = np.empty(param_count, dtype="<f8")  # ParamVector copies it out
+                values = np.empty(param_count, dtype="<f8")
                 if f.readinto(values) != values.nbytes:
                     raise TruncatedFileError(f"{path}: parameter payload ended early")
                 snapshots.append(
                     Snapshot(
-                        params=ParamVector(values, arch),
+                        # kept as it is where "<f8" is the native float64
+                        params=ParamVector(_read_only(values), arch),
                         iteration=int(meta["iteration"]),
                         lr_at_capture=float(meta["lr_at_capture"]),
                         train_nll=float(meta["train_nll"]),

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .nn import PROB_FLOOR, Dataset, ParamVector, forward_batch
+# forward_batch, the per-member reference, stays importable here: bench/spans.py traces it
+from .nn import (  # noqa: F401
+    PROB_FLOOR,
+    Dataset,
+    ParamVector,
+    _read_only,
+    forward_batch,
+    forward_each,
+)
 from .snapshots import Snapshot
 
 RULES = ("equal", "inverse_loss", "likelihood", "temperature")
@@ -149,9 +157,18 @@ def build_ensemble(snapshots: list[Snapshot], spec: WeightingSpec) -> EnsembleMo
     return EnsembleModel(list(zip(snapshots, weight_rows(snapshots, [spec])[0].tolist())))
 
 
+def _forward_into(out: np.ndarray, params, features: np.ndarray) -> np.ndarray:
+    """forward_each's class probabilities of the parameter vectors, written into
+    out [K, m, k] in order."""
+    for row, probs in zip(out, forward_each(params, features)):
+        row[...] = probs
+    return out
+
+
 def member_probs(snapshots: list[Snapshot], features: np.ndarray) -> np.ndarray:
     """Each member's class probabilities, stacked [K, m, k]: one forward per member."""
-    return np.stack([forward_batch(s.params, features) for s in snapshots])
+    out = np.empty((len(snapshots), len(features), snapshots[0].params.arch.num_classes))
+    return _forward_into(out, [s.params for s in snapshots], features)
 
 
 def weighted_mean(values, weights: np.ndarray) -> np.ndarray:
@@ -186,10 +203,14 @@ def swa_average(ensemble: EnsembleModel) -> ParamVector:
 
 def swa_probs(snapshots: list[Snapshot], weights: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Class probabilities [T, m, k] of the snapshots' weighted mean parameter
-    vector under each weight row [T, K]; each mean is forwarded on its own."""
+    vector under each weight row [T, K], each mean a checked ParamVector. The
+    means are made one at a time, as forward_each reads them, and each is equal to
+    its row of weighted_mean(values, weights)."""
     arch = snapshots[0].params.arch
-    means = weighted_mean([s.params.values for s in snapshots], weights)
-    return np.stack([forward_batch(ParamVector(mean, arch), features) for mean in means])
+    values = [s.params.values for s in snapshots]
+    means = (_read_only(weighted_mean(values, row)) for row in weights)
+    out = np.empty((len(weights), len(features), arch.num_classes))
+    return _forward_into(out, (ParamVector(mean, arch) for mean in means), features)
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,18 @@ class TestLoadIdx:
             load_idx(cut, lbl)
 
 
+def assert_joined(train, val):
+    """train's and val's features are consecutive row blocks of one read-only matrix
+    that owns its memory, train's first."""
+    base = train.features.base
+    assert base is not None and val.features.base is base
+    assert base.flags.owndata and not base.flags.writeable
+    assert base.shape == (train.num_examples + val.num_examples, train.dim)
+    assert np.array_equal(base, np.vstack([train.features, val.features]))
+    assert np.shares_memory(base[: train.num_examples], train.features)
+    assert np.shares_memory(base[train.num_examples :], val.features)
+
+
 class TestLoadIdxSplit:
     """load_idx_split equals split(load_idx(...)): datasets, fingerprints, errors."""
 
@@ -145,6 +157,13 @@ class TestLoadIdxSplit:
         assert got[0] == want[0] and got[1] == want[1]
         assert [fingerprint(d) for d in got] == [fingerprint(d) for d in want]
         assert all(not d.features.flags.writeable for d in got)
+
+    def test_parts_are_row_blocks_of_one_matrix(self, tmp_path):
+        rng = np.random.default_rng(5)
+        img, lbl = write_idx_pair(
+            tmp_path, rng.integers(0, 256, (50, 3, 4)), rng.integers(0, 9, 50)
+        )
+        assert_joined(*load_idx_split(img, lbl, SplitSpec(0.2, 11)))
 
     def test_split_error_equals_split_of_load(self, tmp_path):
         img, lbl = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
@@ -183,6 +202,9 @@ class TestSplit:
         key = np.lexsort(combined.T)
         key0 = np.lexsort(data.features.T)
         np.testing.assert_array_equal(combined[key], data.features[key0])
+
+    def test_parts_are_row_blocks_of_one_matrix(self):
+        assert_joined(*split(make_blobs(3, 30, 2, 1.0, seed=2), SplitSpec(0.25, 3)))
 
     def test_deterministic(self):
         data = make_blobs(3, 30, 2, 1.0, seed=2)

@@ -198,15 +198,18 @@ class TestSweepTemperature:
     def test_each_member_forwarded_once(self, setup, monkeypatch):
         cfg, store, tmp = setup
         calls = []
-        forward = stacking.forward_batch
+        forward_each = stacking.forward_each
 
         def counting(params, features):
-            calls.append(params)
-            return forward(params, features)
+            params = list(params)
+            calls.extend(params)
+            return forward_each(params, features)
 
-        monkeypatch.setattr(stacking, "forward_batch", counting)
+        monkeypatch.setattr(stacking, "forward_each", counting)
         cmd_sweep_temperature(cfg, store, "min+mid", "train", tmp)
-        assert len(calls) == len(policy_snapshots(store, "min+mid", cfg))
+        members = [s.params for s in policy_snapshots(store, "min+mid", cfg)]
+        assert len(calls) == len(members)
+        assert sorted(map(id, calls)) == sorted(map(id, members))
 
     def test_stale_store_warns(self, setup, tmp_path):
         cfg, store, _ = setup
@@ -316,13 +319,14 @@ class TestCmdCompare:
         # min is a subset of min+mid; single is independent member 0; the capture
         # store holds only what the rows read, so every snapshot is forwarded once.
         # The SWA rows forward one averaged parameter vector per spec besides.
-        calls, forward = [], stacking.forward_batch
+        calls, forward_each = [], stacking.forward_each
 
         def counting(params, features):
-            calls.append(params)  # held, so no two forwarded vectors share an id
-            return forward(params, features)
+            params = list(params)
+            calls.extend(params)  # held, so no two forwarded vectors share an id
+            return forward_each(params, features)
 
-        monkeypatch.setattr(stacking, "forward_batch", counting)
+        monkeypatch.setattr(stacking, "forward_each", counting)
         cfg = small_config(num_independent=3)
         cmd_compare(cfg, tmp_path)
         ((_, (store, *others)),) = train_runs

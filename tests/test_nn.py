@@ -19,7 +19,7 @@ from snapstack import (
     nll_loss,
     sgd_step,
 )
-from snapstack.nn import Workspace, _forward, _grad, _layers
+from snapstack.nn import Workspace, _block_size, _forward, _grad, _layers, forward_each
 
 
 def finite_difference_grad(params, batch, h=1e-5):
@@ -72,6 +72,38 @@ class TestParamVector:
         with pytest.raises(ValueError):
             pv.values[0] = 1.0
 
+    def test_copies_writeable_values(self, tiny_arch):
+        values = np.zeros(tiny_arch.num_params)
+        pv = ParamVector(values, tiny_arch)
+        values[0] = 5.0
+        assert pv.values[0] == 0.0
+
+    def test_copies_read_only_view_of_writeable_base(self, tiny_arch):
+        base = np.zeros((2, tiny_arch.num_params))
+        row = base[1]
+        row.setflags(write=False)
+        pv = ParamVector(row, tiny_arch)
+        base[1, 0] = 5.0
+        assert pv.values is not row and pv.values[0] == 0.0
+
+    def test_copies_read_only_view_of_read_only_base(self, tiny_arch):
+        # only an array that owns its memory is kept
+        base = np.zeros((2, tiny_arch.num_params))
+        base.setflags(write=False)
+        pv = ParamVector(base[1], tiny_arch)
+        assert not np.shares_memory(pv.values, base)
+
+    def test_keeps_owned_read_only_values(self, tiny_arch):
+        values = np.zeros(tiny_arch.num_params)
+        values.setflags(write=False)
+        assert ParamVector(values, tiny_arch).values is values
+
+    def test_kept_values_are_checked(self, tiny_arch):
+        for values in (np.zeros(tiny_arch.num_params + 1), np.full(tiny_arch.num_params, np.nan)):
+            values.setflags(write=False)
+            with pytest.raises(InputError):
+                ParamVector(values, tiny_arch)
+
 
 class TestDataset:
     def test_rejects_label_out_of_range(self):
@@ -108,6 +140,20 @@ class TestDataset:
         feats = np.zeros((2, 2))
         feats.setflags(write=False)
         assert Dataset(feats, [0, 1], 2).features is feats
+
+    def test_keeps_row_slices_of_owned_read_only_base(self):
+        base = np.arange(10.0).reshape(5, 2).copy()  # owns its memory
+        base.setflags(write=False)
+        top, bottom = Dataset(base[:3], [0, 1, 0], 2), Dataset(base[3:], [1, 0], 2)
+        assert top.features.base is base and bottom.features.base is base
+        assert np.array_equal(np.vstack([top.features, bottom.features]), base)
+
+    def test_copies_strided_view_of_read_only_base(self):
+        base = np.arange(10.0).reshape(5, 2).copy()  # owns its memory
+        base.setflags(write=False)
+        ds = Dataset(base[:, :1], [0, 1, 0, 1, 0], 2)
+        assert not np.shares_memory(ds.features, base)
+        assert ds.features.flags.c_contiguous and not ds.features.flags.writeable
 
 
 class TestForward:
@@ -146,6 +192,66 @@ class TestForward:
         batch = forward_batch(pv, xs)
         for j in range(5):
             np.testing.assert_allclose(batch[j], forward(pv, xs[j]), rtol=1e-12)
+
+
+class TestForwardEach:
+    """forward_each equals forward_batch per member, bit for bit, blocked or not."""
+
+    @pytest.mark.parametrize("sizes", [
+        pytest.param((784, 10), id="784-10"),  # no hidden layer
+        pytest.param((6, 32, 3), id="6-32-3"),  # d < h: one member per GEMM
+        pytest.param((784, 32, 10), id="784-32-10"),  # four per GEMM from 40 rows on
+        pytest.param((200, 16, 24, 5), id="200-16-24-5"),  # eight per GEMM at 1000 rows
+    ])
+    # 40 rows of 784-32-10 lie just above the small-matrix limit of the block rule
+    @pytest.mark.parametrize("rows", [1, 16, 40, 1000])
+    def test_equals_forward_batch(self, sizes, rows):
+        arch = MlpArchitecture(sizes)
+        rng = np.random.default_rng([rows, *sizes])
+        feats = rng.normal(0.0, 1.0, (rows, arch.input_dim))
+        params = [random_params(arch, rng, scale=0.3) for _ in range(9)]
+        reference = [forward_batch(p, feats) for p in params]
+        for count in range(1, 10):  # blocks of 4 or 8 end short for most counts
+            got = list(forward_each(params[:count], feats))
+            assert len(got) == count
+            for probs, want in zip(got, reference):
+                assert np.array_equal(probs, want)
+
+    def test_block_rule(self):
+        assert _block_size(1000, (784, 32, 10)) == 4
+        assert _block_size(1000, (200, 16, 24, 5)) == 8
+        assert _block_size(1000, (6, 32, 3)) == 1  # d < 2h
+        assert _block_size(1000, (784, 10)) == 1  # no hidden layer
+        assert _block_size(1, (784, 32, 10)) == 1  # numpy's vector-matrix product
+        assert _block_size(1000, (784, 33, 10)) == 1  # h not a multiple of 8
+        assert _block_size(16, (784, 32, 10)) == 1  # a small-matrix product
+        assert _block_size(40, (784, 32, 10)) == 4  # 40 * 784 * 32 > 10**6
+
+    def test_reads_one_block_at_a_time(self):
+        arch = MlpArchitecture((784, 32, 10))
+        rng = np.random.default_rng(1)
+        feats = rng.normal(0.0, 1.0, (100, 784))
+        made = []
+
+        def params():
+            for _ in range(9):
+                made.append(random_params(arch, rng, scale=0.3))
+                yield made[-1]
+
+        probs = forward_each(params(), feats)
+        next(probs)
+        assert len(made) == 4
+        assert np.array_equal(next(probs), forward_batch(made[1], feats))
+
+    def test_checks(self):
+        arch = MlpArchitecture((2, 4, 3))
+        rng = np.random.default_rng(2)
+        params = [random_params(arch, rng), random_params(MlpArchitecture((2, 5, 3)), rng)]
+        with pytest.raises(InputError):
+            list(forward_each(params, np.zeros((4, 2))))
+        with pytest.raises(InputError):
+            list(forward_each(params[:1], np.zeros((4, 3))))
+        assert list(forward_each([], np.zeros((4, 2)))) == []
 
 
 class TestNllLoss:

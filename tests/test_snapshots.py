@@ -39,6 +39,7 @@ from snapstack import (
     split,
     train_with_capture,
 )
+from snapstack import snapshots
 from snapstack.schedule import cycle_midpoints, cycle_minima, lr_at
 from snapstack.snapshots import _train_runs
 
@@ -187,6 +188,35 @@ class TestTrainRuns:
         stores = _train_runs(arch, train, val, CFG, seeds, plans, 32)
         for store, seed, plan in zip(stores, seeds, plans, strict=True):
             assert store == train_with_capture(arch, train, val, CFG, seed, plan, batch_size=32)
+
+    @pytest.mark.parametrize("sizes, per_class, batch", REFERENCE_CASES)
+    def test_non_adjacent_sets_score_as_a_split(self, sizes, per_class, batch):
+        # a split's sets are scored as one matrix; copies in separate arrays are stacked
+        arch = MlpArchitecture(sizes)
+        train, val = reference_split(sizes, per_class)
+        assert train.features.base is val.features.base
+        apart = [Dataset(np.array(d.features), d.labels, d.num_classes) for d in (train, val)]
+        assert not np.shares_memory(apart[0].features, apart[1].features)
+        plans = [plan_captures(CFG, window_halfwidth=1), {59: "window"}]
+        stores = _train_runs(arch, train, val, CFG, [5, 6], plans, batch)
+        assert stores == _train_runs(arch, *apart, CFG, [5, 6], plans, batch)
+
+    def test_scoring_a_split_copies_no_features(self):
+        # 800 + 200 rows of 784 features: the scoring reads the split's joined
+        # matrix, so the call never holds another 6.3 MB
+        arch = MlpArchitecture((784, 32, 10))
+        train, val = split(make_blobs(10, 100, 784, 1.0, seed=2), SplitSpec(0.2, 2))
+        joined = train.features.nbytes + val.features.nbytes
+        plan = {t: "window" for t in range(0, 60, 12)}
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            (store,) = _train_runs(arch, train, val, CFG, [1], [plan], 32)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(store.snapshots) == 5
+        assert peak < joined, f"peak {peak} bytes against {joined} bytes of features"
 
     @pytest.mark.parametrize("sizes, per_class, batch", REFERENCE_CASES)
     def test_runs_equal_public_sgd_loop(self, sizes, per_class, batch):
@@ -406,6 +436,24 @@ class TestStoreIO:
         assert loaded == store
         size = path.stat().st_size
         assert peak <= 1.1 * size, f"peak {peak} bytes for a {size}-byte store"
+
+    def test_payload_is_each_vector_little_endian(self, tmp_path):
+        store = small_run(plan_captures(CFG, window_halfwidth=1))
+        path = tmp_path / "run.snap"
+        save_store(store, path)
+        payload = b"".join(s.params.values.astype("<f8").tobytes() for s in store.snapshots)
+        assert path.read_bytes().endswith(payload)
+        assert path.stat().st_size == 14 + len(json.dumps(
+            snapshots._header_dict(store), sort_keys=True, separators=(",", ":"))) + len(payload)
+
+    def test_load_keeps_each_payload_array(self, tmp_path):
+        store = small_run(plan_captures(CFG, window_halfwidth=1))
+        path = tmp_path / "run.snap"
+        save_store(store, path)
+        for snap in load_store(path).snapshots:
+            values = snap.params.values
+            assert values.flags.owndata and not values.flags.writeable
+            assert values.dtype == np.float64
 
     def test_sidecar_written(self, tmp_path):
         store = small_run(plan_captures(CFG))
