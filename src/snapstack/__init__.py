@@ -18,7 +18,6 @@ from .nn import (
     MlpArchitecture,
     ParamVector,
     backward,
-    forward,
     forward_batch,
     init_params,
     nll_loss,
@@ -38,13 +37,13 @@ from .snapshots import (
     train_with_capture,
 )
 from .stacking import (
-    EnsembleModel,
     EvalMetrics,
     WeightingSpec,
-    build_ensemble,
-    ensemble_predict_batch,
-    evaluate,
-    swa_average,
+    evaluate_rows,
+    member_probs,
+    swa_probs,
+    weight_rows,
+    weighted_mean,
     weights_equal,
     weights_inverse_loss,
     weights_temperature,

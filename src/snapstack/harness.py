@@ -236,8 +236,9 @@ def policy_snapshots(
     if policy == "mid":
         return select_mid(store)
     if policy == "min+mid":
-        merged = select_min(store) + select_mid(store)
-        return sorted(merged, key=lambda s: s.iteration)
+        # at cycle_len 2 a cycle's half-amplitude point is its minimum: count it once
+        merged = {s.iteration: s for s in select_min(store) + select_mid(store)}
+        return [merged[t] for t in sorted(merged)]
     if policy == "window":
         return select_window(store, config.window_halfwidth)
     if policy == "offset":

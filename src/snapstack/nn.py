@@ -9,6 +9,7 @@ buffers a caller hands in to be written.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -30,6 +31,8 @@ class MlpArchitecture:
     hidden_activation: str = "relu"
 
     def __post_init__(self):
+        if not all(isinstance(s, numbers.Integral) for s in self.layer_sizes):
+            raise InputError(f"layer sizes must be integers, got {self.layer_sizes!r}")
         sizes = tuple(int(s) for s in self.layer_sizes)
         object.__setattr__(self, "layer_sizes", sizes)
         if len(sizes) < 2:
@@ -110,9 +113,10 @@ class ParamVector:
 
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> None:
-    """Raise unless num_classes is positive and every label lies in [0, num_classes)."""
-    if num_classes < 1:
-        raise InputError("num_classes must be positive")
+    """Raise unless num_classes is a positive integer and every label lies in
+    [0, num_classes)."""
+    if not isinstance(num_classes, numbers.Integral) or num_classes < 1:
+        raise InputError(f"num_classes must be a positive integer, got {num_classes!r}")
     if labels.min() < 0 or labels.max() >= num_classes:
         raise InputError(
             f"labels must lie in [0, {num_classes}), got range "
@@ -140,7 +144,10 @@ class Dataset:
         feats = self.features
         if not _frozen(feats):
             feats = np.array(feats, dtype=np.float64)
-        labels = np.array(self.labels, dtype=np.int64).ravel()
+        labels = np.asarray(self.labels)
+        if labels.size and labels.dtype.kind not in "iu":
+            raise InputError(f"labels must be integers, got dtype {labels.dtype}")
+        labels = np.array(labels, dtype=np.int64).ravel()
         if feats.ndim != 2:
             raise InputError(f"features must be a 2-d matrix, got shape {feats.shape}")
         if feats.shape[0] != labels.size:
@@ -270,14 +277,6 @@ def forward_batch(params: ParamVector, features: np.ndarray) -> np.ndarray:
     return _forward(_layers(params.values, params.arch.layer_sizes), features)[-1]
 
 
-def forward(params: ParamVector, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size != params.arch.input_dim:
-        raise InputError(f"expected input of size {params.arch.input_dim}, got {x.size}")
-    return forward_batch(params, x[None, :])[0]
-
-
 # OpenBLAS builds for AVX-512 run a GEMM of at most this many multiply-adds
 # through a small-matrix kernel whose summation order depends on the width
 _SMALL_GEMM = 10**6
@@ -351,13 +350,19 @@ def _example_nll(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -np.log(np.maximum(p_true, PROB_FLOOR))
 
 
+def _check_fits(data: Dataset, arch: MlpArchitecture, name: str) -> None:
+    """Raise unless the data's feature width and class count are the arch's; `name`
+    says which set the message is about."""
+    if data.dim != arch.input_dim or data.num_classes != arch.num_classes:
+        raise InputError(
+            f"{name} [{data.dim} features, {data.num_classes} classes] does not match "
+            f"arch {arch.layer_sizes}"
+        )
+
+
 def nll_loss(params: ParamVector, data: Dataset) -> float:
     """Mean per-example negative log-likelihood of the true labels."""
-    if data.dim != params.arch.input_dim or data.num_classes != params.arch.num_classes:
-        raise InputError(
-            f"dataset [{data.dim} features, {data.num_classes} classes] does not match "
-            f"arch {params.arch.layer_sizes}"
-        )
+    _check_fits(data, params.arch, "dataset")
     probs = _forward(_layers(params.values, params.arch.layer_sizes), data.features)[-1]
     return float(_example_nll(probs, data.labels).mean())
 
@@ -394,11 +399,7 @@ def _grad(
 
 def backward(params: ParamVector, batch: Dataset) -> ParamVector:
     """Gradient of the mean NLL over the batch, same shape as params."""
-    if batch.dim != params.arch.input_dim or batch.num_classes != params.arch.num_classes:
-        raise InputError(
-            f"batch [{batch.dim} features, {batch.num_classes} classes] does not match "
-            f"arch {params.arch.layer_sizes}"
-        )
+    _check_fits(batch, params.arch, "batch")
     sizes = params.arch.layer_sizes
     grad = np.empty(params.arch.num_params)
     targets = np.eye(batch.num_classes)[batch.labels]

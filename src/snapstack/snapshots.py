@@ -29,6 +29,7 @@ from .nn import (
     MlpArchitecture,
     ParamVector,
     Workspace,
+    _check_fits,
     _example_nll,
     _grad,
     _layers,
@@ -161,12 +162,8 @@ def _train_runs(
 ) -> list[SnapshotStore]:
     """`train_with_capture` for each (seed, plan) pair, in one SGD loop over the runs'
     stacked parameters [R, P]; batched products equal the per-run ones bit for bit."""
-    for name, d in (("train", data), ("validation", val)):
-        if d.dim != arch.input_dim or d.num_classes != arch.num_classes:
-            raise InputError(
-                f"{name} set [{d.dim} features, {d.num_classes} classes] does not "
-                f"match arch {arch.layer_sizes}"
-            )
+    _check_fits(data, arch, "train set")
+    _check_fits(val, arch, "validation set")
     if batch_size < 1:
         raise InputError(f"batch_size must be positive, got {batch_size}")
     plans = [{int(t): tag for t, tag in plan.items()} for plan in capture_plans]

@@ -49,35 +49,6 @@ class WeightingSpec:
             raise InputError(f"temperature tau must be positive, got {self.tau}")
 
 
-@dataclass(eq=False)
-class EnsembleModel:
-    """Ordered (snapshot, weight) pairs defining the stacked predictor."""
-
-    members: list[tuple[Snapshot, float]]
-
-    def __post_init__(self):
-        if not self.members:
-            raise InputError("ensemble needs at least one member")
-        w = np.array([weight for _, weight in self.members], dtype=np.float64)
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise InputError("ensemble weights must be finite and strictly positive")
-        if abs(w.sum() - len(self.members)) > WEIGHT_SUM_TOL:
-            raise InputError(
-                f"ensemble weights sum to {w.sum()}, expected {len(self.members)}"
-            )
-        arch = self.members[0][0].params.arch
-        if any(s.params.arch != arch for s, _ in self.members):
-            raise InputError("ensemble members must share one architecture")
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.members], dtype=np.float64)
-
-    @property
-    def snapshots(self) -> list[Snapshot]:
-        return [s for s, _ in self.members]
-
-
 def _as_weights(raw: np.ndarray) -> np.ndarray:
     """Scale each row [..., N] to sum to N."""
     return raw * (raw.shape[-1] / raw.sum(axis=-1, keepdims=True))
@@ -152,11 +123,6 @@ def weight_rows(snapshots: list[Snapshot], specs: list[WeightingSpec]) -> np.nda
     return rows
 
 
-def build_ensemble(snapshots: list[Snapshot], spec: WeightingSpec) -> EnsembleModel:
-    """Pair snapshots with weights computed by the chosen rule."""
-    return EnsembleModel(list(zip(snapshots, weight_rows(snapshots, [spec])[0].tolist())))
-
-
 def _forward_into(out: np.ndarray, params, features: np.ndarray) -> np.ndarray:
     """forward_each's class probabilities of the parameter vectors, written into
     out [K, m, k] in order."""
@@ -175,10 +141,18 @@ def weighted_mean(values, weights: np.ndarray) -> np.ndarray:
     """(1/K) * sum_k w_k * values[k] over K members, a sequence or stack of probability
     matrices [m, k] or parameter vectors [P]. Weights [..., K] give one mean per row. The
     members are added in index order into one accumulator, the order in which a sum over
-    axis 0 adds them, so each row equals the mean under its own weights alone."""
+    axis 0 adds them, so each row equals the mean under its own weights alone.
+    Each row must be finite, strictly positive and sum to K within WEIGHT_SUM_TOL."""
     w = np.asarray(weights, dtype=np.float64)
+    if len(values) < 1:
+        raise InputError("ensemble needs at least one member")
     if w.shape[-1:] != (len(values),):
         raise InputError(f"weights of shape {w.shape} for {len(values)} members")
+    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        raise InputError("ensemble weights must be finite and strictly positive")
+    sums = w.sum(axis=-1)
+    if np.any(np.abs(sums - len(values)) > WEIGHT_SUM_TOL):
+        raise InputError(f"ensemble weights sum to {sums}, expected {len(values)}")
     w = np.moveaxis(w, -1, 0)
     w = w.reshape(w.shape + (1,) * np.ndim(values[0]))  # w[k] broadcasts over one member
     acc = values[0] * w[0]
@@ -189,24 +163,14 @@ def weighted_mean(values, weights: np.ndarray) -> np.ndarray:
     return acc
 
 
-def ensemble_predict_batch(ens: EnsembleModel, features: np.ndarray) -> np.ndarray:
-    """Weighted mean of member probabilities for a feature matrix [m, d]."""
-    return weighted_mean(member_probs(ens.snapshots, features), ens.weights)
-
-
-def swa_average(ensemble: EnsembleModel) -> ParamVector:
-    """The ensemble's weighted mean parameter vector: ensembling in weight space."""
-    snaps = ensemble.snapshots
-    values = [s.params.values for s in snaps]
-    return ParamVector(weighted_mean(values, ensemble.weights), snaps[0].params.arch)
-
-
 def swa_probs(snapshots: list[Snapshot], weights: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Class probabilities [T, m, k] of the snapshots' weighted mean parameter
     vector under each weight row [T, K], each mean a checked ParamVector. The
     means are made one at a time, as forward_each reads them, and each is equal to
-    its row of weighted_mean(values, weights)."""
+    its row of weighted_mean(values, weights). The members share one architecture."""
     arch = snapshots[0].params.arch
+    if any(s.params.arch != arch for s in snapshots):
+        raise InputError("ensemble members must share one architecture")
     values = [s.params.values for s in snapshots]
     means = (_read_only(weighted_mean(values, row)) for row in weights)
     out = np.empty((len(weights), len(features), arch.num_classes))
@@ -219,20 +183,9 @@ class EvalMetrics:
     mean_nll: float
 
 
-def evaluate(probs: np.ndarray, data: Dataset) -> EvalMetrics:
-    """Argmax accuracy (ties to the lowest class index) and mean NLL of predicted
-    class probabilities [m, k] against data's labels."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != (data.num_examples, data.num_classes):
-        raise InputError(
-            f"probabilities have shape {probs.shape}, expected "
-            f"({data.num_examples}, {data.num_classes})"
-        )
-    return evaluate_rows(probs[None], data)[0]
-
-
 def evaluate_rows(probs: np.ndarray, data: Dataset) -> list[EvalMetrics]:
-    """evaluate() of each prediction in stacked class probabilities [T, m, k]."""
+    """Argmax accuracy (ties to the lowest class index) and mean NLL against data's
+    labels of each prediction in stacked class probabilities [T, m, k]."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 3 or probs.shape[1:] != (data.num_examples, data.num_classes):
         raise InputError(

@@ -16,10 +16,13 @@ from snapstack import (
     SnapshotStore,
     SplitSpec,
     WeightingSpec,
-    build_ensemble,
+    evaluate_rows,
     lr_at,
     make_blobs,
+    member_probs,
     split,
+    weight_rows,
+    weighted_mean,
 )
 from snapstack.schedule import cycle_minima
 
@@ -47,11 +50,24 @@ def random_dataset(
 
 
 def likelihood_weights(lls) -> np.ndarray:
-    """The likelihood rule through build_ensemble, on snapshots whose train NLLs are -lls."""
+    """The likelihood rule through weight_rows, on snapshots whose train NLLs are -lls."""
     arch = MlpArchitecture((1, 2))
     zeros = ParamVector(np.zeros(arch.num_params), arch)
     snaps = [Snapshot(zeros, i, 0.01, -float(ll), 0.5, "min") for i, ll in enumerate(lls)]
-    return build_ensemble(snaps, WeightingSpec("likelihood")).weights
+    return weight_rows(snaps, [WeightingSpec("likelihood")])[0]
+
+
+def ensemble_metrics(snaps: list[Snapshot], spec: WeightingSpec, data: Dataset):
+    """One ensemble's metrics on data: the spec's weight row, the weighted mean of
+    the members' class probabilities, then evaluate_rows."""
+    probs = weighted_mean(member_probs(snaps, data.features), weight_rows(snaps, [spec]))
+    return evaluate_rows(probs, data)[0]
+
+
+def swa_params(snaps: list[Snapshot], weights) -> ParamVector:
+    """The snapshots' weighted mean parameter vector under one weight row [K]."""
+    values = [s.params.values for s in snaps]
+    return ParamVector(weighted_mean(values, weights), snaps[0].params.arch)
 
 
 def store_from_nlls(

@@ -13,11 +13,16 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import likelihood_weights, store_from_nlls, write_idx_pair
+from conftest import (
+    ensemble_metrics,
+    likelihood_weights,
+    store_from_nlls,
+    swa_params,
+    write_idx_pair,
+)
 from snapstack import (
     CycleConfig,
     Dataset,
-    EnsembleModel,
     FormatError,
     MlpArchitecture,
     ParamVector,
@@ -26,15 +31,13 @@ from snapstack import (
     SplitSpec,
     WeightingSpec,
     backward,
-    build_ensemble,
-    ensemble_predict_batch,
-    evaluate,
-    forward,
+    evaluate_rows,
     forward_batch,
     load_idx,
     load_store,
     lr_at,
     make_blobs,
+    member_probs,
     nll_loss,
     save_store,
     select_mid,
@@ -42,8 +45,9 @@ from snapstack import (
     select_offset,
     select_window,
     split,
-    swa_average,
     train_with_capture,
+    weight_rows,
+    weighted_mean,
     weights_equal,
     weights_inverse_loss,
     weights_temperature,
@@ -283,19 +287,20 @@ def test_c05_ensemble_prediction_algebra():
             snaps.append(Snapshot(pv, i, 0.01, float(rng.uniform(0.2, 2.0)), 0.5, "min"))
         xs = rng.normal(0.0, 1.0, (40, 3))
 
-        eq = build_ensemble(snaps, WeightingSpec("equal"))
+        eq = weight_rows(snaps, [WeightingSpec("equal")])[0]
         member_mean = np.stack([forward_batch(s.params, xs) for s in snaps]).mean(axis=0)
-        assert np.abs(ensemble_predict_batch(eq, xs) - member_mean).max() <= 1e-12
+        assert np.abs(weighted_mean(member_probs(snaps, xs), eq) - member_mean).max() <= 1e-12
 
         for tau in (0.1, 1.0, 50.0):
-            ens = build_ensemble(snaps, WeightingSpec("temperature", tau=tau))
-            out = ensemble_predict_batch(ens, xs)
+            w = weight_rows(snaps, [WeightingSpec("temperature", tau=tau)])[0]
+            out = weighted_mean(member_probs(snaps, xs), w)
             assert np.all(out >= 0.0)
             assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-9
 
-        lone = build_ensemble(snaps[:1], WeightingSpec("temperature", tau=0.2))
+        lone = weight_rows(snaps[:1], [WeightingSpec("temperature", tau=0.2)])[0]
         x = xs[0]
-        assert np.array_equal(ensemble_predict_batch(lone, x[None])[0], forward(snaps[0].params, x))
+        out = weighted_mean(member_probs(snaps[:1], x[None]), lone)[0]
+        assert np.array_equal(out, forward_batch(snaps[0].params, x[None])[0])
 
 
 def test_c06_trend_reproduction():
@@ -309,21 +314,13 @@ def test_c06_trend_reproduction():
                 arch, train, val, TREND_CYCLE, seed, plan_captures(TREND_CYCLE), batch_size=8
             )
             mins = select_min(store)
-            singles.append(evaluate(forward_batch(mins[-1].params, test.features), test).accuracy)
-            equals.append(
-                evaluate(
-                    ensemble_predict_batch(build_ensemble(mins, WeightingSpec("equal")), test.features),
-                    test,
-                ).accuracy
-            )
+            single = forward_batch(mins[-1].params, test.features)[None]
+            singles.append(evaluate_rows(single, test)[0].accuracy)
+            equals.append(ensemble_metrics(mins, WeightingSpec("equal"), test).accuracy)
             bests.append(
                 max(
-                    evaluate(
-                        ensemble_predict_batch(
-                            build_ensemble(mins, WeightingSpec("temperature", tau=tau, source="train")),
-                            test.features,
-                        ),
-                        test,
+                    ensemble_metrics(
+                        mins, WeightingSpec("temperature", tau=tau, source="train"), test
                     ).accuracy
                     for tau in TREND_TAUS
                 )
@@ -352,17 +349,16 @@ def test_c07_single_run_cost():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             variants = {
-                "min_eq": build_ensemble(select_min(store), WeightingSpec("equal")),
-                "min_stack": build_ensemble(
-                    select_min(store), WeightingSpec("temperature", tau=1.0)
-                ),
-                "mid": build_ensemble(select_mid(store), WeightingSpec("equal")),
-                "window": build_ensemble(select_window(store, 2), WeightingSpec("equal")),
-                "offset": build_ensemble(select_offset(store, 10), WeightingSpec("equal")),
+                "min_eq": (select_min(store), WeightingSpec("equal")),
+                "min_stack": (select_min(store), WeightingSpec("temperature", tau=1.0)),
+                "mid": (select_mid(store), WeightingSpec("equal")),
+                "window": (select_window(store, 2), WeightingSpec("equal")),
+                "offset": (select_offset(store, 10), WeightingSpec("equal")),
             }
-        swa = swa_average(variants["min_eq"])
+            weights = {k: weight_rows(snaps, [spec])[0] for k, (snaps, spec) in variants.items()}
+        swa = swa_params(variants["min_eq"][0], weights["min_eq"])
         assert swa.arch == arch
-        assert all(len(v.members) >= 4 for v in variants.values())
+        assert all(len(snaps) >= 4 for snaps, _ in variants.values())
 
         def timed(capture_plan):
             # CPU time of this process: time spent descheduled on a busy host does not count
@@ -427,15 +423,15 @@ def test_c09_swa_algebra():
             return Snapshot(ParamVector(np.array([v0, v1]), arch), it, 0.1, 0.5, 0.5, "min")
 
         same = snap(0.7, -0.4, 0)
-        out = swa_average(EnsembleModel([(same, 1.0)] * 3))
+        out = swa_params([same] * 3, [1.0] * 3)
         assert np.abs(out.values - same.params.values).max() <= 1e-12
 
         a, b = snap(0.0, 2.0, 0), snap(2.0, 0.0, 1)
         np.testing.assert_allclose(
-            swa_average(EnsembleModel([(a, 1.0), (b, 1.0)])).values, [1.0, 1.0], atol=1e-12
+            swa_params([a, b], [1.0, 1.0]).values, [1.0, 1.0], atol=1e-12
         )
         np.testing.assert_allclose(
-            swa_average(EnsembleModel([(a, 1.8), (b, 0.2)])).values, [0.2, 1.8], atol=1e-12
+            swa_params([a, b], [1.8, 0.2]).values, [0.2, 1.8], atol=1e-12
         )
 
 

@@ -15,7 +15,18 @@ import numpy as np
 import pytest
 
 import snapstack
-from snapstack import FormatError, InputError, harness, load_store, stacking, train_with_capture
+from conftest import ensemble_metrics, store_from_nlls
+from snapstack import (
+    FormatError,
+    InputError,
+    MlpArchitecture,
+    harness,
+    load_store,
+    select_mid,
+    select_min,
+    stacking,
+    train_with_capture,
+)
 from snapstack.harness import (
     build_datasets,
     cmd_compare,
@@ -28,7 +39,7 @@ from snapstack.harness import (
     main,
     policy_snapshots,
 )
-from snapstack.stacking import WeightingSpec, build_ensemble, ensemble_predict_batch, evaluate
+from snapstack.stacking import WeightingSpec
 
 SMALL = {
     "dataset": {"kind": "blobs", "num_classes": 3, "per_class": 60, "dim": 2, "spread": 0.6,
@@ -49,6 +60,15 @@ def small_config(**overrides):
     raw = json.loads(json.dumps(SMALL))
     raw.update(overrides)
     return config_from_dict(raw)
+
+
+# cycle_len 2: each cycle's half-amplitude point is its rate minimum
+CYCLE_LEN_2 = {
+    "cycle": {"alpha_min": 0.02, "alpha_max": 0.3, "cycle_len": 2, "total_iters": 8},
+    "window_halfwidth": 0,
+    "offsets": [0, 1],
+    "offset_steps": 1,
+}
 
 
 def read_rows(path):
@@ -156,10 +176,7 @@ class TestSweepTemperature:
             if r["tau"] != "1000.0":
                 continue
             snaps = policy_snapshots(store, "min", cfg)[-int(r["n_models"]):]
-            eq = evaluate(
-                ensemble_predict_batch(build_ensemble(snaps, WeightingSpec("equal")), test.features),
-                test,
-            )
+            eq = ensemble_metrics(snaps, WeightingSpec("equal"), test)
             assert abs(float(r["accuracy"]) - eq.accuracy) <= 1.0 / test.num_examples + 1e-12
 
     def test_oversized_n_skipped_with_warning(self, setup):
@@ -183,7 +200,7 @@ class TestSweepTemperature:
 
     @pytest.mark.parametrize("policy,source", [("min+mid", "train"), ("window", "validation")])
     def test_rows_equal_reference_ensemble_path(self, setup, policy, source):
-        # the cached member forwards must reproduce ensemble_predict_batch exactly
+        # the cached member forwards must reproduce one ensemble's fresh forwards exactly
         cfg, store, tmp = setup
         _, _, test, _ = build_datasets(cfg)
         snaps = policy_snapshots(store, policy, cfg)
@@ -191,8 +208,7 @@ class TestSweepTemperature:
         assert rows
         for r in rows:
             spec = WeightingSpec("temperature", tau=float(r["tau"]), source=source)
-            ens = build_ensemble(snaps[-int(r["n_models"]):], spec)
-            met = evaluate(ensemble_predict_batch(ens, test.features), test)
+            met = ensemble_metrics(snaps[-int(r["n_models"]):], spec, test)
             assert (float(r["accuracy"]), float(r["mean_nll"])) == (met.accuracy, met.mean_nll)
 
     def test_each_member_forwarded_once(self, setup, monkeypatch):
@@ -210,6 +226,14 @@ class TestSweepTemperature:
         members = [s.params for s in policy_snapshots(store, "min+mid", cfg)]
         assert len(calls) == len(members)
         assert sorted(map(id, calls)) == sorted(map(id, members))
+
+    def test_min_mid_counts_shared_iterations_once(self):
+        cfg = small_config(**CYCLE_LEN_2)
+        store = store_from_nlls(cfg.cycle, MlpArchitecture((2, 3)), {t: 0.5 for t in range(8)})
+        assert [s.iteration for s in select_mid(store)] == [1, 3, 5, 7]
+        snaps = policy_snapshots(store, "min+mid", cfg)
+        assert [s.iteration for s in snaps] == [1, 3, 5, 7]
+        assert snaps == select_min(store)
 
     def test_stale_store_warns(self, setup, tmp_path):
         cfg, store, _ = setup
@@ -233,13 +257,7 @@ class TestSweepOffset:
         _, _, test, _ = build_datasets(cfg)
         rows = read_rows(cmd_sweep_offset(cfg, store, tmp_path, tau=1.0))
         mins = policy_snapshots(store, "min", cfg)
-        met = evaluate(
-            ensemble_predict_batch(
-                build_ensemble(mins, WeightingSpec("temperature", tau=1.0, source="train")),
-                test.features,
-            ),
-            test,
-        )
+        met = ensemble_metrics(mins, WeightingSpec("temperature", tau=1.0, source="train"), test)
         zero_row = next(r for r in rows if r["offset"] == "0")
         assert float(zero_row["accuracy"]) == met.accuracy
 
@@ -282,6 +300,15 @@ class TestCmdCompare:
             assert ("snapshot", f"{policy}, stack") in kinds
         assert ("swa", "min, eq") in kinds
         assert ("swa", "min, stack") in kinds
+
+    def test_min_mid_rows_count_distinct_models(self, tmp_path):
+        # at cycle_len 2 min+mid is min: 4 models, each weighted once
+        rows = cmd_compare(small_config(**CYCLE_LEN_2), tmp_path)["rows"]
+        by_label = {r[1]: r for r in rows if r[0] == "snapshot"}
+        for kind in ("eq", "stack"):
+            mixed, mins = by_label[f"min+mid, {kind}"], by_label[f"min, {kind}"]
+            assert mixed[2] == mins[2] == 4
+            assert mixed[3:] == mins[3:]
 
     def test_single_row_matches_final_model(self, result):
         cfg, tmp, res = result
@@ -439,12 +466,8 @@ def test_weighting_source_choice_barely_matters():
 
     def best_acc(mins, source, test):
         return max(
-            evaluate(
-                ensemble_predict_batch(
-                    build_ensemble(mins, WeightingSpec("temperature", tau=t, source=source)),
-                    test.features,
-                ),
-                test,
+            ensemble_metrics(
+                mins, WeightingSpec("temperature", tau=t, source=source), test
             ).accuracy
             for t in taus
         )
@@ -728,6 +751,22 @@ class TestCli:
         with pytest.warns(UserWarning, match="was not captured"):
             assert main(["sweep-offset", *common]) == 0
         assert read_rows(tmp_path / "sweep_offset.csv") == []
+
+    def test_non_integral_layer_size_in_store_exit_code(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path)
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+        raw = (tmp_path / "store.snap").read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, 10)
+        header = json.loads(raw[14 : 14 + header_len])
+        header["arch"]["layer_sizes"][0] += 0.5
+        blob = json.dumps(header).encode()
+        bad = tmp_path / "bad.snap"
+        bad.write_bytes(raw[:10] + struct.pack("<I", len(blob)) + blob + raw[14 + header_len :])
+        capsys.readouterr()
+        code = main(["sweep-temp", "--config", str(cfg_path), "--store", str(bad),
+                     "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert "malformed store header" in capsys.readouterr().err
 
     def test_divergence_exit_code(self, tmp_path):
         cfg_path = self.write_config(

@@ -13,7 +13,6 @@ from snapstack import (
     ParamVector,
     TrainingError,
     backward,
-    forward,
     forward_batch,
     init_params,
     nll_loss,
@@ -50,6 +49,11 @@ class TestArchitecture:
     def test_rejects_zero_width(self):
         with pytest.raises(InputError):
             MlpArchitecture((2, 0, 3))
+
+    def test_rejects_non_integral_sizes(self):
+        with pytest.raises(InputError, match="integers"):
+            MlpArchitecture((6.7, 32.2, 3))
+        assert MlpArchitecture((np.int64(6), 32, 3)).layer_sizes == (6, 32, 3)
 
     def test_rejects_unknown_activation(self):
         with pytest.raises(InputError):
@@ -118,6 +122,14 @@ class TestDataset:
         with pytest.raises(InputError):
             Dataset(np.array([[0.0, np.inf]]), [0], 2)
 
+    def test_rejects_non_integral_labels(self):
+        with pytest.raises(InputError, match="integers"):
+            Dataset(np.zeros((3, 2)), [0.5, 1.7, 2.9], 3)
+        with pytest.raises(InputError, match="num_classes"):
+            Dataset(np.zeros((2, 2)), [0, 1], 2.5)
+        ds = Dataset(np.zeros((3, 2)), np.array([0, 1, 2], dtype=np.uint8), 3)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 2]
+
     def test_rejects_empty(self):
         with pytest.raises(InputError):
             Dataset(np.zeros((0, 2)), [], 2)
@@ -160,14 +172,14 @@ class TestForward:
     def test_zero_params_give_uniform(self):
         arch = MlpArchitecture((2, 4, 3))
         pv = ParamVector(np.zeros(arch.num_params), arch)
-        out = forward(pv, np.array([0.3, -1.2]))
+        out = forward_batch(pv, np.array([[0.3, -1.2]]))[0]
         np.testing.assert_allclose(out, np.full(3, 1.0 / 3.0), rtol=1e-12)
 
     def test_hand_computed_single_layer(self):
         # identity-scaled weights: logits are (10, 0) for x = (1, 0)
         arch = MlpArchitecture((2, 2))
         pv = ParamVector(np.array([10.0, 0.0, 0.0, 10.0, 0.0, 0.0]), arch)
-        out = forward(pv, np.array([1.0, 0.0]))
+        out = forward_batch(pv, np.array([[1.0, 0.0]]))[0]
         expected = 1.0 / (1.0 + math.exp(-10.0))
         np.testing.assert_allclose(out[0], expected, rtol=1e-12)
 
@@ -176,14 +188,14 @@ class TestForward:
         for _ in range(100):
             pv = random_params(tiny_arch, rng, scale=2.0)
             x = rng.normal(0.0, 2.0, tiny_arch.input_dim)
-            out = forward(pv, x)
+            out = forward_batch(pv, x[None])[0]
             assert np.all(out >= 0.0)
             assert abs(out.sum() - 1.0) <= 1e-12
 
     def test_dimension_mismatch(self, tiny_arch):
         pv = ParamVector(np.zeros(tiny_arch.num_params), tiny_arch)
         with pytest.raises(InputError):
-            forward(pv, np.array([1.0, 2.0, 3.0]))
+            forward_batch(pv, np.array([[1.0, 2.0, 3.0]]))
 
     def test_batch_matches_single(self, tiny_arch):
         rng = np.random.default_rng(1)
@@ -191,7 +203,7 @@ class TestForward:
         xs = rng.normal(0.0, 1.0, (5, 2))
         batch = forward_batch(pv, xs)
         for j in range(5):
-            np.testing.assert_allclose(batch[j], forward(pv, xs[j]), rtol=1e-12)
+            np.testing.assert_allclose(batch[j], forward_batch(pv, xs[j][None])[0], rtol=1e-12)
 
 
 class TestForwardEach:
@@ -290,7 +302,7 @@ class TestNllLoss:
         pv = random_params(tiny_arch, rng)
         data = random_dataset(tiny_arch, rng, m=9)
         recomputed = -np.mean(
-            [math.log(forward(pv, x)[y]) for x, y in zip(data.features, data.labels)]
+            [math.log(forward_batch(pv, x[None])[0, y]) for x, y in zip(data.features, data.labels)]
         )
         assert nll_loss(pv, data) == pytest.approx(recomputed, rel=1e-12)
 

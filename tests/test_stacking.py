@@ -5,29 +5,28 @@ import math
 import numpy as np
 import pytest
 
-from conftest import likelihood_weights
+from conftest import likelihood_weights, random_params, swa_params
 from snapstack import (
     Dataset,
-    EnsembleModel,
     EvalMetrics,
     InputError,
     MlpArchitecture,
     ParamVector,
     Snapshot,
     WeightingSpec,
-    build_ensemble,
-    ensemble_predict_batch,
-    evaluate,
-    forward,
+    evaluate_rows,
     forward_batch,
-    swa_average,
+    member_probs,
+    swa_probs,
+    weight_rows,
+    weighted_mean,
     weights_equal,
     weights_inverse_loss,
     weights_temperature,
 )
 from snapstack import harness
 from snapstack.nn import PROB_FLOOR
-from snapstack.stacking import SOURCES, evaluate_rows, weighted_mean
+from snapstack.stacking import SOURCES
 
 ARCH_1D = MlpArchitecture((1, 2))
 
@@ -156,30 +155,36 @@ class TestWeightsLikelihood:
         assert np.array_equal(likelihood_weights(lls), weights_temperature(lls, 1.0))
 
 
+def spec_weights(snaps: list[Snapshot], spec: WeightingSpec) -> np.ndarray:
+    """The weight row [K] of one spec."""
+    return weight_rows(snaps, [spec])[0]
+
+
 class TestBuildEnsemble:
+    """One spec's weights (weight_rows) and the checks weighted_mean makes on them."""
+
     def test_equal_ignores_losses(self):
         snaps = [snap_with_bias(0, 0, train_nll=nll, it=i) for i, nll in enumerate((0.2, 0.9, 2.0))]
-        ens = build_ensemble(snaps, WeightingSpec("equal"))
-        assert ens.weights.tolist() == [1.0, 1.0, 1.0]
+        assert spec_weights(snaps, WeightingSpec("equal")).tolist() == [1.0, 1.0, 1.0]
 
     def test_single_member_forced_to_one(self):
         for rule in ("equal", "inverse_loss", "likelihood", "temperature"):
-            ens = build_ensemble([snap_with_bias(0, 0, train_nll=0.7)], WeightingSpec(rule, tau=0.5))
-            assert ens.weights.tolist() == [1.0]
+            w = spec_weights([snap_with_bias(0, 0, train_nll=0.7)], WeightingSpec(rule, tau=0.5))
+            assert w.tolist() == [1.0]
 
     def test_temperature_one_equals_likelihood(self):
         snaps = [snap_with_bias(0, 0, train_nll=nll, it=i) for i, nll in enumerate((0.2, 0.9, 2.0))]
-        a = build_ensemble(snaps, WeightingSpec("likelihood"))
-        b = build_ensemble(snaps, WeightingSpec("temperature", tau=1.0))
-        assert np.array_equal(a.weights, b.weights)
+        a = spec_weights(snaps, WeightingSpec("likelihood"))
+        b = spec_weights(snaps, WeightingSpec("temperature", tau=1.0))
+        assert np.array_equal(a, b)
 
     def test_source_selects_nll(self):
         snaps = [
             snap_with_bias(0, 0, train_nll=0.2, val_nll=0.9, it=0),
             snap_with_bias(0, 0, train_nll=0.9, val_nll=0.2, it=1),
         ]
-        train_w = build_ensemble(snaps, WeightingSpec("temperature", tau=0.5, source="train")).weights
-        val_w = build_ensemble(snaps, WeightingSpec("temperature", tau=0.5, source="validation")).weights
+        train_w = spec_weights(snaps, WeightingSpec("temperature", tau=0.5, source="train"))
+        val_w = spec_weights(snaps, WeightingSpec("temperature", tau=0.5, source="validation"))
         assert train_w[0] > train_w[1]
         assert val_w[0] < val_w[1]
 
@@ -192,28 +197,38 @@ class TestBuildEnsemble:
             WeightingSpec("equal", source="test")
 
     def test_ensemble_invariants_enforced(self):
-        snap = snap_with_bias(0, 0)
-        with pytest.raises(InputError):
-            EnsembleModel([(snap, -1.0), (snap, 3.0)])
-        with pytest.raises(InputError):
-            EnsembleModel([(snap, 0.5), (snap, 0.6)])
-        with pytest.raises(InputError):
-            EnsembleModel([])
+        probs = member_probs([snap_with_bias(0, 0)] * 2, np.array([[0.7]]))
+        with pytest.raises(InputError, match="strictly positive"):
+            weighted_mean(probs, [-1.0, 3.0])
+        with pytest.raises(InputError, match="sum to"):
+            weighted_mean(probs, [0.5, 0.6])
+        with pytest.raises(InputError, match="at least one member"):
+            weighted_mean([], np.ones(0))
+        # every row of a [T, K] block is checked, and no weight may be non-finite
+        with pytest.raises(InputError, match="sum to"):
+            weighted_mean(probs, [[1.0, 1.0], [0.5, 0.6]])
+        for bad in ([np.nan, 2.0], [np.inf, 1.0], [0.0, 2.0]):
+            with pytest.raises(InputError, match="strictly positive"):
+                weighted_mean(probs, bad)
 
 
 class TestEnsemblePredict:
+    """The weighted mean of the members' class probabilities (member_probs)."""
+
     def test_single_member_equals_forward(self):
         snap = snap_with_bias(0.4, -0.3)
-        ens = EnsembleModel([(snap, 1.0)])
         x = np.array([0.7])
-        assert np.array_equal(ensemble_predict_batch(ens, x[None])[0], forward(snap.params, x))
+        out = weighted_mean(member_probs([snap], x[None]), [1.0])[0]
+        assert np.array_equal(out, forward_batch(snap.params, x[None])[0])
 
     def test_identical_members_equal_single(self):
         snaps = [snap_with_bias(0.4, -0.3, train_nll=nll, it=i) for i, nll in enumerate((0.3, 0.8))]
-        ens = build_ensemble(snaps, WeightingSpec("temperature", tau=0.5))
+        w = spec_weights(snaps, WeightingSpec("temperature", tau=0.5))
         x = np.array([0.7])
         np.testing.assert_allclose(
-            ensemble_predict_batch(ens, x[None])[0], forward(snaps[0].params, x), atol=1e-9
+            weighted_mean(member_probs(snaps, x[None]), w)[0],
+            forward_batch(snaps[0].params, x[None])[0],
+            atol=1e-9,
         )
 
     def test_hand_weighted_combination(self):
@@ -221,8 +236,7 @@ class TestEnsemblePredict:
         log4 = math.log(4.0)
         a = snap_with_bias(log4, 0.0, it=0)
         b = snap_with_bias(0.0, log4, it=1)
-        ens = EnsembleModel([(a, 1.5), (b, 0.5)])
-        out = ensemble_predict_batch(ens, np.array([0.0])[None])[0]
+        out = weighted_mean(member_probs([a, b], np.array([0.0])[None]), [1.5, 0.5])[0]
         np.testing.assert_allclose(out, [0.65, 0.35], atol=1e-12)
 
     def test_equal_weights_equal_arithmetic_mean(self):
@@ -231,11 +245,11 @@ class TestEnsemblePredict:
         for i in range(4):
             pv = ParamVector(rng.normal(0, 1, ARCH_1D.num_params), ARCH_1D)
             snaps.append(Snapshot(pv, i, 0.01, 0.5, 0.5, "min"))
-        ens = build_ensemble(snaps, WeightingSpec("equal"))
+        w = spec_weights(snaps, WeightingSpec("equal"))
         xs = rng.normal(0, 1, (10, 1))
-        stacked = np.stack([np.vstack([forward(s.params, x) for x in xs]) for s in snaps])
+        stacked = np.stack([np.vstack([forward_batch(s.params, x[None])[0] for x in xs]) for s in snaps])
         np.testing.assert_allclose(
-            ensemble_predict_batch(ens, xs), stacked.mean(axis=0), atol=1e-12
+            weighted_mean(member_probs(snaps, xs), w), stacked.mean(axis=0), atol=1e-12
         )
 
     def test_output_on_simplex(self):
@@ -245,30 +259,32 @@ class TestEnsemblePredict:
         for i in range(5):
             pv = ParamVector(rng.normal(0, 1, arch.num_params), arch)
             snaps.append(Snapshot(pv, i, 0.01, float(rng.uniform(0.1, 2)), 0.5, "min"))
-        ens = build_ensemble(snaps, WeightingSpec("temperature", tau=0.3))
-        out = ensemble_predict_batch(ens, rng.normal(0, 1, (20, 3)))
+        w = spec_weights(snaps, WeightingSpec("temperature", tau=0.3))
+        out = weighted_mean(member_probs(snaps, rng.normal(0, 1, (20, 3))), w)
         assert np.all(out >= 0.0)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestSwaAverage:
+    """The weighted mean parameter vector, and the checks swa_probs makes on it."""
+
     def test_identical_snapshots_identity(self):
         snap = snap_with_bias(0.4, -0.3)
-        avg = swa_average(EnsembleModel([(snap, 1.0)] * 3))
+        avg = swa_params([snap] * 3, [1.0] * 3)
         np.testing.assert_allclose(avg.values, snap.params.values, atol=1e-15)
 
     def test_equal_weight_hand_case(self):
         arch = MlpArchitecture((1, 1))
         a = Snapshot(ParamVector(np.array([0.0, 2.0]), arch), 0, 0.1, 0.5, 0.5, "min")
         b = Snapshot(ParamVector(np.array([2.0, 0.0]), arch), 1, 0.1, 0.5, 0.5, "min")
-        avg = swa_average(EnsembleModel([(a, 1.0), (b, 1.0)]))
+        avg = swa_params([a, b], [1.0, 1.0])
         np.testing.assert_allclose(avg.values, [1.0, 1.0], atol=1e-15)
 
     def test_weighted_hand_case(self):
         arch = MlpArchitecture((1, 1))
         a = Snapshot(ParamVector(np.array([0.0, 2.0]), arch), 0, 0.1, 0.5, 0.5, "min")
         b = Snapshot(ParamVector(np.array([2.0, 0.0]), arch), 1, 0.1, 0.5, 0.5, "min")
-        avg = swa_average(EnsembleModel([(a, 1.8), (b, 0.2)]))
+        avg = swa_params([a, b], [1.8, 0.2])
         np.testing.assert_allclose(avg.values, [0.2, 1.8], atol=1e-12)
 
     def test_arch_mismatch(self):
@@ -276,36 +292,88 @@ class TestSwaAverage:
         arch = MlpArchitecture((1, 3))
         b = Snapshot(ParamVector(np.zeros(arch.num_params), arch), 1, 0.1, 0.5, 0.5, "min")
         with pytest.raises(InputError):
-            swa_average(EnsembleModel([(a, 1.0), (b, 1.0)]))
+            swa_probs([a, b], np.ones((1, 2)), np.array([[0.5]]))
 
     def test_bad_weight_sum(self):
         with pytest.raises(InputError):
-            swa_average(EnsembleModel([(snap_with_bias(0, 0), 2.0)]))
+            swa_probs([snap_with_bias(0, 0)], np.array([[2.0]]), np.array([[0.5]]))
 
     def test_overflowing_average_rejected(self):
         # each member is finite, their sum is not: the average fails the ParamVector check
         arch = MlpArchitecture((1, 1))
         big = Snapshot(ParamVector(np.array([1.5e308, 0.0]), arch), 0, 0.1, 0.5, 0.5, "min")
         with np.errstate(over="ignore"), pytest.raises(InputError, match="non-finite"):
-            swa_average(EnsembleModel([(big, 1.0), (big, 1.0)]))
+            swa_probs([big, big], np.ones((1, 2)), np.array([[0.5]]))
+
+
+def mixed_arch_pair() -> tuple[Snapshot, Snapshot]:
+    """Two snapshots of 4 parameters each under different architectures: [3 -> 1]
+    and [1 -> 1 -> 1]."""
+    a_arch, b_arch = MlpArchitecture((3, 1)), MlpArchitecture((1, 1, 1))
+    assert a_arch.num_params == b_arch.num_params == 4
+    a = Snapshot(ParamVector(np.arange(4.0), a_arch), 0, 0.1, 0.5, 0.5, "min")
+    b = Snapshot(ParamVector(np.arange(4.0), b_arch), 1, 0.1, 0.5, 0.5, "min")
+    return a, b
+
+
+def random_members(seed: int) -> tuple[list[Snapshot], np.ndarray]:
+    """Five [3 -> 5 -> 4] snapshots with distinct train NLLs, and 20 input rows."""
+    rng = np.random.default_rng(seed)
+    arch = MlpArchitecture((3, 5, 4))
+    snaps = [
+        Snapshot(random_params(arch, rng), i, 0.01, float(rng.uniform(0.2, 2.0)), 0.5, "min")
+        for i in range(5)
+    ]
+    return snaps, rng.normal(0, 1, (20, 3))
+
+
+class TestMemberProbs:
+    def test_rows_equal_forward_batch(self):
+        snaps, xs = random_members(14)
+        out = member_probs(snaps, xs)
+        assert out.shape == (5, 20, 4)
+        for snap, probs in zip(snaps, out, strict=True):
+            assert np.array_equal(probs, forward_batch(snap.params, xs))
+
+    def test_equal_size_arch_mismatch(self):
+        a, b = mixed_arch_pair()
+        with pytest.raises(InputError, match="share an architecture"):
+            member_probs([a, b], np.zeros((2, 3)))
+
+
+class TestSwaProbs:
+    def test_rows_equal_forward_of_weighted_mean(self):
+        snaps, xs = random_members(15)
+        specs = [WeightingSpec("equal"), WeightingSpec("temperature", tau=0.3)]
+        w = weight_rows(snaps, specs)
+        out = swa_probs(snaps, w, xs)
+        assert out.shape == (2, 20, 4)
+        for row, probs in zip(w, out, strict=True):
+            assert np.array_equal(probs, forward_batch(swa_params(snaps, row), xs))
+
+    def test_equal_size_arch_mismatch(self):
+        # same parameter count, so only the architecture check can tell them apart
+        a, b = mixed_arch_pair()
+        with pytest.raises(InputError, match="share one architecture"):
+            swa_probs([a, b], np.ones((1, 2)), np.zeros((2, 3)))
 
 
 class TestEvaluate:
     def test_perfect_predictor(self):
         data = Dataset(np.zeros((4, 2)), [0, 1, 2, 0], 3)
         onehot = np.eye(3)[data.labels]
-        met = evaluate(onehot, data)
+        met = evaluate_rows(onehot[None], data)[0]
         assert met.accuracy == 1.0
         assert met.mean_nll == 0.0
 
     def test_uniform_predictor(self):
         data = Dataset(np.zeros((6, 2)), [0, 1, 2, 0, 1, 2], 3)
-        met = evaluate(np.full((6, 3), 1.0 / 3.0), data)
+        met = evaluate_rows(np.full((6, 3), 1.0 / 3.0)[None], data)[0]
         assert met.mean_nll == pytest.approx(math.log(3), rel=1e-12)
 
     def test_argmax_ties_break_low(self):
         data = Dataset(np.zeros((2, 2)), [0, 1], 2)
-        met = evaluate(np.full((2, 2), 0.5), data)
+        met = evaluate_rows(np.full((2, 2), 0.5)[None], data)[0]
         assert met.accuracy == 0.5  # both predicted as class 0
 
     def test_recount_oracle(self):
@@ -316,7 +384,7 @@ class TestEvaluate:
             probs = rng.dirichlet(np.ones(k), size=m)
             labels = rng.integers(0, k, m)
             data = Dataset(rng.normal(0, 1, (m, 2)), labels, k)
-            met = evaluate(probs, data)
+            met = evaluate_rows(probs[None], data)[0]
             # independent recount in plain python
             correct = 0
             nll = 0.0
@@ -333,8 +401,8 @@ class TestEvaluate:
     def test_predictor_helpers_agree(self):
         snap = snap_with_bias(0.3, -0.1)
         data = Dataset(np.array([[0.5], [-0.5]]), [0, 1], 2)
-        single = evaluate(forward_batch(snap.params, data.features), data)
-        ens = evaluate(ensemble_predict_batch(EnsembleModel([(snap, 1.0)]), data.features), data)
+        single = evaluate_rows(forward_batch(snap.params, data.features)[None], data)[0]
+        ens = evaluate_rows(weighted_mean(member_probs([snap], data.features), [[1.0]]), data)[0]
         assert single == ens
 
 
@@ -470,7 +538,10 @@ class TestBatchedSwa:
         snaps, test = members
         specs = self.specs(source)
         expected = [
-            evaluate(forward_batch(swa_average(build_ensemble(snaps, spec)), test.features), test)
+            evaluate_rows(
+                forward_batch(swa_params(snaps, spec_weights(snaps, spec)), test.features)[None],
+                test,
+            )[0]
             for spec in specs
         ]
         assert experiment(test, monkeypatch, tmp_path).scorer(snaps, swa=True)(specs) == expected
@@ -480,7 +551,6 @@ class TestBatchedSwa:
         snaps, _ = members
         stacked = np.stack([s.params.values for s in snaps])
         for spec in self.specs(source):
-            ens = build_ensemble(snaps, spec)
-            w = ens.weights
+            w = spec_weights(snaps, spec)
             expected = (w[:, None] * stacked).sum(axis=0) / len(snaps)
-            assert np.array_equal(swa_average(ens).values, expected), spec
+            assert np.array_equal(swa_params(snaps, w).values, expected), spec
