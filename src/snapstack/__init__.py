@@ -34,7 +34,7 @@ from .snapshots import (
     select_min,
     select_offset,
     select_window,
-    train_with_capture,
+    train_runs,
 )
 from .stacking import (
     EvalMetrics,
@@ -45,7 +45,6 @@ from .stacking import (
     weight_rows,
     weighted_mean,
     weights_equal,
-    weights_inverse_loss,
     weights_temperature,
 )
 

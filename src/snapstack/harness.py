@@ -38,10 +38,10 @@ from .snapshots import (
     select_min,
     select_offset,
     select_window,
-    _train_runs,
-    train_with_capture,
+    train_runs,
 )
 from .stacking import (
+    SOURCES,
     EvalMetrics,
     WeightingSpec,
     evaluate_rows,
@@ -90,7 +90,7 @@ class ExperimentConfig:
             raise InputError("temperature grid values must be positive")
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
-        if self.weighting_source not in ("train", "validation"):
+        if self.weighting_source not in SOURCES:
             raise InputError(f"unknown weighting source {self.weighting_source!r}")
         if self.num_independent < 1:
             raise InputError("num_independent must be at least 1")
@@ -167,7 +167,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 else None
             ),
             num_independent=_typed(int, "num_independent", raw.get("num_independent", 5)),
-            weighting_source=str(raw.get("weighting_source", "train")),
+            weighting_source=_typed(str, "weighting_source", raw.get("weighting_source", "train")),
         )
     except KeyError as e:
         raise InputError(f"config missing required key: {e}") from e
@@ -306,8 +306,8 @@ def cmd_train(config: ExperimentConfig, out_dir: str | Path) -> Path:
         config.cycle, config.window_halfwidth, [*config.offsets, config.offset_steps]
     )
     t0 = time.perf_counter()
-    store = train_with_capture(
-        exp.arch, exp.train, exp.val, config.cycle, config.seed, plan, batch_size=config.batch_size
+    (store,) = train_runs(
+        exp.arch, exp.train, exp.val, config.cycle, [config.seed], [plan], config.batch_size
     )
     elapsed = time.perf_counter() - t0
     path = exp.out_dir / "store.snap"
@@ -391,8 +391,8 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
     plans = [plan_captures(config.cycle, offsets=[config.offset_steps])]
     plans += [{last: "window"}] * (len(seeds) - 1)
     t0 = time.perf_counter()
-    store, *others = _train_runs(exp.arch, exp.train, exp.val, config.cycle, seeds, plans,
-                                 config.batch_size)
+    store, *others = train_runs(exp.arch, exp.train, exp.val, config.cycle, seeds, plans,
+                                config.batch_size)
     train_time = time.perf_counter() - t0
     finals = [store.snapshots[-1]] + [run.snapshots[0] for run in others]
     metrics = exp.scorer([*store.snapshots, *finals[1:]])
@@ -535,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--store", required=True, help="snapshot store file")
     p.add_argument("--policy", default="min", choices=POLICIES)
-    p.add_argument("--source", choices=("train", "validation"),
+    p.add_argument("--source", choices=SOURCES,
                    help="weighting source (default: the config's weighting_source)")
 
     p = sub.add_parser("sweep-offset", help="accuracy vs capture offset from the minima")

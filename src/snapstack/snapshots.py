@@ -137,31 +137,24 @@ def plan_captures(
     return plan
 
 
-def train_with_capture(
-    arch: MlpArchitecture,
-    data: Dataset,
-    val: Dataset,
-    cfg: CycleConfig,
-    seed: int,
-    capture_plan: Mapping[int, str],
-    batch_size: int = 32,
-) -> SnapshotStore:
-    """One SGD run under the cyclical schedule, snapshotting planned iterations.
-
-    The plan maps iteration -> tag, as `plan_captures` builds it. Snapshots
-    record the parameters right after that iteration's update, with mean NLL
-    evaluated on the full training and validation sets. Deterministic given
-    (arch, data, val, cfg, seed).
-    """
-    return _train_runs(arch, data, val, cfg, [seed], [capture_plan], batch_size)[0]
-
-
-def _train_runs(
+def train_runs(
     arch: MlpArchitecture, data: Dataset, val: Dataset, cfg: CycleConfig,
     seeds: list[int], capture_plans: list[Mapping[int, str]], batch_size: int,
 ) -> list[SnapshotStore]:
-    """`train_with_capture` for each (seed, plan) pair, in one SGD loop over the runs'
-    stacked parameters [R, P]; batched products equal the per-run ones bit for bit."""
+    """One SGD run under the cyclical schedule per (seed, plan) pair, snapshotting
+    the planned iterations; the runs step together, their parameters stacked [R, P].
+
+    Each plan maps iteration -> tag, as `plan_captures` builds it. Snapshots
+    record the parameters right after that iteration's update, with mean NLL
+    evaluated on the full training and validation sets. Each store is
+    deterministic given (arch, data, val, cfg, seed, plan) and equals, bit for
+    bit, the store of its pair trained alone.
+    """
+    if not len(seeds) == len(capture_plans) >= 1:
+        raise InputError(
+            f"need one capture plan per seed and at least one run, got {len(seeds)} "
+            f"seed(s) and {len(capture_plans)} plan(s)"
+        )
     _check_fits(data, arch, "train set")
     _check_fits(val, arch, "validation set")
     if batch_size < 1:

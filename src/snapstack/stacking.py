@@ -26,7 +26,7 @@ from .nn import (  # noqa: F401
 )
 from .snapshots import Snapshot
 
-RULES = ("equal", "inverse_loss", "likelihood", "temperature")
+RULES = ("equal", "likelihood", "temperature")
 SOURCES = ("train", "validation")
 
 WEIGHT_SUM_TOL = 1e-9
@@ -49,25 +49,10 @@ class WeightingSpec:
             raise InputError(f"temperature tau must be positive, got {self.tau}")
 
 
-def _as_weights(raw: np.ndarray) -> np.ndarray:
-    """Scale each row [..., N] to sum to N."""
-    return raw * (raw.shape[-1] / raw.sum(axis=-1, keepdims=True))
-
-
 def weights_equal(n: int) -> np.ndarray:
     if n < 1:
         raise InputError(f"ensemble size must be positive, got {n}")
     return np.ones(n)
-
-
-def weights_inverse_loss(losses) -> np.ndarray:
-    """Weights proportional to 1/loss, normalized to sum to N."""
-    arr = np.asarray(losses, dtype=np.float64)
-    if arr.size < 1:
-        raise InputError("need at least one loss value")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise InputError("inverse-loss weighting needs strictly positive finite losses")
-    return _as_weights(1.0 / arr)
 
 
 def weights_temperature(log_liks, tau) -> np.ndarray:
@@ -91,7 +76,7 @@ def weights_temperature(log_liks, tau) -> np.ndarray:
         raise InputError("log-likelihoods must be finite")
     raw = np.exp((arr - arr.max()) / taus[..., None])
     raw = np.maximum(raw, np.finfo(np.float64).tiny)
-    return _as_weights(raw)
+    return raw * (raw.shape[-1] / raw.sum(axis=-1, keepdims=True))
 
 
 def _losses(snapshots: list[Snapshot], source: str) -> np.ndarray:
@@ -111,8 +96,6 @@ def weight_rows(snapshots: list[Snapshot], specs: list[WeightingSpec]) -> np.nda
     for i, spec in enumerate(specs):
         if spec.rule == "equal":
             rows[i] = weights_equal(len(snapshots))
-        elif spec.rule == "inverse_loss":
-            rows[i] = weights_inverse_loss(_losses(snapshots, spec.source))
         else:
             # likelihood is the tau = 1 temperature rule; one code path keeps that exact
             index, taus = temperatures.setdefault(spec.source, ([], []))

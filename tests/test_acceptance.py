@@ -45,11 +45,10 @@ from snapstack import (
     select_offset,
     select_window,
     split,
-    train_with_capture,
+    train_runs,
     weight_rows,
     weighted_mean,
     weights_equal,
-    weights_inverse_loss,
     weights_temperature,
 )
 from snapstack.harness import (
@@ -190,7 +189,6 @@ def test_c03_weighting_algebra():
             tau = float(10.0 ** rng.uniform(-3, 3))
             for w in (
                 weights_equal(n),
-                weights_inverse_loss(rng.uniform(0.01, 5.0, n)),
                 likelihood_weights(lls),
                 weights_temperature(lls, tau),
             ):
@@ -310,8 +308,8 @@ def test_c06_trend_reproduction():
         singles, equals, bests = [], [], []
         for seed in range(10):
             train, val, test = trend_datasets(seed)
-            store = train_with_capture(
-                arch, train, val, TREND_CYCLE, seed, plan_captures(TREND_CYCLE), batch_size=8
+            (store,) = train_runs(
+                arch, train, val, TREND_CYCLE, [seed], [plan_captures(TREND_CYCLE)], 8
             )
             mins = select_min(store)
             single = forward_batch(mins[-1].params, test.features)[None]
@@ -345,7 +343,7 @@ def test_c07_single_run_cost():
         plan = plan_captures(TREND_CYCLE, window_halfwidth=2, offsets=[-10, 10])
 
         # every ensembling variant must come out of this one captured run
-        store = train_with_capture(arch, train, val, TREND_CYCLE, 0, plan, batch_size=32)
+        (store,) = train_runs(arch, train, val, TREND_CYCLE, [0], [plan], 32)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             variants = {
@@ -363,7 +361,7 @@ def test_c07_single_run_cost():
         def timed(capture_plan):
             # CPU time of this process: time spent descheduled on a busy host does not count
             t0 = time.process_time()
-            train_with_capture(arch, train, val, TREND_CYCLE, 0, capture_plan, batch_size=32)
+            train_runs(arch, train, val, TREND_CYCLE, [0], [capture_plan], 32)
             return time.process_time() - t0
 
         timed(plan)  # warm both paths
@@ -440,7 +438,7 @@ def test_c10_io_robustness(tmp_path):
         train, val, _ = trend_datasets(3)
         arch = MlpArchitecture((6, 8, 3))
         cfg = CycleConfig(0.02, 0.3, 20, 60)
-        store = train_with_capture(arch, train, val, cfg, 3, plan_captures(cfg), batch_size=16)
+        (store,) = train_runs(arch, train, val, cfg, [3], [plan_captures(cfg)], 16)
         good = tmp_path / "good.snap"
         save_store(store, good)
         assert load_store(good) == store  # bit-exact round trip

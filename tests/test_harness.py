@@ -25,7 +25,6 @@ from snapstack import (
     select_mid,
     select_min,
     stacking,
-    train_with_capture,
 )
 from snapstack.harness import (
     build_datasets,
@@ -277,14 +276,14 @@ def result(tmp_path_factory):
 
 @pytest.fixture
 def train_runs(monkeypatch):
-    """Records each harness._train_runs call as (seeds, the stores it returned)."""
-    calls, train_runs = [], harness._train_runs
+    """Records each harness.train_runs call as (seeds, the stores it returned)."""
+    calls, train_runs = [], harness.train_runs
 
     def recording(arch, train, val, cycle, seeds, *rest):
         calls.append((list(seeds), train_runs(arch, train, val, cycle, seeds, *rest)))
         return calls[-1][1]
 
-    monkeypatch.setattr(harness, "_train_runs", recording)
+    monkeypatch.setattr(harness, "train_runs", recording)
     return calls
 
 
@@ -316,12 +315,8 @@ class TestCmdCompare:
         assert single[2] == 1
         assert 0.0 <= single[4] <= 1.0
 
-    def test_snapshot_rows_from_one_training(self, tmp_path, monkeypatch, train_runs):
+    def test_snapshot_rows_from_one_training(self, tmp_path, train_runs):
         # one training call: the capture run is member 0, the other seeds train beside it
-        def no_training(*args, **kwargs):
-            raise AssertionError("compare trained outside _train_runs")
-
-        monkeypatch.setattr(harness, "train_with_capture", no_training)
         cfg = small_config()
         cmd_compare(cfg, tmp_path)
         assert [seeds for seeds, _ in train_runs] == [[0, 1]]
@@ -337,8 +332,8 @@ class TestCmdCompare:
         train, val, _, arch = build_datasets(cfg)
         last = cfg.cycle.total_iters - 1
         for seed, member in zip(range(3), members, strict=True):
-            alone = train_with_capture(
-                arch, train, val, cfg.cycle, seed, {last: "window"}, batch_size=cfg.batch_size
+            (alone,) = snapstack.train_runs(
+                arch, train, val, cfg.cycle, [seed], [{last: "window"}], cfg.batch_size
             )
             assert np.array_equal(member.params.values, alone.snapshots[0].params.values)
 
@@ -457,7 +452,7 @@ def test_weighting_source_choice_barely_matters():
         plan_captures,
         select_min,
         split,
-        train_with_capture,
+        train_runs,
     )
 
     taus = (0.1, 0.3, 0.5, 0.9, 1.0, 2.0, 5.0, 10.0, 1000.0)
@@ -477,7 +472,7 @@ def test_weighting_source_choice_barely_matters():
         pool = make_blobs(3, 250, 6, 1.0, seed=seed)
         train, val = split(pool, SplitSpec(0.2, seed))
         test = make_blobs(3, 200, 6, 1.0, seed=seed + 1_000_003, centers_seed=seed)
-        store = train_with_capture(arch, train, val, cyc, seed, plan_captures(cyc), batch_size=8)
+        (store,) = train_runs(arch, train, val, cyc, [seed], [plan_captures(cyc)], 8)
         mins = select_min(store)
         diffs.append(abs(best_acc(mins, "train", test) - best_acc(mins, "validation", test)))
     assert np.median(diffs) <= 0.02
@@ -550,6 +545,7 @@ class TestCli:
     @pytest.mark.parametrize("key,value", [
         *((key, value) for key in INT_KEYS for value in (1.5, True)),
         *((key, True) for key in FLOAT_KEYS),
+        ("weighting_source", True),
         pytest.param("cycle.alpha_min", 10**400, id="cycle.alpha_min-1e400"),
         pytest.param("dataset.spread", 10**400, id="dataset.spread-1e400"),
         ("cycle.alpha_max", math.inf),
@@ -659,8 +655,7 @@ class TestCli:
         def no_training(*args, **kwargs):
             raise AssertionError("trained despite a bad dataset")
 
-        monkeypatch.setattr(harness, "train_with_capture", no_training)
-        monkeypatch.setattr(harness, "_train_runs", no_training)
+        monkeypatch.setattr(harness, "train_runs", no_training)
         rng = np.random.default_rng(0)
         paths = {}
         for part, n, side in (("train", 60, 4), ("test", 50, 3)):

@@ -37,11 +37,10 @@ from snapstack import (
     select_window,
     sgd_step,
     split,
-    train_with_capture,
+    train_runs,
 )
 from snapstack import snapshots
 from snapstack.schedule import cycle_midpoints, cycle_minima, lr_at
-from snapstack.snapshots import _train_runs
 
 ARCH = MlpArchitecture((2, 4, 3))
 CFG = CycleConfig(0.02, 0.3, 20, 60)
@@ -49,7 +48,7 @@ CFG = CycleConfig(0.02, 0.3, 20, 60)
 
 def small_run(capture_plan, seed=0, cfg=CFG):
     train, val = quick_split()
-    return train_with_capture(ARCH, train, val, cfg, seed, capture_plan, batch_size=16)
+    return train_runs(ARCH, train, val, cfg, [seed], [capture_plan], 16)[0]
 
 
 def reference_steps(arch, train, cfg, seed, batch_size):
@@ -138,13 +137,13 @@ class TestTrainWithCapture:
         train, val = quick_split()
         wrong_arch = MlpArchitecture((5, 4, 3))
         with pytest.raises(InputError):
-            train_with_capture(wrong_arch, train, val, CFG, 0, {})
+            train_runs(wrong_arch, train, val, CFG, [0], [{}], 32)
 
     def test_divergence_names_iteration(self):
         train, val = quick_split()
         wild = CycleConfig(1e7, 1e8, 20, 60)
         with pytest.raises(TrainingError, match="iteration"):
-            train_with_capture(ARCH, train, val, wild, 0, {}, batch_size=16)
+            train_runs(ARCH, train, val, wild, [0], [{}], 16)
 
     def test_snapshot_metadata(self):
         store = small_run(plan_captures(CFG))
@@ -159,9 +158,7 @@ class TestTrainWithCapture:
         for seed in range(10):
             data = quick_split(seed=seed)
             cfg = CycleConfig(0.02, 0.3, 60, 180)
-            store = train_with_capture(
-                ARCH, data[0], data[1], cfg, seed, plan_captures(cfg), batch_size=16
-            )
+            store = train_runs(ARCH, data[0], data[1], cfg, [seed], [plan_captures(cfg)], 16)[0]
             mins = select_min(store)
             firsts.append(mins[0].val_nll)
             lasts.append(mins[-1].val_nll)
@@ -174,9 +171,9 @@ class TestTrainRuns:
         train, val = quick_split()
         seeds = [5, 6, 7]
         plans = [plan_captures(CFG, window_halfwidth=1), {59: "window"}, {7: "offset"}]
-        stores = _train_runs(ARCH, train, val, CFG, seeds, plans, 20)
+        stores = train_runs(ARCH, train, val, CFG, seeds, plans, 20)
         for store, seed, plan in zip(stores, seeds, plans, strict=True):
-            assert store == train_with_capture(ARCH, train, val, CFG, seed, plan, batch_size=20)
+            assert store == train_runs(ARCH, train, val, CFG, [seed], [plan], 20)[0]
 
     def test_mnist_shaped_runs_equal_their_own_training(self):
         # 784-32-10 on 10 x 10 blobs: 80 training rows in batches of 32, so each
@@ -185,9 +182,9 @@ class TestTrainRuns:
         train, val = split(make_blobs(10, 10, 784, 0.5, seed=3), SplitSpec(0.2, 3))
         seeds = [5, 6, 7]
         plans = [plan_captures(CFG, window_halfwidth=1), {59: "window"}, {7: "offset"}]
-        stores = _train_runs(arch, train, val, CFG, seeds, plans, 32)
+        stores = train_runs(arch, train, val, CFG, seeds, plans, 32)
         for store, seed, plan in zip(stores, seeds, plans, strict=True):
-            assert store == train_with_capture(arch, train, val, CFG, seed, plan, batch_size=32)
+            assert store == train_runs(arch, train, val, CFG, [seed], [plan], 32)[0]
 
     @pytest.mark.parametrize("sizes, per_class, batch", REFERENCE_CASES)
     def test_non_adjacent_sets_score_as_a_split(self, sizes, per_class, batch):
@@ -198,8 +195,8 @@ class TestTrainRuns:
         apart = [Dataset(np.array(d.features), d.labels, d.num_classes) for d in (train, val)]
         assert not np.shares_memory(apart[0].features, apart[1].features)
         plans = [plan_captures(CFG, window_halfwidth=1), {59: "window"}]
-        stores = _train_runs(arch, train, val, CFG, [5, 6], plans, batch)
-        assert stores == _train_runs(arch, *apart, CFG, [5, 6], plans, batch)
+        stores = train_runs(arch, train, val, CFG, [5, 6], plans, batch)
+        assert stores == train_runs(arch, *apart, CFG, [5, 6], plans, batch)
 
     def test_scoring_a_split_copies_no_features(self):
         # 800 + 200 rows of 784 features: the scoring reads the split's joined
@@ -211,7 +208,7 @@ class TestTrainRuns:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            (store,) = _train_runs(arch, train, val, CFG, [1], [plan], 32)
+            (store,) = train_runs(arch, train, val, CFG, [1], [plan], 32)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -224,7 +221,7 @@ class TestTrainRuns:
         train, val = reference_split(sizes, per_class)
         seeds = [5, 6, 7]
         plans = [plan_captures(CFG, window_halfwidth=1), {59: "window"}, {7: "offset", 58: "min"}]
-        stores = _train_runs(arch, train, val, CFG, seeds, plans, batch)
+        stores = train_runs(arch, train, val, CFG, seeds, plans, batch)
         for store, seed, plan in zip(stores, seeds, plans, strict=True):
             steps = reference_steps(arch, train, CFG, seed, batch)
             expected = {t: p for t, p in steps if t in plan}
@@ -243,13 +240,20 @@ class TestTrainRuns:
         t = min(diverged)
         seed = seeds[diverged.index(t)]
         with pytest.raises(TrainingError, match=rf"iteration {t} \(seed {seed}\)$"):
-            _train_runs(arch, train, val, wild, seeds, [{}] * 3, batch)
+            train_runs(arch, train, val, wild, seeds, [{}] * 3, batch)
 
     def test_divergence_names_seed(self):
         train, val = quick_split()
         wild = CycleConfig(1e7, 1e8, 20, 60)
         with pytest.raises(TrainingError, match=r"iteration \d+ \(seed 4\)"):
-            _train_runs(ARCH, train, val, wild, [4, 9], [{}, {}], 16)
+            train_runs(ARCH, train, val, wild, [4, 9], [{}, {}], 16)
+
+    @pytest.mark.parametrize("seeds, plans", [([1, 2, 3], [{}]), ([1], [{}, {}]), ([], [])])
+    def test_run_lists_must_pair_up(self, seeds, plans):
+        # one plan per seed and at least one run: a store per run, none dropped
+        train, val = quick_split()
+        with pytest.raises(InputError, match="one capture plan per seed"):
+            train_runs(ARCH, train, val, CFG, seeds, plans, 16)
 
 
 class TestSelectMin:

@@ -21,7 +21,6 @@ from snapstack import (
     weight_rows,
     weighted_mean,
     weights_equal,
-    weights_inverse_loss,
     weights_temperature,
 )
 from snapstack import harness
@@ -54,27 +53,6 @@ class TestWeightsEqual:
     def test_rejects_zero(self):
         with pytest.raises(InputError):
             weights_equal(0)
-
-
-class TestWeightsInverseLoss:
-    def test_hand_case(self):
-        w = weights_inverse_loss([1.0, 2.0, 4.0])
-        np.testing.assert_allclose(w, [12 / 7, 6 / 7, 3 / 7], rtol=1e-15)
-
-    def test_equal_losses_give_ones(self):
-        np.testing.assert_allclose(weights_inverse_loss([0.7, 0.7, 0.7]), 1.0, rtol=1e-15)
-
-    def test_monotone(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            losses = rng.uniform(0.05, 5.0, 6)
-            w = weights_inverse_loss(losses)
-            order = np.argsort(losses)
-            assert np.all(np.diff(w[order]) <= 0.0)
-
-    def test_zero_loss_rejected(self):
-        with pytest.raises(InputError):
-            weights_inverse_loss([0.5, 0.0])
 
 
 class TestWeightsTemperature:
@@ -168,7 +146,7 @@ class TestBuildEnsemble:
         assert spec_weights(snaps, WeightingSpec("equal")).tolist() == [1.0, 1.0, 1.0]
 
     def test_single_member_forced_to_one(self):
-        for rule in ("equal", "inverse_loss", "likelihood", "temperature"):
+        for rule in ("equal", "likelihood", "temperature"):
             w = spec_weights([snap_with_bias(0, 0, train_nll=0.7)], WeightingSpec(rule, tau=0.5))
             assert w.tolist() == [1.0]
 
@@ -195,6 +173,8 @@ class TestBuildEnsemble:
             WeightingSpec("temperature", tau=0.0)
         with pytest.raises(InputError):
             WeightingSpec("equal", source="test")
+        with pytest.raises(InputError):
+            WeightingSpec("inverse_loss")
 
     def test_ensemble_invariants_enforced(self):
         probs = member_probs([snap_with_bias(0, 0)] * 2, np.array([[0.7]]))
