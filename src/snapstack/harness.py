@@ -14,8 +14,9 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -54,10 +55,7 @@ from .stacking import (
 # test partitions reuse the training cluster geometry but a disjoint noise stream
 TEST_SEED_OFFSET = 1_000_003
 
-DEFAULT_TAU_GRID = (0.1, 0.3, 0.5, 0.9, 1.0, 2.0, 5.0, 10.0, 1000.0)
-
 POLICIES = ("min", "mid", "min+mid", "window", "offset")
-IDX_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
 
 SWEEP_COLUMNS = ("tau", "n_models", "accuracy", "mean_nll", "policy", "source")
 OFFSET_COLUMNS = ("offset", "tau", "n_models", "accuracy", "mean_nll", "policy", "source")
@@ -65,20 +63,41 @@ COMPARE_COLUMNS = ("model", "type", "n_models", "tau", "accuracy", "mean_nll")
 
 
 @dataclass(frozen=True)
+class BlobsData:
+    num_classes: int
+    per_class: int
+    dim: int
+    spread: float
+    test_per_class: int | None = None  # absent: per_class
+    kind: str = "blobs"
+
+
+@dataclass(frozen=True)
+class IdxData:
+    train_images: str
+    train_labels: str
+    test_images: str
+    test_labels: str
+    limit: int | None = None
+    test_limit: int | None = None
+    num_classes: int | None = None
+    kind: str = "idx"
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    dataset: dict
-    hidden: tuple[int, ...]
+    dataset: BlobsData | IdxData
     cycle: CycleConfig
     seed: int
-    val_fraction: float
-    batch_size: int
-    window_halfwidth: int
-    offsets: tuple[int, ...]
-    offset_steps: int
-    tau_grid: tuple[float, ...]
-    n_models_grid: tuple[int, ...] | None
-    num_independent: int
-    weighting_source: str
+    hidden: tuple[int, ...] = (32,)
+    val_fraction: float = 0.2
+    batch_size: int = 32
+    window_halfwidth: int = 0
+    offsets: tuple[int, ...] = ()
+    offset_steps: int = 10
+    tau_grid: tuple[float, ...] = (0.1, 0.3, 0.5, 0.9, 1.0, 2.0, 5.0, 10.0, 1000.0)
+    num_independent: int = 5
+    weighting_source: str = "train"
 
     def __post_init__(self):
         # store headers may declare any run length; a config's run must be trainable
@@ -94,19 +113,9 @@ class ExperimentConfig:
             raise InputError(f"unknown weighting source {self.weighting_source!r}")
         if self.num_independent < 1:
             raise InputError("num_independent must be at least 1")
-        if self.n_models_grid is not None:
-            if not self.n_models_grid:
-                raise InputError("ensemble size grid must not be empty")
-            bad = [n for n in self.n_models_grid if n < 1 or n > self.cycle.num_cycles]
-            if bad:
-                raise InputError(
-                    f"ensemble sizes {bad} outside [1, {self.cycle.num_cycles} cycles]"
-                )
 
     @property
     def n_grid(self) -> tuple[int, ...]:
-        if self.n_models_grid is not None:
-            return self.n_models_grid
         return tuple(range(1, self.cycle.num_cycles + 1))
 
 
@@ -118,81 +127,61 @@ _JSON_KINDS = {
 }
 
 
-def _typed(kind: type, key: str, value):
-    """value as kind, if it is a JSON value of that kind; the error names key. JSON has
-    no NaN or Infinity, though Python's parser reads them."""
-    types, name = _JSON_KINDS[kind]
+def _section(raw: dict, cls: type, prefix: str = "") -> dict:
+    """The fields of dataclass cls read from raw, a JSON object, by their type hints; an
+    error names its key. An absent field takes its default, and so does null where that
+    default is None."""
+    declared = {f.name: f for f in fields(cls)}
+    for key in raw:
+        if key not in declared:
+            raise InputError(f"unknown config key {prefix + key!r}")
+    hints = get_type_hints(cls)
+    parsed = {}
+    for name, field in declared.items():
+        if name not in raw or (raw[name] is None and field.default is None):
+            if field.default is MISSING:
+                raise InputError(f"config missing required key: {prefix + name!r}")
+            continue
+        parsed[name] = _value(hints[name], prefix + name, raw[name])
+    return parsed
+
+
+def _value(hint, key: str, value):
+    """value as hint: a JSON scalar, array (tuple) or object (dataclass, or the one of a
+    union its "kind" names); the error names key. JSON has no NaN or Infinity, though
+    Python's parser reads them."""
+    if get_origin(hint) is tuple:
+        # a string or an object would iterate as characters or keys
+        if not isinstance(value, list):
+            raise InputError(f"config key {key!r} must be a JSON array, got {value!r}")
+        return tuple(_value(get_args(hint)[0], f"{key}[{i}]", v) for i, v in enumerate(value))
+    kinds = [arg for arg in get_args(hint) if arg is not type(None)]
+    if len(kinds) == 1:  # X | None, and the value is not null
+        return _value(kinds[0], key, value)
+    if kinds or is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise InputError(f"config key {key!r} must be a JSON object, got {value!r}")
+        if kinds:
+            hint = next((cls for cls in kinds if cls.kind == value.get("kind")), None)
+            if hint is None:
+                names = " or ".join(repr(cls.kind) for cls in kinds)
+                raise InputError(f"{key}.kind must be {names}, got {value.get('kind')!r}")
+        return hint(**_section(value, hint, key + "."))
+    types, name = _JSON_KINDS[hint]
     if type(value) not in types:
         raise InputError(f"config key {key!r} must be {name}, got {value!r}")
     try:
-        value = kind(value)
+        value = hint(value)
     except OverflowError:  # an integer too large for a float
         value = math.inf
-    if kind is float and not math.isfinite(value):
+    if hint is float and not math.isfinite(value):
         raise InputError(f"config key {key!r} must be a finite number")
     return value
 
 
-def _typed_items(kind: type, key: str, values) -> tuple:
-    return tuple(_typed(kind, f"{key}[{i}]", v) for i, v in enumerate(values))
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build and validate a config from parsed JSON."""
-    try:
-        for key in ("hidden", "offsets", "tau_grid", "n_models_grid"):
-            # a string or an object would iterate as characters or keys
-            if raw.get(key) is not None and not isinstance(raw[key], list):
-                raise InputError(f"config key {key!r} must be a JSON array, got {raw[key]!r}")
-        cycle = raw["cycle"]
-        return ExperimentConfig(
-            dataset=_dataset_from_dict(dict(raw["dataset"])),
-            hidden=_typed_items(int, "hidden", raw.get("hidden", (32,))),
-            cycle=CycleConfig(
-                alpha_min=_typed(float, "cycle.alpha_min", cycle["alpha_min"]),
-                alpha_max=_typed(float, "cycle.alpha_max", cycle["alpha_max"]),
-                cycle_len=_typed(int, "cycle.cycle_len", cycle["cycle_len"]),
-                total_iters=_typed(int, "cycle.total_iters", cycle["total_iters"]),
-            ),
-            seed=_typed(int, "seed", raw["seed"]),
-            val_fraction=_typed(float, "val_fraction", raw.get("val_fraction", 0.2)),
-            batch_size=_typed(int, "batch_size", raw.get("batch_size", 32)),
-            window_halfwidth=_typed(int, "window_halfwidth", raw.get("window_halfwidth", 0)),
-            offsets=_typed_items(int, "offsets", raw.get("offsets", ())),
-            offset_steps=_typed(int, "offset_steps", raw.get("offset_steps", 10)),
-            tau_grid=_typed_items(float, "tau_grid", raw.get("tau_grid", DEFAULT_TAU_GRID)),
-            n_models_grid=(
-                _typed_items(int, "n_models_grid", raw["n_models_grid"])
-                if raw.get("n_models_grid") is not None
-                else None
-            ),
-            num_independent=_typed(int, "num_independent", raw.get("num_independent", 5)),
-            weighting_source=_typed(str, "weighting_source", raw.get("weighting_source", "train")),
-        )
-    except KeyError as e:
-        raise InputError(f"config missing required key: {e}") from e
-    except (TypeError, ValueError, OverflowError) as e:
-        raise InputError(f"malformed config value: {e}") from e
-
-
-def _dataset_from_dict(ds: dict) -> dict:
-    """The dataset section with typed values; an error names its key."""
-    kind = ds.get("kind")
-    if kind == "blobs":  # test_per_class defaults to per_class
-        ds = {"test_per_class": ds.get("per_class"), **ds}
-        kinds = dict(num_classes=int, per_class=int, dim=int, spread=float, test_per_class=int)
-    elif kind == "idx":  # null means absent
-        optional = [k for k in ("limit", "test_limit", "num_classes") if ds.get(k) is not None]
-        kinds = {**dict.fromkeys(IDX_PATHS, str), **dict.fromkeys(optional, int)}
-    else:
-        raise InputError(f"dataset.kind must be 'blobs' or 'idx', got {kind!r}")
-    parsed = {"kind": kind}
-    for key, key_kind in kinds.items():
-        try:
-            parsed[key] = _typed(key_kind, f"dataset.{key}", ds[key])
-        except KeyError:
-            raise InputError(f"config missing required key: 'dataset.{key}'") from None
-    return parsed
+    return ExperimentConfig(**_section(raw, ExperimentConfig))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -208,22 +197,23 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset, MlpArchitecture]:
     """Materialize (train, val, test) and the matching architecture."""
     ds, seed = config.dataset, config.seed
-    if ds["kind"] == "blobs":
-        k, dim, spread = ds["num_classes"], ds["dim"], ds["spread"]
-        pool = make_blobs(k, ds["per_class"], dim, spread, seed=seed, centers_seed=seed)
+    if isinstance(ds, BlobsData):
+        k, dim, spread = ds.num_classes, ds.dim, ds.spread
+        pool = make_blobs(k, ds.per_class, dim, spread, seed=seed, centers_seed=seed)
         train, val = split(pool, SplitSpec(config.val_fraction, seed))
         test_seed = seed + TEST_SEED_OFFSET
-        test = make_blobs(k, ds["test_per_class"], dim, spread, seed=test_seed, centers_seed=seed)
+        test_n = ds.per_class if ds.test_per_class is None else ds.test_per_class
+        test = make_blobs(k, test_n, dim, spread, seed=test_seed, centers_seed=seed)
     else:
         # the pool is split as uint8 pixels before the test set loads, so each float
         # matrix is held once
         train, val = load_idx_split(
-            ds["train_images"], ds["train_labels"], SplitSpec(config.val_fraction, seed),
-            ds.get("limit"), ds.get("num_classes"),
+            ds.train_images, ds.train_labels, SplitSpec(config.val_fraction, seed),
+            ds.limit, ds.num_classes,
         )
-        test = load_idx(ds["test_images"], ds["test_labels"], ds.get("test_limit"), train.num_classes)
+        test = load_idx(ds.test_images, ds.test_labels, ds.test_limit, train.num_classes)
         if test.dim != train.dim:
-            raise InputError(f"{ds['test_images']}: {test.dim} features, training has {train.dim}")
+            raise InputError(f"{ds.test_images}: {test.dim} features, training has {train.dim}")
     arch = MlpArchitecture((train.dim, *config.hidden, train.num_classes))
     return train, val, test, arch
 
@@ -252,6 +242,7 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path: Path, columns: tuple[str, ...], rows: list[tuple]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(columns)
@@ -260,13 +251,10 @@ def _write_csv(path: Path, columns: tuple[str, ...], rows: list[tuple]) -> None:
 
 
 class _Experiment:
-    """One command's datasets, output directory and ensemble scorer. out_dir is created
-    last, so a dataset that fails to build leaves nothing behind; a store command keeps
-    only the test set, the one dataset it reads."""
+    """One command's datasets and ensemble scorer; a store command keeps only the test
+    set, the one dataset it reads."""
 
-    def __init__(
-        self, config: ExperimentConfig, out_dir: str | Path, store: SnapshotStore | None = None
-    ):
+    def __init__(self, config: ExperimentConfig, store: SnapshotStore | None = None):
         train, val, self.test, self.arch = build_datasets(config)
         self.train, self.val = (train, val) if store is None else (None, None)
         if store is not None and (
@@ -277,8 +265,6 @@ class _Experiment:
                 "store was trained on different data than this config produces; "
                 "weights may be stale"
             )
-        self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
 
     def scorer(self, pool: list[Snapshot], swa: bool = False):
         """metrics(specs, members) scores members, drawn from pool (all of it by default), as
@@ -300,7 +286,7 @@ def cmd_train(config: ExperimentConfig, out_dir: str | Path) -> Path:
     """Train once with the full capture plan; write the store and its sidecar."""
     if config.cycle.cycle_len < 4:
         warnings.warn(f"degenerate cycle_len {config.cycle.cycle_len}: schedule has almost no descent")
-    exp = _Experiment(config, out_dir)
+    exp = _Experiment(config)
     exp.test = None  # built so a bad test file fails train; training never reads it
     plan = plan_captures(
         config.cycle, config.window_halfwidth, [*config.offsets, config.offset_steps]
@@ -310,7 +296,8 @@ def cmd_train(config: ExperimentConfig, out_dir: str | Path) -> Path:
         exp.arch, exp.train, exp.val, config.cycle, [config.seed], [plan], config.batch_size
     )
     elapsed = time.perf_counter() - t0
-    path = exp.out_dir / "store.snap"
+    path = Path(out_dir) / "store.snap"
+    path.parent.mkdir(parents=True, exist_ok=True)
     save_store(store, path)
     for i, snap in enumerate(select_min(store), start=1):
         print(
@@ -334,7 +321,7 @@ def cmd_sweep_temperature(
     are stacked with temperature weights and scored on the held-out test set.
     Each ensemble size scores all its taus in one pass over one forward per snapshot.
     """
-    exp = _Experiment(config, out_dir, store)
+    exp = _Experiment(config, store)
     snaps = policy_snapshots(store, policy, config)
     metrics = exp.scorer(snaps)
     specs = [WeightingSpec("temperature", tau=tau, source=source) for tau in config.tau_grid]
@@ -349,7 +336,7 @@ def cmd_sweep_temperature(
                 continue
             met = scored[n][i]
             rows.append((float(tau), n, met.accuracy, met.mean_nll, policy, source))
-    path = exp.out_dir / f"sweep_temp_{policy.replace('+', '_')}_{source}.csv"
+    path = Path(out_dir) / f"sweep_temp_{policy.replace('+', '_')}_{source}.csv"
     _write_csv(path, SWEEP_COLUMNS, rows)
     return path
 
@@ -360,7 +347,7 @@ def cmd_sweep_offset(
     """Accuracy per capture offset from the rate minima, at a fixed temperature."""
     src = config.weighting_source
     spec = WeightingSpec("temperature", tau=tau, source=src)  # checks tau before any work
-    exp = _Experiment(config, out_dir, store)
+    exp = _Experiment(config, store)
     rows = []
     for steps in config.offsets:
         try:
@@ -370,7 +357,7 @@ def cmd_sweep_offset(
             continue
         (met,) = exp.scorer(snaps)([spec])
         rows.append((steps, float(tau), len(snaps), met.accuracy, met.mean_nll, "offset", src))
-    path = exp.out_dir / "sweep_offset.csv"
+    path = Path(out_dir) / "sweep_offset.csv"
     _write_csv(path, OFFSET_COLUMNS, rows)
     return path
 
@@ -382,7 +369,7 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
     independent-ensemble baseline trains additional models, in the same SGD
     loop as the capture run.
     """
-    exp = _Experiment(config, out_dir)
+    exp = _Experiment(config)
 
     # the capture run plans only what the rows read, the final iterate last; captures
     # do not change the trajectory, so that iterate is independent member 0 (config.seed)
@@ -427,9 +414,9 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
     swa_snaps = select_min(store)
     add_pair("swa", "min", swa_snaps, exp.scorer(swa_snaps, swa=True))
 
-    csv_path = exp.out_dir / "compare.csv"
+    csv_path = Path(out_dir) / "compare.csv"
     _write_csv(csv_path, COMPARE_COLUMNS, rows)
-    md_path = exp.out_dir / "compare.md"
+    md_path = csv_path.with_name("compare.md")
     md_path.write_text(_compare_markdown(rows))
     return {
         "rows": rows,

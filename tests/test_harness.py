@@ -94,9 +94,10 @@ class TestConfig:
         with pytest.raises(InputError):
             small_config(tau_grid=[1.0, 0.0])
 
-    def test_ensemble_size_beyond_cycles(self):
-        with pytest.raises(InputError):
-            small_config(n_models_grid=[1, 4])
+    def test_n_models_grid_is_an_unknown_key(self):
+        # ensemble sizes always run 1..num_cycles; the old size-grid key is now a typo
+        with pytest.raises(InputError, match="unknown config key 'n_models_grid'"):
+            small_config(n_models_grid=[1, 2])
 
     def test_unknown_dataset_kind(self):
         with pytest.raises(InputError):
@@ -367,6 +368,22 @@ class TestCmdCompare:
         with pytest.raises(InputError):
             cmd_train(cfg, tmp_path)
 
+    def test_policy_without_snapshots_is_skipped(self, tmp_path):
+        # one cycle leaves no room for offset 3 after its minimum: the offset pair is
+        # dropped with a warning, and every other row is still written
+        cfg = small_config(
+            cycle={**SMALL["cycle"], "cycle_len": 20, "total_iters": 20}, offset_steps=3
+        )
+        with pytest.warns(UserWarning, match="policy 'offset' skipped: no cycles admit offset 3"):
+            rows = cmd_compare(cfg, tmp_path)["rows"]
+        assert [(r[0], r[1]) for r in rows] == [
+            ("single", "-"), ("ensemble", "individual"),
+            ("snapshot", "min, eq"), ("snapshot", "min, stack"),
+            ("snapshot", "min+mid, eq"), ("snapshot", "min+mid, stack"),
+            ("swa", "min, eq"), ("swa", "min, stack"),
+        ]
+        assert len(read_rows(tmp_path / "compare.csv")) == 8
+
     def test_one_member_ensemble_is_the_single_model(self, tmp_path, train_runs):
         res = cmd_compare(small_config(num_independent=1), tmp_path)
         rows = {(r[0], r[1]): r[2:] for r in res["rows"]}
@@ -604,6 +621,16 @@ class TestCli:
         pytest.param({"tau_grid": "5"}, [], id="string-tau-grid"),
         pytest.param({"n_models_grid": {"1": 1}}, [], id="dict-n-models-grid"),
         pytest.param({"n_models_grid": []}, [], id="empty-n-models-grid"),
+        pytest.param({"tau_gird": [0.5]}, [], id="unknown-key"),
+        pytest.param({"cycle": {**SMALL["cycle"], "typo": 3}}, [], id="unknown-cycle-key"),
+        pytest.param({"dataset": {**SMALL["dataset"], "bogus": 1}}, [], id="unknown-dataset-key"),
+        pytest.param({"weighting_source": "test"}, [], id="unknown-weighting-source"),
+        pytest.param({"num_independent": 0}, [], id="no-independent-runs"),
+        # checked when training starts, yet still before the output directory is made
+        pytest.param({"batch_size": 0}, [], id="zero-batch-size"),
+        pytest.param({"window_halfwidth": 25}, [], id="window-wider-than-cycle"),
+        pytest.param({"offset_steps": 999}, [], id="offset-beyond-cycle"),
+        pytest.param(b"[1]", [], id="top-level-array"),
         pytest.param(b'{"seed": "\xff"}', [], id="not-utf8"),
         pytest.param(b'{"seed": ' + b"9" * 5000 + b"}", [], id="seed-5000-digits"),
     ])
@@ -613,8 +640,36 @@ class TestCli:
             cfg_path.write_bytes(overrides)
         else:
             cfg_path = self.write_config(tmp_path, **overrides)
-        assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path), *argv]) == 1
+        out_dir = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir), *argv]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("overrides,key", [
+        pytest.param({"tau_gird": [0.5], "batch_sz": 4, "cycle": {**SMALL["cycle"], "typo": 3},
+                      "dataset": {**SMALL["dataset"], "bogus": 1}}, "tau_gird", id="top-level"),
+        pytest.param({"cycle": {**SMALL["cycle"], "typo": 3}}, "cycle.typo", id="cycle"),
+        pytest.param({"dataset": {**SMALL["dataset"], "bogus": 1}}, "dataset.bogus",
+                     id="dataset"),
+    ])
+    def test_unknown_key_is_named(self, tmp_path, capsys, overrides, key):
+        # a misspelt key would otherwise run its default silently
+        cfg_path = self.write_config(tmp_path, **overrides)
+        out_dir = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"error: unknown config key '{key}'\n"
+        assert not out_dir.exists()
+
+    def test_sweep_temp_bad_window_creates_nothing(self, setup, tmp_path, capsys):
+        _, _, store_dir = setup
+        cfg_path = self.write_config(tmp_path, window_halfwidth=25)
+        out_dir = tmp_path / "out"
+        assert main([
+            "sweep-temp", "--config", str(cfg_path), "--store", str(store_dir / "store.snap"),
+            "--policy", "window", "--out-dir", str(out_dir),
+        ]) == 1
+        assert "window half-width 25" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["sweep-temp", "--config", "c.json", "--store", "s", "--policy", "best"],

@@ -55,7 +55,8 @@ CONFIG_KEYS = (
     "dataset.train_images", "dataset.test_images", "hidden", "cycle",
     "cycle.alpha_min", "cycle.alpha_max", "cycle.cycle_len", "cycle.total_iters", "seed",
     "val_fraction", "batch_size", "window_halfwidth", "offsets", "offset_steps", "tau_grid",
-    "n_models_grid", "num_independent", "weighting_source",
+    "n_models_grid", "num_independent", "weighting_source", "tau_gird", "cycle.typo",
+    "dataset.bogus",
 )
 DELETE = object()
 

@@ -30,10 +30,10 @@ from snapstack.stacking import SOURCES
 ARCH_1D = MlpArchitecture((1, 2))
 
 
-def experiment(test: Dataset, monkeypatch, tmp_path) -> harness._Experiment:
+def experiment(test: Dataset, monkeypatch) -> harness._Experiment:
     """An experiment context whose test set is `test`; it builds no other dataset."""
     monkeypatch.setattr(harness, "build_datasets", lambda config: (None, None, test, None))
-    return harness._Experiment(None, tmp_path)
+    return harness._Experiment(None)
 
 
 def snap_with_bias(bias0: float, bias1: float, train_nll=0.5, val_nll=0.6, it=0) -> Snapshot:
@@ -429,9 +429,9 @@ class TestBatchedScoring:
         return snaps, probs, test
 
     @pytest.mark.parametrize("source", SOURCES)
-    def test_sweep_rows_equal_per_cell_path(self, grid, source, monkeypatch, tmp_path):
+    def test_sweep_rows_equal_per_cell_path(self, grid, source, monkeypatch):
         snaps, probs, test = grid
-        metrics = experiment(test, monkeypatch, tmp_path).scorer(snaps)
+        metrics = experiment(test, monkeypatch).scorer(snaps)
         specs = [WeightingSpec("temperature", tau=tau, source=source) for tau in self.TAUS]
         nlls = np.array([s.train_nll if source == "train" else s.val_nll for s in snaps])
         for n in range(1, len(snaps) + 1):
@@ -441,7 +441,7 @@ class TestBatchedScoring:
             ]
             assert metrics(specs, snaps[-n:]) == expected, n
 
-    def test_compare_pair_equals_per_cell_path(self, grid, monkeypatch, tmp_path):
+    def test_compare_pair_equals_per_cell_path(self, grid, monkeypatch):
         snaps, probs, test = grid
         specs = [WeightingSpec("equal")] + [
             WeightingSpec("temperature", tau=tau, source="validation") for tau in self.TAUS
@@ -450,16 +450,16 @@ class TestBatchedScoring:
         expected = [reference_cell(probs, np.ones(len(snaps)), test.labels)] + [
             reference_cell(probs, reference_weights(-nlls, tau), test.labels) for tau in self.TAUS
         ]
-        assert experiment(test, monkeypatch, tmp_path).scorer(snaps)(specs) == expected
+        assert experiment(test, monkeypatch).scorer(snaps)(specs) == expected
 
-    def test_underflowing_tau_equals_per_cell_path(self, grid, monkeypatch, tmp_path):
+    def test_underflowing_tau_equals_per_cell_path(self, grid, monkeypatch):
         snaps, probs, test = grid
         tau = 1e-3
         lls = -np.array([s.train_nll for s in snaps])
         assert np.any(np.exp((lls - lls.max()) / tau) == 0.0)  # the tiny floor is in use
         w = reference_weights(lls, tau)
         specs = [WeightingSpec("temperature", tau=tau), WeightingSpec("temperature", tau=1.0)]
-        met = experiment(test, monkeypatch, tmp_path).scorer(snaps)(specs)[0]
+        met = experiment(test, monkeypatch).scorer(snaps)(specs)[0]
         assert met == reference_cell(probs, w, test.labels)
 
     def test_weight_rows_equal_single_tau_weights(self, grid):
@@ -514,7 +514,7 @@ class TestBatchedSwa:
         ]
 
     @pytest.mark.parametrize("source", SOURCES)
-    def test_rows_equal_single_spec_path(self, members, source, monkeypatch, tmp_path):
+    def test_rows_equal_single_spec_path(self, members, source, monkeypatch):
         snaps, test = members
         specs = self.specs(source)
         expected = [
@@ -524,7 +524,7 @@ class TestBatchedSwa:
             )[0]
             for spec in specs
         ]
-        assert experiment(test, monkeypatch, tmp_path).scorer(snaps, swa=True)(specs) == expected
+        assert experiment(test, monkeypatch).scorer(snaps, swa=True)(specs) == expected
 
     @pytest.mark.parametrize("source", SOURCES)
     def test_average_equals_sum_over_members(self, members, source):
