@@ -30,10 +30,7 @@ from .snapshots import (
     load_store,
     plan_captures,
     save_store,
-    select_mid,
-    select_min,
-    select_offset,
-    select_window,
+    select,
     train_runs,
 )
 from .stacking import (

@@ -30,15 +30,13 @@ from .errors import (
 from .nn import Dataset, MlpArchitecture
 from .schedule import CycleConfig
 from .snapshots import (
+    POLICIES,
     Snapshot,
     SnapshotStore,
     load_store,
     plan_captures,
     save_store,
-    select_mid,
-    select_min,
-    select_offset,
-    select_window,
+    select,
     train_runs,
 )
 from .stacking import (
@@ -54,8 +52,6 @@ from .stacking import (
 
 # test partitions reuse the training cluster geometry but a disjoint noise stream
 TEST_SEED_OFFSET = 1_000_003
-
-POLICIES = ("min", "mid", "min+mid", "window", "offset")
 
 SWEEP_COLUMNS = ("tau", "n_models", "accuracy", "mean_nll", "policy", "source")
 OFFSET_COLUMNS = ("offset", "tau", "n_models", "accuracy", "mean_nll", "policy", "source")
@@ -218,24 +214,6 @@ def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset,
     return train, val, test, arch
 
 
-def policy_snapshots(
-    store: SnapshotStore, policy: str, config: ExperimentConfig
-) -> list[Snapshot]:
-    if policy == "min":
-        return select_min(store)
-    if policy == "mid":
-        return select_mid(store)
-    if policy == "min+mid":
-        # at cycle_len 2 a cycle's half-amplitude point is its minimum: count it once
-        merged = {s.iteration: s for s in select_min(store) + select_mid(store)}
-        return [merged[t] for t in sorted(merged)]
-    if policy == "window":
-        return select_window(store, config.window_halfwidth)
-    if policy == "offset":
-        return select_offset(store, config.offset_steps)
-    raise InputError(f"unknown policy {policy!r}, expected one of {POLICIES}")
-
-
 def _fmt(v) -> str:
     # repr keeps the full float and round-trips, so reruns are byte-identical
     return repr(v) if isinstance(v, float) else str(v)
@@ -299,7 +277,7 @@ def cmd_train(config: ExperimentConfig, out_dir: str | Path) -> Path:
     path = Path(out_dir) / "store.snap"
     path.parent.mkdir(parents=True, exist_ok=True)
     save_store(store, path)
-    for i, snap in enumerate(select_min(store), start=1):
+    for i, snap in enumerate(select(store, "min"), start=1):
         print(
             f"cycle {i:2d}  iter {snap.iteration:6d}  train_nll {snap.train_nll:.4f}  "
             f"val_nll {snap.val_nll:.4f}"
@@ -322,7 +300,8 @@ def cmd_sweep_temperature(
     Each ensemble size scores all its taus in one pass over one forward per snapshot.
     """
     exp = _Experiment(config, store)
-    snaps = policy_snapshots(store, policy, config)
+    arg = config.window_halfwidth if policy == "window" else config.offset_steps
+    snaps = select(store, policy, arg)
     metrics = exp.scorer(snaps)
     specs = [WeightingSpec("temperature", tau=tau, source=source) for tau in config.tau_grid]
     scored = {n: metrics(specs, snaps[-n:]) for n in config.n_grid if n <= len(snaps)}
@@ -351,7 +330,7 @@ def cmd_sweep_offset(
     rows = []
     for steps in config.offsets:
         try:
-            snaps = select_offset(store, steps)
+            snaps = select(store, "offset", steps)
         except SelectionError as e:
             warnings.warn(f"offset {steps} skipped: {e}")
             continue
@@ -404,14 +383,14 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
         tau, met = max(scored, key=lambda tau_met: tau_met[1].accuracy)  # max keeps the first
         rows.append((model, f"{label}, stack", len(snaps), tau, met.accuracy, met.mean_nll))
 
-    for policy in ("min", "min+mid", "offset"):
+    for policy, arg in (("min", 0), ("min+mid", 0), ("offset", config.offset_steps)):
         try:
-            snaps = policy_snapshots(store, policy, config)
+            snaps = select(store, policy, arg)
         except SelectionError as e:
             warnings.warn(f"policy {policy!r} skipped: {e}")
             continue
         add_pair("snapshot", policy, snaps, metrics)
-    swa_snaps = select_min(store)
+    swa_snaps = select(store, "min")
     add_pair("swa", "min", swa_snaps, exp.scorer(swa_snaps, swa=True))
 
     csv_path = Path(out_dir) / "compare.csv"

@@ -40,6 +40,7 @@ from .nn import (
 from .schedule import CycleConfig, cycle_minima, lr_at
 
 TAGS = ("min", "mid", "window", "offset")
+POLICIES = ("min", "mid", "min+mid", "window", "offset")
 
 STORE_MAGIC = b"SNAPSTOR"
 STORE_VERSION = 1
@@ -97,22 +98,26 @@ class SnapshotStore:
             prev = snap.iteration
 
 
-def _shifts(cfg: CycleConfig, policy: str, arg: int = 0) -> range:
-    """A policy's capture targets as shifts from a cycle's rate minimum: min 0,
-    mid mid_phase - min_phase, window -arg..arg, offset arg. Every shift lies in
-    (-cycle_len, cycle_len), so a minimum's targets fall in its cycle or the next."""
+def _shifts(cfg: CycleConfig, policy: str, arg: int = 0) -> list[int]:
+    """A policy's capture targets as ascending shifts from a cycle's rate minimum: min 0,
+    mid mid_phase - min_phase, min+mid both (once at cycle_len 2, where they meet),
+    window -arg..arg, offset arg. Every shift lies in (-cycle_len, cycle_len), so a
+    minimum's targets fall in its cycle or the next."""
     if policy == "window":
         if arg < 0 or 2 * arg >= cfg.cycle_len:
             raise InputError(
                 f"window half-width {arg} does not fit a cycle of {cfg.cycle_len} iterations"
             )
-        return range(-arg, arg + 1)
+        return list(range(-arg, arg + 1))
     if policy == "offset":
         if abs(arg) >= cfg.cycle_len:
             raise InputError(f"offset {arg} would cross into the next cycle's capture")
-        return range(arg, arg + 1)
-    shift = cfg.mid_phase - cfg.min_phase if policy == "mid" else 0
-    return range(shift, shift + 1)
+        return [arg]
+    mid = cfg.mid_phase - cfg.min_phase
+    shifts = {"min": [0], "mid": [mid], "min+mid": sorted({mid, 0})}
+    if policy not in shifts:
+        raise InputError(f"unknown policy {policy!r}, expected one of {POLICIES}")
+    return shifts[policy]
 
 
 def plan_captures(
@@ -231,22 +236,19 @@ def train_runs(
 
 
 def _stacked_rows(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-    """[top; bottom] for two C-contiguous matrices: a view of the array both view
-    when bottom's rows directly follow top's in it, as `split` leaves a training and
-    a validation set, and otherwise a copy."""
+    """[top; bottom]: the array both view when they are its two row blocks in order,
+    as `split` leaves a training and a validation set, and otherwise a copy."""
     base = top.base
     if (
         isinstance(base, np.ndarray)
         and base is bottom.base
-        and base.flags.c_contiguous
-        and top.flags.c_contiguous
-        and bottom.flags.c_contiguous
-        and top.dtype == bottom.dtype
-        and top.shape[1:] == bottom.shape[1:]
+        and base.dtype == np.float64
+        and all(a.flags.c_contiguous for a in (base, top, bottom))
+        and base.shape == (len(top) + len(bottom), *top.shape[1:])
+        and top.ctypes.data == base.ctypes.data
         and bottom.ctypes.data == top.ctypes.data + top.nbytes
     ):
-        shape = (len(top) + len(bottom), *top.shape[1:])
-        return np.ndarray(shape, top.dtype, base, top.ctypes.data - base.ctypes.data)
+        return base
     return np.vstack([top, bottom])
 
 
@@ -264,70 +266,59 @@ def _cycles(store: SnapshotStore, policy: str, arg: int = 0) -> tuple[list, int 
     return walk, (gap * length + phase if gap < count else None)
 
 
-def _one_per_cycle(store: SnapshotStore, policy: str, where: str) -> list[Snapshot]:
-    walk, _ = _cycles(store, policy)
-    out = [snap for _, (snap,) in walk if snap is not None]
-    if not out:
-        raise SelectionError(f"store holds no snapshots at {where}")
-    return out
+def select(store: SnapshotStore, policy: str, arg: int = 0) -> list[Snapshot]:
+    """The snapshots of one policy in POLICIES, in iteration order. arg is the
+    half-width for window and the steps (possibly negative) for offset; the others
+    ignore it.
 
-
-def select_min(store: SnapshotStore) -> list[Snapshot]:
-    """Snapshots at the learning-rate minima, one per completed cycle."""
-    return _one_per_cycle(store, "min", "learning-rate minima")
-
-
-def select_mid(store: SnapshotStore) -> list[Snapshot]:
-    """Snapshots at the half-amplitude crossings, one per completed cycle."""
-    return _one_per_cycle(store, "mid", "half-amplitude crossings")
-
-
-def select_window(store: SnapshotStore, s: int) -> list[Snapshot]:
-    """Best-validation snapshot among the 2s+1 captures around each minimum.
-
-    Ties break toward the earliest iteration. Cycles whose window was not
-    fully captured (typically the final, truncated one) are skipped with a
-    warning each; cycles that no snapshot reaches are skipped with one
-    warning for all of them.
+    min, mid and min+mid take every captured target: a snapshot at each rate
+    minimum, each half-amplitude crossing, or both, and skip a missing one silently.
+    window takes the best-validation snapshot among the 2*arg+1 captures around each
+    minimum, ties toward the earliest iteration; a cycle whose window was not fully
+    captured (typically the final, truncated one) is skipped with a warning, and the
+    cycles no snapshot reaches with one warning for all of them. offset takes the
+    snapshot at minimum + arg and raises if one is missing, except past the run's end.
     """
-    walk, gap = _cycles(store, "window", s)
+    walk, gap = _cycles(store, policy, arg)
     out = []
-    for m, snaps in walk:
-        if any(sn is None for sn in snaps):
+    if policy == "window":
+        for m, snaps in walk:
+            if any(sn is None for sn in snaps):
+                warnings.warn(
+                    f"cycle minimum {m}: window [{m - arg}, {m + arg}] not fully captured, "
+                    f"cycle skipped"
+                )
+                continue
+            out.append(min(snaps, key=lambda sn: (sn.val_nll, sn.iteration)))
+        if gap is not None:
             warnings.warn(
-                f"cycle minimum {m}: window [{m - s}, {m + s}] not fully captured, "
-                f"cycle skipped"
+                f"no snapshot reaches {store.cfg.num_cycles - len(walk)} cycle(s), the first "
+                f"with minimum {gap}; cycles skipped"
             )
-            continue
-        out.append(min(snaps, key=lambda sn: (sn.val_nll, sn.iteration)))
-    if gap is not None:
-        warnings.warn(
-            f"no snapshot reaches {store.cfg.num_cycles - len(walk)} cycle(s), the first "
-            f"with minimum {gap}; cycles skipped"
-        )
+        if not out:
+            raise SelectionError(f"no complete windows of half-width {arg} in store")
+        return out
+    if policy == "offset":
+        if gap is not None:  # the first unreached cycle fails, or is the last and runs past the end
+            walk = [(m, snaps) for m, snaps in walk if m < gap] + [(gap, [None])]
+        for m, (snap,) in walk:
+            t = m + arg
+            if t >= store.cfg.total_iters:
+                warnings.warn(
+                    f"cycle minimum {m}: offset target {t} beyond run length, cycle skipped"
+                )
+                continue
+            if snap is None:
+                raise SelectionError(f"iteration {t} (minimum {m} {arg:+d}) was not captured")
+            out.append(snap)
+        if not out:
+            raise SelectionError(f"no cycles admit offset {arg}")
+        return out
+    out = [snap for _, snaps in walk for snap in snaps if snap is not None]
     if not out:
-        raise SelectionError(f"no complete windows of half-width {s} in store")
-    return out
-
-
-def select_offset(store: SnapshotStore, steps: int) -> list[Snapshot]:
-    """Snapshot at (minimum + steps) for each cycle; steps may be negative."""
-    walk, gap = _cycles(store, "offset", steps)
-    if gap is not None:  # the first unreached cycle fails, or is the last and runs past the end
-        walk = [(m, snaps) for m, snaps in walk if m < gap] + [(gap, [None])]
-    out = []
-    for m, (snap,) in walk:
-        t = m + steps
-        if t >= store.cfg.total_iters:
-            warnings.warn(
-                f"cycle minimum {m}: offset target {t} beyond run length, cycle skipped"
-            )
-            continue
-        if snap is None:
-            raise SelectionError(f"iteration {t} (minimum {m} {steps:+d}) was not captured")
-        out.append(snap)
-    if not out:
-        raise SelectionError(f"no cycles admit offset {steps}")
+        names = {"min": "learning-rate minima", "mid": "half-amplitude crossings"}
+        where = " or ".join(names[half] for half in policy.split("+"))
+        raise SelectionError(f"store holds no snapshots at {where}")
     return out
 
 

@@ -74,7 +74,8 @@ def weights_temperature(log_liks, tau) -> np.ndarray:
         raise InputError("need at least one log-likelihood value")
     if not np.all(np.isfinite(arr)):
         raise InputError("log-likelihoods must be finite")
-    raw = np.exp((arr - arr.max()) / taus[..., None])
+    with np.errstate(over="ignore"):  # a tiny tau sends an exponent to -inf, floored below
+        raw = np.exp((arr - arr.max()) / taus[..., None])
     raw = np.maximum(raw, np.finfo(np.float64).tiny)
     return raw * (raw.shape[-1] / raw.sum(axis=-1, keepdims=True))
 

@@ -40,10 +40,7 @@ from snapstack import (
     member_probs,
     nll_loss,
     save_store,
-    select_mid,
-    select_min,
-    select_offset,
-    select_window,
+    select,
     split,
     train_runs,
     weight_rows,
@@ -267,9 +264,9 @@ def test_c04_window_selection_oracle():
                 warnings.simplefilter("ignore")
                 if not expected:
                     with pytest.raises(SelectionError):
-                        select_window(store, s)
+                        select(store, "window", s)
                     continue
-                got = select_window(store, s)
+                got = select(store, "window", s)
             assert [sn.iteration for sn in got] == [sn.iteration for sn in expected], (
                 f"case {case}: cfg {cfg}, s={s}"
             )
@@ -311,7 +308,7 @@ def test_c06_trend_reproduction():
             (store,) = train_runs(
                 arch, train, val, TREND_CYCLE, [seed], [plan_captures(TREND_CYCLE)], 8
             )
-            mins = select_min(store)
+            mins = select(store, "min")
             single = forward_batch(mins[-1].params, test.features)[None]
             singles.append(evaluate_rows(single, test)[0].accuracy)
             equals.append(ensemble_metrics(mins, WeightingSpec("equal"), test).accuracy)
@@ -347,11 +344,11 @@ def test_c07_single_run_cost():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             variants = {
-                "min_eq": (select_min(store), WeightingSpec("equal")),
-                "min_stack": (select_min(store), WeightingSpec("temperature", tau=1.0)),
-                "mid": (select_mid(store), WeightingSpec("equal")),
-                "window": (select_window(store, 2), WeightingSpec("equal")),
-                "offset": (select_offset(store, 10), WeightingSpec("equal")),
+                "min_eq": (select(store, "min"), WeightingSpec("equal")),
+                "min_stack": (select(store, "min"), WeightingSpec("temperature", tau=1.0)),
+                "mid": (select(store, "mid"), WeightingSpec("equal")),
+                "window": (select(store, "window", 2), WeightingSpec("equal")),
+                "offset": (select(store, "offset", 10), WeightingSpec("equal")),
             }
             weights = {k: weight_rows(snaps, [spec])[0] for k, (snaps, spec) in variants.items()}
         swa = swa_params(variants["min_eq"][0], weights["min_eq"])

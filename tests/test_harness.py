@@ -22,8 +22,7 @@ from snapstack import (
     MlpArchitecture,
     harness,
     load_store,
-    select_mid,
-    select_min,
+    select,
     stacking,
 )
 from snapstack.harness import (
@@ -36,7 +35,6 @@ from snapstack.harness import (
     config_from_dict,
     load_config,
     main,
-    policy_snapshots,
 )
 from snapstack.stacking import WeightingSpec
 
@@ -175,13 +173,13 @@ class TestSweepTemperature:
         for r in rows:
             if r["tau"] != "1000.0":
                 continue
-            snaps = policy_snapshots(store, "min", cfg)[-int(r["n_models"]):]
+            snaps = select(store, "min")[-int(r["n_models"]):]
             eq = ensemble_metrics(snaps, WeightingSpec("equal"), test)
             assert abs(float(r["accuracy"]) - eq.accuracy) <= 1.0 / test.num_examples + 1e-12
 
     def test_oversized_n_skipped_with_warning(self, setup):
         cfg, store, tmp = setup
-        assert len(policy_snapshots(store, "window", cfg)) == 2 < max(cfg.n_grid)
+        assert len(select(store, "window", cfg.window_halfwidth)) == 2 < max(cfg.n_grid)
         with pytest.warns(UserWarning, match="skipping"):
             path = cmd_sweep_temperature(cfg, store, "window", "train", tmp)
         assert len(read_rows(path)) == 2 * len(cfg.tau_grid)
@@ -203,7 +201,7 @@ class TestSweepTemperature:
         # the cached member forwards must reproduce one ensemble's fresh forwards exactly
         cfg, store, tmp = setup
         _, _, test, _ = build_datasets(cfg)
-        snaps = policy_snapshots(store, policy, cfg)
+        snaps = select(store, policy, cfg.window_halfwidth)
         rows = read_rows(cmd_sweep_temperature(cfg, store, policy, source, tmp))
         assert rows
         for r in rows:
@@ -223,17 +221,17 @@ class TestSweepTemperature:
 
         monkeypatch.setattr(stacking, "forward_each", counting)
         cmd_sweep_temperature(cfg, store, "min+mid", "train", tmp)
-        members = [s.params for s in policy_snapshots(store, "min+mid", cfg)]
+        members = [s.params for s in select(store, "min+mid")]
         assert len(calls) == len(members)
         assert sorted(map(id, calls)) == sorted(map(id, members))
 
     def test_min_mid_counts_shared_iterations_once(self):
         cfg = small_config(**CYCLE_LEN_2)
         store = store_from_nlls(cfg.cycle, MlpArchitecture((2, 3)), {t: 0.5 for t in range(8)})
-        assert [s.iteration for s in select_mid(store)] == [1, 3, 5, 7]
-        snaps = policy_snapshots(store, "min+mid", cfg)
+        assert [s.iteration for s in select(store, "mid")] == [1, 3, 5, 7]
+        snaps = select(store, "min+mid")
         assert [s.iteration for s in snaps] == [1, 3, 5, 7]
-        assert snaps == select_min(store)
+        assert snaps == select(store, "min")
 
     def test_stale_store_warns(self, setup, tmp_path):
         cfg, store, _ = setup
@@ -256,7 +254,7 @@ class TestSweepOffset:
         store = load_store(cmd_train(cfg, tmp_path))
         _, _, test, _ = build_datasets(cfg)
         rows = read_rows(cmd_sweep_offset(cfg, store, tmp_path, tau=1.0))
-        mins = policy_snapshots(store, "min", cfg)
+        mins = select(store, "min")
         met = ensemble_metrics(mins, WeightingSpec("temperature", tau=1.0, source="train"), test)
         zero_row = next(r for r in rows if r["offset"] == "0")
         assert float(zero_row["accuracy"]) == met.accuracy
@@ -467,7 +465,7 @@ def test_weighting_source_choice_barely_matters():
         WeightingSpec,
         make_blobs,
         plan_captures,
-        select_min,
+        select,
         split,
         train_runs,
     )
@@ -490,7 +488,7 @@ def test_weighting_source_choice_barely_matters():
         train, val = split(pool, SplitSpec(0.2, seed))
         test = make_blobs(3, 200, 6, 1.0, seed=seed + 1_000_003, centers_seed=seed)
         (store,) = train_runs(arch, train, val, cyc, [seed], [plan_captures(cyc)], 8)
-        mins = select_min(store)
+        mins = select(store, "min")
         diffs.append(abs(best_acc(mins, "train", test) - best_acc(mins, "validation", test)))
     assert np.median(diffs) <= 0.02
 
@@ -769,7 +767,7 @@ class TestCli:
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        have = len(policy_snapshots(store, "window", cfg))
+        have = len(select(store, "window", cfg.window_halfwidth))
         skipped = [(str(n), str(tau)) for tau in cfg.tau_grid for n in cfg.n_grid if n > have]
         assert len(skipped) == len(cfg.tau_grid)
         assert len(re.findall(r"skipping n=\d+", proc.stderr)) == len(skipped)

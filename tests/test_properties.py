@@ -22,10 +22,7 @@ from snapstack import (
     load_idx,
     load_store,
     save_store,
-    select_mid,
-    select_min,
-    select_offset,
-    select_window,
+    select,
 )
 from snapstack.harness import cmd_report, config_from_dict
 from snapstack.snapshots import STORE_MAGIC
@@ -218,13 +215,13 @@ def test_load_store_header_value_or_error(store_file, overrides):
     )
     store = outcome(load_store, mutant)
     if not isinstance(store, SnapstackError):
-        outcome(select_min, store)
-        outcome(select_mid, store)
+        outcome(select, store, "min")
+        outcome(select, store, "mid")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # skipped cycles warn
-            outcome(select_window, store, 1)
-            outcome(select_offset, store, 1)
-            outcome(select_offset, store, -1)
+            outcome(select, store, "window", 1)
+            outcome(select, store, "offset", 1)
+            outcome(select, store, "offset", -1)
 
 
 @pytest.fixture(scope="module")

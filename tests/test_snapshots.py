@@ -1,6 +1,7 @@
 """Unit tests for snapshot capture, the selection policies, and store I/O."""
 
 import json
+import re
 import struct
 import tracemalloc
 import warnings
@@ -31,10 +32,7 @@ from snapstack import (
     make_blobs,
     plan_captures,
     save_store,
-    select_mid,
-    select_min,
-    select_offset,
-    select_window,
+    select,
     sgd_step,
     split,
     train_runs,
@@ -147,7 +145,7 @@ class TestTrainWithCapture:
 
     def test_snapshot_metadata(self):
         store = small_run(plan_captures(CFG))
-        for snap, t in zip(select_min(store), cycle_minima(CFG), strict=True):
+        for snap, t in zip(select(store, "min"), cycle_minima(CFG), strict=True):
             assert snap.iteration == t
             assert snap.lr_at_capture == CFG.alpha_min
             assert snap.train_nll >= 0.0 and snap.val_nll >= 0.0
@@ -159,7 +157,7 @@ class TestTrainWithCapture:
             data = quick_split(seed=seed)
             cfg = CycleConfig(0.02, 0.3, 60, 180)
             store = train_runs(ARCH, data[0], data[1], cfg, [seed], [plan_captures(cfg)], 16)[0]
-            mins = select_min(store)
+            mins = select(store, "min")
             firsts.append(mins[0].val_nll)
             lasts.append(mins[-1].val_nll)
         assert np.median(lasts) < np.median(firsts)
@@ -259,14 +257,14 @@ class TestTrainRuns:
 class TestSelectMin:
     def test_one_per_cycle(self):
         store = small_run(plan_captures(CFG))
-        chosen = select_min(store)
+        chosen = select(store, "min")
         assert [s.iteration for s in chosen] == cycle_minima(CFG)
         assert all(s.lr_at_capture == CFG.alpha_min for s in chosen)
 
     def test_empty_selection_raises(self):
         store = small_run({3: "window"})
         with pytest.raises(SelectionError):
-            select_min(store)
+            select(store, "min")
 
 
 def huge_store(iterations) -> SnapshotStore:
@@ -279,8 +277,8 @@ def huge_store(iterations) -> SnapshotStore:
 class TestSelectMid:
     def test_one_per_cycle_and_disjoint_from_min(self):
         store = small_run(plan_captures(CFG))
-        mids = select_mid(store)
-        mins = select_min(store)
+        mids = select(store, "mid")
+        mins = select(store, "min")
         assert len(mids) == len(mins) == 3
         assert not {s.iteration for s in mids} & {s.iteration for s in mins}
         half = (CFG.alpha_max + CFG.alpha_min) / 2.0
@@ -290,17 +288,16 @@ class TestSelectMid:
 
     def test_combined_min_mid_gives_two_per_cycle(self):
         store = small_run(plan_captures(CFG))
-        merged = sorted(
-            select_min(store) + select_mid(store), key=lambda s: s.iteration
-        )
+        merged = select(store, "min+mid")
         assert len(merged) == 2 * CFG.num_cycles
+        assert [s.iteration for s in merged] == sorted(cycle_minima(CFG) + cycle_midpoints(CFG))
 
     def test_huge_declared_run_length(self):
         # a store header may declare any run length; the selections visit only the
         # cycles the snapshots reach
         store = huge_store((2, 4, 7, 9, 12))
-        assert [s.iteration for s in select_min(store)] == [4, 9]
-        assert [s.iteration for s in select_mid(store)] == [2, 7, 12]
+        assert [s.iteration for s in select(store, "min")] == [4, 9]
+        assert [s.iteration for s in select(store, "mid")] == [2, 7, 12]
 
 
 class TestSelectWindow:
@@ -309,7 +306,7 @@ class TestSelectWindow:
         vals = {7: 0.50, 8: 0.40, 9: 0.45, 10: 0.60, 11: 0.55}
         store = store_from_nlls(cfg, ARCH, vals)
         with pytest.warns(UserWarning, match="skipped"):  # second cycle incomplete
-            chosen = select_window(store, 2)
+            chosen = select(store, "window", 2)
         assert [s.iteration for s in chosen] == [8]
 
     def test_ties_break_to_earliest(self):
@@ -317,12 +314,12 @@ class TestSelectWindow:
         vals = {t: 0.5 for t in range(7, 12)}
         store = store_from_nlls(cfg, ARCH, vals)
         with pytest.warns(UserWarning):
-            chosen = select_window(store, 2)
+            chosen = select(store, "window", 2)
         assert chosen[0].iteration == 7
 
     def test_s_zero_equals_select_min(self):
         store = small_run(plan_captures(CFG))
-        assert select_window(store, 0) == select_min(store)
+        assert select(store, "window", 0) == select(store, "min")
 
     def test_incomplete_window_skips_cycle(self):
         cfg = CycleConfig(0.01, 0.1, 10, 30)
@@ -330,14 +327,14 @@ class TestSelectWindow:
         vals = {t: 0.5 + 0.01 * t for t in (8, 9, 10, 18, 19, 20, 28, 29)}
         store = store_from_nlls(cfg, ARCH, vals)
         with pytest.warns(UserWarning, match="29"):
-            chosen = select_window(store, 1)
+            chosen = select(store, "window", 1)
         assert [s.iteration for s in chosen] == [8, 18]
 
     def test_huge_declared_run_length(self):
         store = huge_store((3, 4, 5, 8, 9, 10))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            chosen = select_window(store, 1)
+            chosen = select(store, "window", 1)
         assert [s.iteration for s in chosen] == [5, 10]
         assert [str(w.message) for w in caught] == [
             "cycle minimum 14: window [13, 15] not fully captured, cycle skipped",
@@ -350,7 +347,7 @@ class TestSelectWindow:
         store = store_from_nlls(CycleConfig(0.01, 0.1, 10, 60), ARCH, {9: 0.5, 49: 0.4})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            chosen = select_window(store, 0)
+            chosen = select(store, "window", 0)
         assert [s.iteration for s in chosen] == [9, 49]
         assert [str(w.message) for w in caught] == [
             "cycle minimum 39: window [39, 39] not fully captured, cycle skipped",
@@ -360,21 +357,21 @@ class TestSelectWindow:
     def test_oversized_window_rejected(self):
         store = small_run(plan_captures(CFG))
         with pytest.raises(InputError):
-            select_window(store, CFG.cycle_len // 2)
+            select(store, "window", CFG.cycle_len // 2)
 
     def test_never_fabricates_snapshots(self):
         cfg = CycleConfig(0.01, 0.1, 10, 20)
         vals = {8: 0.3, 9: 0.2, 10: 0.4}
         store = store_from_nlls(cfg, ARCH, vals)
         with pytest.warns(UserWarning):  # second cycle has no window captures
-            chosen = select_window(store, 1)
+            chosen = select(store, "window", 1)
         assert chosen[0] in store.snapshots
 
 
 class TestSelectOffset:
     def test_zero_steps_equals_select_min(self):
         store = small_run(plan_captures(CFG))
-        assert select_offset(store, 0) == select_min(store)
+        assert select(store, "offset", 0) == select(store, "min")
 
     def test_positive_steps(self):
         cfg = CycleConfig(0.01, 0.1, 100, 300)
@@ -382,31 +379,69 @@ class TestSelectOffset:
         vals.update({t: 0.6 for t in (99, 199, 299)})
         store = store_from_nlls(cfg, ARCH, vals)
         with pytest.warns(UserWarning, match="309"):
-            chosen = select_offset(store, 10)
+            chosen = select(store, "offset", 10)
         assert [s.iteration for s in chosen] == [109, 209]
 
     def test_steps_beyond_cycle_rejected(self):
         store = small_run(plan_captures(CFG))
         with pytest.raises(InputError):
-            select_offset(store, CFG.cycle_len)
+            select(store, "offset", CFG.cycle_len)
 
     def test_uncaptured_target_raises(self):
         store = small_run(plan_captures(CFG))
         with pytest.raises(SelectionError):
-            select_offset(store, 3)
+            select(store, "offset", 3)
 
     @pytest.mark.parametrize("steps", [1, -1])
     def test_huge_declared_run_length(self, steps):
         # cycles 0 and 1 are captured around their minima; cycle 2's target is not
         store = huge_store((3, 4, 5, 8, 9, 10))
         with pytest.raises(SelectionError, match=f"iteration {14 + steps} "):
-            select_offset(store, steps)
+            select(store, "offset", steps)
 
     def test_negative_steps(self):
         plan = plan_captures(CFG, offsets=[-4])
         store = small_run(plan)
-        chosen = select_offset(store, -4)
+        chosen = select(store, "offset", -4)
         assert [s.iteration for s in chosen] == [m - 4 for m in cycle_minima(CFG)]
+
+
+class TestSelect:
+    def test_unknown_policy_names_the_policies(self):
+        store = store_from_nlls(CFG, ARCH, {19: 0.5})
+        expected = f"unknown policy 'bogus', expected one of {snapshots.POLICIES}"
+        with pytest.raises(InputError, match=re.escape(expected)):
+            select(store, "bogus")
+
+    def test_min_mid_returns_the_half_captured(self):
+        cfg = CycleConfig(0.01, 0.1, 5, 10)  # minima 4, 9; half-amplitude crossings 2, 7
+        mids_only = store_from_nlls(cfg, ARCH, {2: 0.5, 7: 0.5})
+        assert [s.iteration for s in select(mids_only, "min+mid")] == [2, 7]
+        minima_only = store_from_nlls(cfg, ARCH, {4: 0.5, 9: 0.5})
+        assert [s.iteration for s in select(minima_only, "min+mid")] == [4, 9]
+        neither = store_from_nlls(cfg, ARCH, {3: 0.5})
+        with pytest.raises(SelectionError, match="minima or half-amplitude crossings"):
+            select(neither, "min+mid")
+
+    def test_min_mid_is_the_union_of_min_and_mid(self):
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            length = int(rng.integers(2, 13))
+            total = length * int(rng.integers(1, 5)) + int(rng.integers(0, length))
+            cfg = CycleConfig(0.01, 0.1, length, total)
+            captured = np.flatnonzero(rng.random(total) < rng.random())
+            store = store_from_nlls(cfg, ARCH, {int(t): 0.5 for t in captured})
+            union = {}
+            for policy in ("min", "mid"):
+                try:
+                    union.update((s.iteration, s) for s in select(store, policy))
+                except SelectionError:
+                    pass
+            if union:
+                assert select(store, "min+mid") == [union[t] for t in sorted(union)]
+            else:
+                with pytest.raises(SelectionError):
+                    select(store, "min+mid")
 
 
 class TestStoreIO:

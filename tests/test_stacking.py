@@ -1,6 +1,7 @@
 """Unit tests for weighting rules, ensemble prediction, SWA, and evaluation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,15 @@ class TestWeightsTemperature:
             w = weights_temperature(lls, tau)
             assert np.all(w > 0.0)
             assert abs(w.sum() - n) <= 1e-9
+
+    def test_tiny_tau_warns_nothing(self):
+        # a valid tau so small that the exponents overflow to -inf: they floor at tiny
+        for tau in (1e-320, [1e-320, 1.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                w = weights_temperature([-1.0, -0.2, -3.0], tau)
+            assert np.all(np.isfinite(w))
+            np.testing.assert_allclose(w.sum(axis=-1), 3.0, rtol=1e-12)
 
 
 class TestWeightsLikelihood:
