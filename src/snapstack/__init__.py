@@ -17,13 +17,10 @@ from .nn import (
     Dataset,
     MlpArchitecture,
     ParamVector,
-    backward,
     forward_batch,
     init_params,
-    nll_loss,
-    sgd_step,
 )
-from .schedule import CycleConfig, cycle_midpoints, cycle_minima, lr_at
+from .schedule import CycleConfig, cycle_minima, lr_at
 from .snapshots import (
     Snapshot,
     SnapshotStore,

@@ -16,7 +16,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import InputError, TrainingError
+from .errors import InputError
 
 # Clamp applied to predicted probabilities before log so a confident wrong
 # prediction yields a large finite loss instead of inf.
@@ -28,7 +28,6 @@ class MlpArchitecture:
     """Layer widths of a ReLU MLP: (input dim, hidden dims..., class count)."""
 
     layer_sizes: tuple[int, ...]
-    hidden_activation: str = "relu"
 
     def __post_init__(self):
         if not all(isinstance(s, numbers.Integral) for s in self.layer_sizes):
@@ -39,8 +38,6 @@ class MlpArchitecture:
             raise InputError("architecture needs at least input and output layers")
         if any(s < 1 for s in sizes):
             raise InputError(f"layer sizes must be positive, got {sizes}")
-        if self.hidden_activation != "relu":
-            raise InputError(f"unsupported hidden activation: {self.hidden_activation!r}")
 
     @property
     def input_dim(self) -> int:
@@ -345,8 +342,11 @@ def forward_each(params: Iterable[ParamVector], features: np.ndarray) -> Iterato
 
 
 def _example_nll(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-example NLL of the true labels under class probabilities [m, k]."""
-    p_true = probs[np.arange(labels.size), labels]
+    """Per-example NLL of the true labels under class probabilities [..., m, k], as a
+    contiguous [..., m] array. A gather over a leading axis comes out strided, and a
+    strided mean sums in another order; the contiguous copy (none for [m, k]) keeps
+    each row's mean that of a 1-D mean."""
+    p_true = np.ascontiguousarray(probs[..., np.arange(labels.size), labels])
     return -np.log(np.maximum(p_true, PROB_FLOOR))
 
 
@@ -360,32 +360,20 @@ def _check_fits(data: Dataset, arch: MlpArchitecture, name: str) -> None:
         )
 
 
-def nll_loss(params: ParamVector, data: Dataset) -> float:
-    """Mean per-example negative log-likelihood of the true labels."""
-    _check_fits(data, params.arch, "dataset")
-    probs = _forward(_layers(params.values, params.arch.layer_sizes), data.features)[-1]
-    return float(_example_nll(probs, data.labels).mean())
-
-
 def _grad(
     layers: list[tuple[np.ndarray, np.ndarray]],
-    features: np.ndarray,
-    targets: np.ndarray,
+    ws: Workspace,
     out: list[tuple[np.ndarray, np.ndarray]],
-    ws: Workspace | None = None,
 ) -> None:
-    """Gradient of the mean NLL, written into `out`, the `_layers` views of a flat
-    [P] buffer; `targets` are the one-hot label rows [b, k]. Stacked layers,
-    features [R, b, d] and targets [R, b, k] write one gradient per run into the
-    views of an [R, P] buffer. With a workspace `ws`, `features` must be `ws.x`
-    and the call makes no array that grows with the model or the batch;
-    without one, a workspace is made for it."""
-    if ws is None:
-        ws = Workspace(layers, features)
-    acts = _forward(layers, features, ws)
+    """Gradient of the mean NLL over the workspace's inputs `ws.x` [b, d] and one-hot
+    label rows `ws.targets` [b, k], written into `out`, the `_layers` views of a flat
+    [P] buffer. Stacked layers, with inputs [R, b, d] and targets [R, b, k], write
+    one gradient per run into the views of an [R, P] buffer. The call makes no
+    array that grows with the model or the batch."""
+    acts = _forward(layers, ws.x, ws)
     g = acts.pop()  # probabilities, freshly computed, safe to mutate
-    g -= targets  # p - 0.0 == p: the bits of subtracting 1 at each true label
-    g /= targets.shape[-2]  # gradient of the MEAN loss
+    g -= ws.targets  # p - 0.0 == p: the bits of subtracting 1 at each true label
+    g /= ws.targets.shape[-2]  # gradient of the MEAN loss
 
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = out[i]
@@ -395,29 +383,6 @@ def _grad(
             g = np.matmul(g, ws.weights_t[i], out=ws.deltas[i - 1])
             # acts[i] = relu(z) > 0 exactly where z > 0, NaN included
             g *= np.greater(acts[i], 0.0, out=ws.masks[i - 1])
-
-
-def backward(params: ParamVector, batch: Dataset) -> ParamVector:
-    """Gradient of the mean NLL over the batch, same shape as params."""
-    _check_fits(batch, params.arch, "batch")
-    sizes = params.arch.layer_sizes
-    grad = np.empty(params.arch.num_params)
-    targets = np.eye(batch.num_classes)[batch.labels]
-    _grad(_layers(params.values, sizes), batch.features, targets, _layers(grad, sizes))
-    return ParamVector(grad, params.arch)
-
-
-def sgd_step(params: ParamVector, gradient: ParamVector, lr: float) -> ParamVector:
-    """One plain gradient-descent step: params - lr * gradient."""
-    if lr <= 0.0:
-        raise InputError(f"learning rate must be positive, got {lr}")
-    if gradient.arch != params.arch:
-        raise InputError("gradient and parameter architectures differ")
-    with np.errstate(over="ignore"):  # overflow is surfaced as TrainingError below
-        new = params.values - lr * gradient.values
-    if not np.all(np.isfinite(new)):
-        raise TrainingError("parameter update produced non-finite values")
-    return ParamVector(new, params.arch)
 
 
 def init_params(arch: MlpArchitecture, seed: int) -> ParamVector:

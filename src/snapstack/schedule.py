@@ -77,7 +77,3 @@ def cycle_minima(cfg: CycleConfig) -> list[int]:
     """Iteration indices where the rate bottoms out, one per completed cycle."""
     return list(range(cfg.min_phase, cfg.total_iters, cfg.cycle_len))
 
-
-def cycle_midpoints(cfg: CycleConfig) -> list[int]:
-    """First iteration of each completed cycle at or below the half-amplitude rate."""
-    return [c * cfg.cycle_len + cfg.mid_phase for c in range(cfg.num_cycles)]

@@ -44,6 +44,7 @@ POLICIES = ("min", "mid", "min+mid", "window", "offset")
 
 STORE_MAGIC = b"SNAPSTOR"
 STORE_VERSION = 1
+HIDDEN_ACTIVATION = "relu"  # the MLP's only one; the header names it
 
 
 @dataclass
@@ -205,7 +206,7 @@ def train_runs(
             data.features.take(idx, axis=0, out=ws.x, mode="clip")
             onehot.take(idx, axis=0, out=ws.targets, mode="clip")
             lr = rates[t % cfg.cycle_len]
-            _grad(layers, ws.x, ws.targets, grad_layers, ws)
+            _grad(layers, ws, grad_layers)
             grad *= lr  # then values -= grad: the bits of values -= lr * grad
             values -= grad
             if not np.isfinite(values, out=finite).all():
@@ -328,7 +329,7 @@ def _header_dict(store: SnapshotStore) -> dict:
         "seed": store.seed,
         "arch": {
             "layer_sizes": list(store.arch.layer_sizes),
-            "hidden_activation": store.arch.hidden_activation,
+            "hidden_activation": HIDDEN_ACTIVATION,
         },
         "cfg": {
             "alpha_min": store.cfg.alpha_min,
@@ -410,9 +411,10 @@ def load_store(path: str | Path) -> SnapshotStore:
         ofs += header_len
 
         try:
-            arch = MlpArchitecture(
-                tuple(header["arch"]["layer_sizes"]), header["arch"]["hidden_activation"]
-            )
+            arch = MlpArchitecture(tuple(header["arch"]["layer_sizes"]))
+            activation = header["arch"]["hidden_activation"]
+            if activation != HIDDEN_ACTIVATION:
+                raise InputError(f"unsupported hidden activation: {activation!r}")
             cfg = CycleConfig(**header["cfg"])
             snap_meta = list(header["snapshots"])  # a non-iterable fails here, not at len()
             param_count = int(header["param_count"])

@@ -17,9 +17,9 @@ import numpy as np
 from .errors import InputError
 # forward_batch, the per-member reference, stays importable here: bench/spans.py traces it
 from .nn import (  # noqa: F401
-    PROB_FLOOR,
     Dataset,
     ParamVector,
+    _example_nll,
     _read_only,
     forward_batch,
     forward_each,
@@ -177,9 +177,6 @@ def evaluate_rows(probs: np.ndarray, data: Dataset) -> list[EvalMetrics]:
             f"(T, {data.num_examples}, {data.num_classes})"
         )
     preds = probs.argmax(axis=-1)  # argmax returns the first max: lowest class index
-    # the gathered [T, m] block comes out strided, and a strided mean sums in
-    # another order; a contiguous copy keeps each row's sum that of a 1-D mean
-    p_true = np.ascontiguousarray(probs[:, np.arange(data.num_examples), data.labels])
     accuracy = (preds == data.labels).mean(axis=-1)
-    mean_nll = (-np.log(np.maximum(p_true, PROB_FLOOR))).mean(axis=-1)
+    mean_nll = _example_nll(probs, data.labels).mean(axis=-1)
     return [EvalMetrics(a, nll) for a, nll in zip(accuracy.tolist(), mean_nll.tolist())]

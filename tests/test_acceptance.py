@@ -20,6 +20,7 @@ from conftest import (
     swa_params,
     write_idx_pair,
 )
+from oracles import backward, cycle_midpoints, nll_loss
 from snapstack import (
     CycleConfig,
     Dataset,
@@ -30,7 +31,6 @@ from snapstack import (
     Snapshot,
     SplitSpec,
     WeightingSpec,
-    backward,
     evaluate_rows,
     forward_batch,
     load_idx,
@@ -38,7 +38,6 @@ from snapstack import (
     lr_at,
     make_blobs,
     member_probs,
-    nll_loss,
     save_store,
     select,
     split,
@@ -165,8 +164,6 @@ def test_c02_schedule_exactness():
                 assert lr_at(cfg, c * cfg.cycle_len) == cfg.alpha_max
                 assert lr_at(cfg, c * cfg.cycle_len + cfg.cycle_len - 1) == cfg.alpha_min
             half = (cfg.alpha_max + cfg.alpha_min) / 2.0
-            from snapstack import cycle_midpoints
-
             for t in cycle_midpoints(cfg):
                 assert lr_at(cfg, t) <= half + 1e-12
                 phase = t % cfg.cycle_len

@@ -455,6 +455,78 @@ def test_idx_build_holds_each_matrix_once(tmp_path):
         )
 
 
+# train, sweep-temp and compare in one interpreter: argv is the config path and
+# the output directory; exits 1 on the first command that fails
+RUN_COMMANDS = """
+import sys
+from snapstack.harness import main
+cfg, out = sys.argv[1:]
+common = ["--config", cfg, "--out-dir", out]
+for argv in (["train", *common], ["sweep-temp", *common, "--store", out + "/store.snap"],
+             ["compare", *common]):
+    if main(argv):
+        sys.exit(1)
+"""
+
+
+def test_blas_threads_change_no_parameter(tmp_path):
+    # criterion 8's bytes hold at a fixed BLAS thread count: at d=784 the scoring
+    # GEMMs may sum in another order at 2 threads, so the NLLs may move in the last
+    # bits, while training's small GEMMs, and so every snapshot, must not
+    from conftest import write_idx_pair
+
+    rng = np.random.default_rng([0, 784])
+    # MNIST-shaped images: a class prototype plus heavy pixel noise
+    shared = rng.random((28, 28)) < 0.15
+    prototypes = np.where(shared ^ (rng.random((10, 28, 28)) < 0.01), 200.0, 20.0)
+    paths = {}
+    for part, n in (("train", 200), ("test", 400)):
+        labels = rng.integers(0, 10, n)
+        pixels = np.clip(prototypes[labels] + rng.normal(0.0, 120.0, (n, 28, 28)), 0.0, 255.0)
+        (tmp_path / part).mkdir()
+        paths[f"{part}_images"], paths[f"{part}_labels"] = map(
+            str, write_idx_pair(tmp_path / part, pixels, labels)
+        )
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "dataset": {"kind": "idx", "num_classes": 10, **paths},
+        "hidden": [32],
+        "cycle": {"alpha_min": 0.01, "alpha_max": 0.1, "cycle_len": 40, "total_iters": 200},
+        "seed": 0,
+        "batch_size": 32,
+        "window_halfwidth": 2,
+        "offsets": [-10, -5, 5, 10],
+        "num_independent": 2,
+    }))
+    src = str(Path(snapstack.__file__).resolve().parents[1])
+    outs = {}
+    for threads in ("1", "2"):
+        out = outs[threads] = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_COMMANDS, str(cfg_path), str(out)],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                     OMP_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+    one, two = (load_store(outs[t] / "store.snap") for t in ("1", "2"))
+    assert len(one.snapshots) == len(two.snapshots) > 40
+    for a, b in zip(one.snapshots, two.snapshots):
+        assert a.iteration == b.iteration and a.params == b.params
+        assert abs(a.train_nll - b.train_nll) <= 1e-12
+        assert abs(a.val_nll - b.val_nll) <= 1e-12
+    for name in ("sweep_temp_min_train.csv", "compare.csv"):
+        rows_one, rows_two = (read_rows(outs[t] / name) for t in ("1", "2"))
+        assert len(rows_one) == len(rows_two) > 0
+        for a, b in zip(rows_one, rows_two):
+            metrics = ("accuracy", "mean_nll")
+            assert {k: v for k, v in a.items() if k not in metrics} == {
+                k: v for k, v in b.items() if k not in metrics
+            }
+            for key in metrics:
+                assert abs(float(a[key]) - float(b[key])) <= 1e-12, (name, a, b)
+
+
 def test_weighting_source_choice_barely_matters():
     # stacking on train-side vs validation-side likelihoods lands within
     # 2 percentage points of the same best accuracy (median over 10 seeds)

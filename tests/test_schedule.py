@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from snapstack import CycleConfig, InputError, cycle_midpoints, cycle_minima, lr_at
+from oracles import cycle_midpoints
+from snapstack import CycleConfig, InputError, cycle_minima, lr_at
 
 
 class TestCycleConfig:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import quick_split, store_from_nlls
+from oracles import backward, cycle_midpoints, sgd_step
 from snapstack import (
     ArchMismatchError,
     BadMagicError,
@@ -26,19 +27,17 @@ from snapstack import (
     SplitSpec,
     TrainingError,
     TruncatedFileError,
-    backward,
     init_params,
     load_store,
     make_blobs,
     plan_captures,
     save_store,
     select,
-    sgd_step,
     split,
     train_runs,
 )
 from snapstack import snapshots
-from snapstack.schedule import cycle_midpoints, cycle_minima, lr_at
+from snapstack.schedule import cycle_minima, lr_at
 
 ARCH = MlpArchitecture((2, 4, 3))
 CFG = CycleConfig(0.02, 0.3, 20, 60)
@@ -50,8 +49,9 @@ def small_run(capture_plan, seed=0, cfg=CFG):
 
 
 def reference_steps(arch, train, cfg, seed, batch_size):
-    """(iteration, params after its update) of one run stepped through the public
-    backward + sgd_step, over the shuffle stream the training loop draws for seed."""
+    """(iteration, params after its update) of one run stepped through the reference
+    backward and out-of-place sgd_step (tests/oracles.py), over the shuffle stream the
+    training loop draws for seed."""
     params = init_params(arch, seed)
     rng = np.random.default_rng([seed, 1])
     m = train.num_examples
@@ -91,7 +91,7 @@ def reference_split(sizes, per_class):
     return split(make_blobs(sizes[-1], per_class, sizes[0], 1.0, seed=3), SplitSpec(0.2, 3))
 
 
-class TestTrainWithCapture:
+class TestCaptures:
     def test_empty_plan_trains_without_snapshots(self):
         store = small_run({})
         assert store.snapshots == ()
@@ -554,3 +554,20 @@ class TestStoreIO:
         (tmp_path / "json.snap").write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             load_store(tmp_path / "json.snap")
+
+    def test_rejects_unknown_activation(self, tmp_path):
+        # the header names the MLP's one hidden activation; any other, or none, is malformed
+        store = small_run(plan_captures(CFG))
+        path = tmp_path / "run.snap"
+        save_store(store, path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, 10)
+        header = json.loads(raw[14 : 14 + header_len].decode())
+        assert header["arch"]["hidden_activation"] == "relu"
+        for arch in ({**header["arch"], "hidden_activation": "tanh"},
+                     {"layer_sizes": header["arch"]["layer_sizes"]}):
+            new_header = json.dumps({**header, "arch": arch}).encode()
+            out = raw[:10] + struct.pack("<I", len(new_header)) + new_header + raw[14 + header_len :]
+            (tmp_path / "act.snap").write_bytes(out)
+            with pytest.raises(FormatError, match="hidden_activation|tanh"):
+                load_store(tmp_path / "act.snap")
