@@ -32,13 +32,11 @@ from .snapshots import (
 )
 from .stacking import (
     EvalMetrics,
-    WeightingSpec,
     evaluate_rows,
+    log_likelihoods,
     member_probs,
     swa_probs,
-    weight_rows,
     weighted_mean,
-    weights_equal,
     weights_temperature,
 )
 

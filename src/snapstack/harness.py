@@ -42,12 +42,12 @@ from .snapshots import (
 from .stacking import (
     SOURCES,
     EvalMetrics,
-    WeightingSpec,
     evaluate_rows,
+    log_likelihoods,
     member_probs,
     swa_probs,
-    weight_rows,
     weighted_mean,
+    weights_temperature,
 )
 
 # test partitions reuse the training cluster geometry but a disjoint noise stream
@@ -245,17 +245,17 @@ class _Experiment:
             )
 
     def scorer(self, pool: list[Snapshot], swa: bool = False):
-        """metrics(specs, members) scores members, drawn from pool (all of it by default), as
-        one ensemble per spec in one pass: the mean of their test outputs, or with swa the
-        outputs of their mean parameters. Each pool snapshot is forwarded once, here, and
-        looked up by object: the seeds' finals in compare share an iteration."""
+        """metrics(weights, members) scores members, drawn from pool (all of it by default),
+        as one ensemble per weight row of weights [T, len(members)] in one pass: the mean of
+        their test outputs, or with swa the outputs of their mean parameters. Each pool
+        snapshot is forwarded once, here, and looked up by object: the seeds' finals in
+        compare share an iteration."""
         probs = {} if swa else dict(zip(map(id, pool), member_probs(pool, self.test.features)))
 
-        def metrics(specs: list[WeightingSpec], members=pool) -> list[EvalMetrics]:
-            w = weight_rows(members, specs)
+        def metrics(weights: np.ndarray, members=pool) -> list[EvalMetrics]:
             if swa:
-                return evaluate_rows(swa_probs(members, w, self.test.features), self.test)
-            return evaluate_rows(weighted_mean([probs[id(s)] for s in members], w), self.test)
+                return evaluate_rows(swa_probs(members, weights, self.test.features), self.test)
+            return evaluate_rows(weighted_mean([probs[id(s)] for s in members], weights), self.test)
 
         return metrics
 
@@ -303,8 +303,12 @@ def cmd_sweep_temperature(
     arg = config.window_halfwidth if policy == "window" else config.offset_steps
     snaps = select(store, policy, arg)
     metrics = exp.scorer(snaps)
-    specs = [WeightingSpec("temperature", tau=tau, source=source) for tau in config.tau_grid]
-    scored = {n: metrics(specs, snaps[-n:]) for n in config.n_grid if n <= len(snaps)}
+    lls = log_likelihoods(snaps, source)
+    scored = {
+        n: metrics(weights_temperature(lls[-n:], config.tau_grid), snaps[-n:])
+        for n in config.n_grid
+        if n <= len(snaps)
+    }
     rows = []
     for i, tau in enumerate(config.tau_grid):
         for n in config.n_grid:
@@ -324,8 +328,9 @@ def cmd_sweep_offset(
     config: ExperimentConfig, store: SnapshotStore, out_dir: str | Path, tau: float
 ) -> Path:
     """Accuracy per capture offset from the rate minima, at a fixed temperature."""
+    if not (tau > 0.0 and math.isfinite(tau)):  # checked before any work
+        raise InputError(f"tau must be a positive finite number, got {tau}")
     src = config.weighting_source
-    spec = WeightingSpec("temperature", tau=tau, source=src)  # checks tau before any work
     exp = _Experiment(config, store)
     rows = []
     for steps in config.offsets:
@@ -334,7 +339,7 @@ def cmd_sweep_offset(
         except SelectionError as e:
             warnings.warn(f"offset {steps} skipped: {e}")
             continue
-        (met,) = exp.scorer(snaps)([spec])
+        (met,) = exp.scorer(snaps)(weights_temperature(log_likelihoods(snaps, src), [tau]))
         rows.append((steps, float(tau), len(snaps), met.accuracy, met.mean_nll, "offset", src))
     path = Path(out_dir) / "sweep_offset.csv"
     _write_csv(path, OFFSET_COLUMNS, rows)
@@ -363,21 +368,17 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
     finals = [store.snapshots[-1]] + [run.snapshots[0] for run in others]
     metrics = exp.scorer([*store.snapshots, *finals[1:]])
 
-    equal = [WeightingSpec("equal")]
     rows: list[tuple] = []
-    (single,) = metrics(equal, finals[:1])
+    (single,) = metrics(np.ones((1, 1)), finals[:1])
     rows.append(("single", "-", 1, "-", single.accuracy, single.mean_nll))
-    (met,) = metrics(equal, finals)
+    (met,) = metrics(np.ones((1, len(finals))), finals)
     rows.append(("ensemble", "individual", len(finals), "-", met.accuracy, met.mean_nll))
-
-    src = config.weighting_source
-    pair_specs = equal + [
-        WeightingSpec("temperature", tau=tau, source=src) for tau in config.tau_grid
-    ]
 
     def add_pair(model: str, label: str, snaps: list[Snapshot], metrics) -> None:
         """The equal-weight row, then the stacked row at the first tau with the best accuracy."""
-        met, *stacked = metrics(pair_specs, snaps)
+        lls = log_likelihoods(snaps, config.weighting_source)
+        w = np.vstack([np.ones(len(snaps)), weights_temperature(lls, config.tau_grid)])
+        met, *stacked = metrics(w, snaps)
         rows.append((model, f"{label}, eq", len(snaps), "-", met.accuracy, met.mean_nll))
         scored = zip(map(float, config.tau_grid), stacked)
         tau, met = max(scored, key=lambda tau_met: tau_met[1].accuracy)  # max keeps the first

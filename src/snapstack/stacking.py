@@ -1,11 +1,13 @@
-"""Ensemble weighting rules, the weighted predictor, and parameter averaging.
+"""Training-time likelihood weights, the weighted predictor, and parameter averaging.
 
-All weighting works on the MEAN per-example log-likelihood of a snapshot
-(the negative of its mean NLL). The per-sample likelihood product would
-underflow for any realistic sample size; the mean keeps every ordering and
-limit property intact while staying finite. Weights are normalized to sum
-to the member count, so the prediction (1/N) * sum(w_k * f_k) is a convex
-combination and equal weighting is exactly w_k = 1.
+A weight row is a plain array of one weight per member, and a [T, K] block holds
+one ensemble per row. All weighting works on the MEAN per-example log-likelihood
+of a snapshot (log_likelihoods: the negative of its mean NLL). The per-sample
+likelihood product would underflow for any realistic sample size; the mean keeps
+every ordering and limit property intact while staying finite. Weights are
+normalized to sum to the member count, so the prediction (1/N) * sum(w_k * f_k)
+is a convex combination: equal weighting is np.ones(N), and weighting by the
+likelihood itself is weights_temperature at tau = 1.
 """
 
 from __future__ import annotations
@@ -26,33 +28,9 @@ from .nn import (  # noqa: F401
 )
 from .snapshots import Snapshot
 
-RULES = ("equal", "likelihood", "temperature")
 SOURCES = ("train", "validation")
 
 WEIGHT_SUM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class WeightingSpec:
-    """Which weighting rule to apply and which loss source feeds it."""
-
-    rule: str
-    tau: float = 1.0
-    source: str = "train"
-
-    def __post_init__(self):
-        if self.rule not in RULES:
-            raise InputError(f"unknown weighting rule {self.rule!r}, expected one of {RULES}")
-        if self.source not in SOURCES:
-            raise InputError(f"unknown weighting source {self.source!r}")
-        if self.rule == "temperature" and not self.tau > 0.0:
-            raise InputError(f"temperature tau must be positive, got {self.tau}")
-
-
-def weights_equal(n: int) -> np.ndarray:
-    if n < 1:
-        raise InputError(f"ensemble size must be positive, got {n}")
-    return np.ones(n)
 
 
 def weights_temperature(log_liks, tau) -> np.ndarray:
@@ -80,31 +58,11 @@ def weights_temperature(log_liks, tau) -> np.ndarray:
     return raw * (raw.shape[-1] / raw.sum(axis=-1, keepdims=True))
 
 
-def _losses(snapshots: list[Snapshot], source: str) -> np.ndarray:
-    return np.array([s.train_nll if source == "train" else s.val_nll for s in snapshots])
-
-
-def weight_rows(snapshots: list[Snapshot], specs: list[WeightingSpec]) -> np.ndarray:
-    """One weight row per spec for an ensemble of snapshots, [len(specs), N].
-
-    The temperature specs of one loss source share one weights_temperature
-    call over their taus.
-    """
-    if not snapshots:
-        raise InputError("cannot build an ensemble from zero snapshots")
-    rows = np.empty((len(specs), len(snapshots)))
-    temperatures: dict[str, tuple[list[int], list[float]]] = {}
-    for i, spec in enumerate(specs):
-        if spec.rule == "equal":
-            rows[i] = weights_equal(len(snapshots))
-        else:
-            # likelihood is the tau = 1 temperature rule; one code path keeps that exact
-            index, taus = temperatures.setdefault(spec.source, ([], []))
-            index.append(i)
-            taus.append(1.0 if spec.rule == "likelihood" else spec.tau)
-    for source, (index, taus) in temperatures.items():
-        rows[index] = weights_temperature(-_losses(snapshots, source), taus)
-    return rows
+def log_likelihoods(snapshots: list[Snapshot], source: str) -> np.ndarray:
+    """Each snapshot's mean log-likelihood [K] on its training or validation split: -nll."""
+    if source not in SOURCES:
+        raise InputError(f"unknown weighting source {source!r}")
+    return -np.array([s.train_nll if source == "train" else s.val_nll for s in snapshots])
 
 
 def _forward_into(out: np.ndarray, params, features: np.ndarray) -> np.ndarray:

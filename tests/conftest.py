@@ -15,13 +15,11 @@ from snapstack import (
     Snapshot,
     SnapshotStore,
     SplitSpec,
-    WeightingSpec,
     evaluate_rows,
     lr_at,
     make_blobs,
     member_probs,
     split,
-    weight_rows,
     weighted_mean,
 )
 from snapstack.schedule import cycle_minima
@@ -49,18 +47,10 @@ def random_dataset(
     return Dataset(feats, labels, arch.num_classes)
 
 
-def likelihood_weights(lls) -> np.ndarray:
-    """The likelihood rule through weight_rows, on snapshots whose train NLLs are -lls."""
-    arch = MlpArchitecture((1, 2))
-    zeros = ParamVector(np.zeros(arch.num_params), arch)
-    snaps = [Snapshot(zeros, i, 0.01, -float(ll), 0.5, "min") for i, ll in enumerate(lls)]
-    return weight_rows(snaps, [WeightingSpec("likelihood")])[0]
-
-
-def ensemble_metrics(snaps: list[Snapshot], spec: WeightingSpec, data: Dataset):
-    """One ensemble's metrics on data: the spec's weight row, the weighted mean of
-    the members' class probabilities, then evaluate_rows."""
-    probs = weighted_mean(member_probs(snaps, data.features), weight_rows(snaps, [spec]))
+def ensemble_metrics(snaps: list[Snapshot], weights, data: Dataset):
+    """One ensemble's metrics on data: the weighted mean of the members' class
+    probabilities under one weight row [K], then evaluate_rows."""
+    probs = weighted_mean(member_probs(snaps, data.features), np.asarray(weights)[None])
     return evaluate_rows(probs, data)[0]
 
 

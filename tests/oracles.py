@@ -1,10 +1,11 @@
 """Reference paths the tests check the package against.
 
-Each is a thin wrapper over the package's own private functions, so a test that
+Most are thin wrappers over the package's own private functions, so a test that
 compares the training loop with these references compares the same arithmetic:
 `backward` runs the production `_grad`, `nll_loss` the production forward and
 per-example NLL, and `sgd_step` is the out-of-place form of the loop's in-place
-update. No command uses them.
+update. `likelihood_weights` is the paper's likelihood rule written out on its
+own, with no call into the package. No command uses them.
 """
 
 from __future__ import annotations
@@ -56,3 +57,12 @@ def sgd_step(params: ParamVector, gradient: ParamVector, lr: float) -> ParamVect
 def cycle_midpoints(cfg: CycleConfig) -> list[int]:
     """First iteration of each completed cycle at or below the half-amplitude rate."""
     return [c * cfg.cycle_len + cfg.mid_phase for c in range(cfg.num_cycles)]
+
+
+def likelihood_weights(lls) -> np.ndarray:
+    """Weights proportional to exp(lls), floored at the smallest positive double and
+    normalized to sum to N: the likelihood rule, which the package computes as the
+    tau = 1 temperature rule."""
+    lls = np.asarray(lls, dtype=np.float64)
+    raw = np.maximum(np.exp(lls - lls.max()), np.finfo(np.float64).tiny)
+    return raw * (raw.size / raw.sum())

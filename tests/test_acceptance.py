@@ -15,12 +15,11 @@ import pytest
 
 from conftest import (
     ensemble_metrics,
-    likelihood_weights,
     store_from_nlls,
     swa_params,
     write_idx_pair,
 )
-from oracles import backward, cycle_midpoints, nll_loss
+from oracles import backward, cycle_midpoints, likelihood_weights, nll_loss
 from snapstack import (
     CycleConfig,
     Dataset,
@@ -30,11 +29,11 @@ from snapstack import (
     SelectionError,
     Snapshot,
     SplitSpec,
-    WeightingSpec,
     evaluate_rows,
     forward_batch,
     load_idx,
     load_store,
+    log_likelihoods,
     lr_at,
     make_blobs,
     member_probs,
@@ -42,9 +41,7 @@ from snapstack import (
     select,
     split,
     train_runs,
-    weight_rows,
     weighted_mean,
-    weights_equal,
     weights_temperature,
 )
 from snapstack.harness import (
@@ -176,19 +173,16 @@ def test_c02_schedule_exactness():
 def test_c03_weighting_algebra():
     with criterion(3, "weighting positivity, limits, and invariances"):
         rng = np.random.default_rng(7)
-        # (a) strictly positive, sum == N within 1e-9, across all rules
+        # (a) strictly positive, sum == N within 1e-9, at the likelihood rule's tau = 1
+        # and at a random tau (equal weighting is np.ones(N))
         for _ in range(200):
             n = int(rng.integers(1, 10))
             lls = rng.uniform(-8.0, 0.0, n)
             tau = float(10.0 ** rng.uniform(-3, 3))
-            for w in (
-                weights_equal(n),
-                likelihood_weights(lls),
-                weights_temperature(lls, tau),
-            ):
+            for w in (weights_temperature(lls, 1.0), weights_temperature(lls, tau)):
                 assert np.all(w > 0.0)
                 assert abs(w.sum() - n) <= 1e-9
-        # (b) tau = 1 temperature is exactly the likelihood rule
+        # (b) tau = 1 temperature is exactly the likelihood rule, written out in the oracle
         for _ in range(50):
             lls = rng.uniform(-6.0, 0.0, int(rng.integers(1, 8)))
             assert np.array_equal(likelihood_weights(lls), weights_temperature(lls, 1.0))
@@ -279,17 +273,17 @@ def test_c05_ensemble_prediction_algebra():
             snaps.append(Snapshot(pv, i, 0.01, float(rng.uniform(0.2, 2.0)), 0.5, "min"))
         xs = rng.normal(0.0, 1.0, (40, 3))
 
-        eq = weight_rows(snaps, [WeightingSpec("equal")])[0]
+        eq = np.ones(len(snaps))
         member_mean = np.stack([forward_batch(s.params, xs) for s in snaps]).mean(axis=0)
         assert np.abs(weighted_mean(member_probs(snaps, xs), eq) - member_mean).max() <= 1e-12
 
         for tau in (0.1, 1.0, 50.0):
-            w = weight_rows(snaps, [WeightingSpec("temperature", tau=tau)])[0]
+            w = weights_temperature(log_likelihoods(snaps, "train"), tau)
             out = weighted_mean(member_probs(snaps, xs), w)
             assert np.all(out >= 0.0)
             assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-9
 
-        lone = weight_rows(snaps[:1], [WeightingSpec("temperature", tau=0.2)])[0]
+        lone = weights_temperature(log_likelihoods(snaps[:1], "train"), 0.2)
         x = xs[0]
         out = weighted_mean(member_probs(snaps[:1], x[None]), lone)[0]
         assert np.array_equal(out, forward_batch(snaps[0].params, x[None])[0])
@@ -308,12 +302,11 @@ def test_c06_trend_reproduction():
             mins = select(store, "min")
             single = forward_batch(mins[-1].params, test.features)[None]
             singles.append(evaluate_rows(single, test)[0].accuracy)
-            equals.append(ensemble_metrics(mins, WeightingSpec("equal"), test).accuracy)
+            equals.append(ensemble_metrics(mins, np.ones(len(mins)), test).accuracy)
+            lls = log_likelihoods(mins, "train")
             bests.append(
                 max(
-                    ensemble_metrics(
-                        mins, WeightingSpec("temperature", tau=tau, source="train"), test
-                    ).accuracy
+                    ensemble_metrics(mins, weights_temperature(lls, tau), test).accuracy
                     for tau in TREND_TAUS
                 )
             )
@@ -341,16 +334,16 @@ def test_c07_single_run_cost():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             variants = {
-                "min_eq": (select(store, "min"), WeightingSpec("equal")),
-                "min_stack": (select(store, "min"), WeightingSpec("temperature", tau=1.0)),
-                "mid": (select(store, "mid"), WeightingSpec("equal")),
-                "window": (select(store, "window", 2), WeightingSpec("equal")),
-                "offset": (select(store, "offset", 10), WeightingSpec("equal")),
+                "min": select(store, "min"),
+                "mid": select(store, "mid"),
+                "window": select(store, "window", 2),
+                "offset": select(store, "offset", 10),
             }
-            weights = {k: weight_rows(snaps, [spec])[0] for k, (snaps, spec) in variants.items()}
-        swa = swa_params(variants["min_eq"][0], weights["min_eq"])
+        stacked = weights_temperature(log_likelihoods(variants["min"], "train"), 1.0)
+        assert stacked.shape == (len(variants["min"]),)
+        swa = swa_params(variants["min"], np.ones(len(variants["min"])))
         assert swa.arch == arch
-        assert all(len(snaps) >= 4 for snaps, _ in variants.values())
+        assert all(len(snaps) >= 4 for snaps in variants.values())
 
         def timed(capture_plan):
             # CPU time of this process: time spent descheduled on a busy host does not count

@@ -22,8 +22,10 @@ from snapstack import (
     MlpArchitecture,
     harness,
     load_store,
+    log_likelihoods,
     select,
     stacking,
+    weights_temperature,
 )
 from snapstack.harness import (
     build_datasets,
@@ -36,7 +38,6 @@ from snapstack.harness import (
     load_config,
     main,
 )
-from snapstack.stacking import WeightingSpec
 
 SMALL = {
     "dataset": {"kind": "blobs", "num_classes": 3, "per_class": 60, "dim": 2, "spread": 0.6,
@@ -174,7 +175,7 @@ class TestSweepTemperature:
             if r["tau"] != "1000.0":
                 continue
             snaps = select(store, "min")[-int(r["n_models"]):]
-            eq = ensemble_metrics(snaps, WeightingSpec("equal"), test)
+            eq = ensemble_metrics(snaps, np.ones(len(snaps)), test)
             assert abs(float(r["accuracy"]) - eq.accuracy) <= 1.0 / test.num_examples + 1e-12
 
     def test_oversized_n_skipped_with_warning(self, setup):
@@ -205,8 +206,9 @@ class TestSweepTemperature:
         rows = read_rows(cmd_sweep_temperature(cfg, store, policy, source, tmp))
         assert rows
         for r in rows:
-            spec = WeightingSpec("temperature", tau=float(r["tau"]), source=source)
-            met = ensemble_metrics(snaps[-int(r["n_models"]):], spec, test)
+            members = snaps[-int(r["n_models"]):]
+            w = weights_temperature(log_likelihoods(members, source), float(r["tau"]))
+            met = ensemble_metrics(members, w, test)
             assert (float(r["accuracy"]), float(r["mean_nll"])) == (met.accuracy, met.mean_nll)
 
     def test_each_member_forwarded_once(self, setup, monkeypatch):
@@ -255,7 +257,7 @@ class TestSweepOffset:
         _, _, test, _ = build_datasets(cfg)
         rows = read_rows(cmd_sweep_offset(cfg, store, tmp_path, tau=1.0))
         mins = select(store, "min")
-        met = ensemble_metrics(mins, WeightingSpec("temperature", tau=1.0, source="train"), test)
+        met = ensemble_metrics(mins, weights_temperature(log_likelihoods(mins, "train"), 1.0), test)
         zero_row = next(r for r in rows if r["offset"] == "0")
         assert float(zero_row["accuracy"]) == met.accuracy
 
@@ -534,7 +536,6 @@ def test_weighting_source_choice_barely_matters():
         CycleConfig,
         MlpArchitecture,
         SplitSpec,
-        WeightingSpec,
         make_blobs,
         plan_captures,
         select,
@@ -547,12 +548,8 @@ def test_weighting_source_choice_barely_matters():
     cyc = CycleConfig(0.05, 0.5, 200, 1000)
 
     def best_acc(mins, source, test):
-        return max(
-            ensemble_metrics(
-                mins, WeightingSpec("temperature", tau=t, source=source), test
-            ).accuracy
-            for t in taus
-        )
+        lls = log_likelihoods(mins, source)
+        return max(ensemble_metrics(mins, weights_temperature(lls, t), test).accuracy for t in taus)
 
     diffs = []
     for seed in range(10):
@@ -805,7 +802,7 @@ class TestCli:
         assert missing in capsys.readouterr().err
 
     @pytest.mark.parametrize("offsets", [[], [7]], ids=["no-offsets", "uncaptured-offset"])
-    @pytest.mark.parametrize("tau", ["-1", "nan"])
+    @pytest.mark.parametrize("tau", ["-1", "nan", "inf"])
     def test_sweep_offset_checks_tau_without_rows(self, setup, tmp_path, capsys, offsets, tau):
         _, _, store_dir = setup
         cfg_path = self.write_config(tmp_path, offsets=offsets)

@@ -1,4 +1,4 @@
-"""Unit tests for weighting rules, ensemble prediction, SWA, and evaluation."""
+"""Unit tests for weight rows, ensemble prediction, SWA, and evaluation."""
 
 import math
 import warnings
@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import likelihood_weights, random_params, swa_params
+from conftest import random_params, swa_params
+from oracles import likelihood_weights
 from snapstack import (
     Dataset,
     EvalMetrics,
@@ -14,14 +15,12 @@ from snapstack import (
     MlpArchitecture,
     ParamVector,
     Snapshot,
-    WeightingSpec,
     evaluate_rows,
     forward_batch,
+    log_likelihoods,
     member_probs,
     swa_probs,
-    weight_rows,
     weighted_mean,
-    weights_equal,
     weights_temperature,
 )
 from snapstack import harness
@@ -44,16 +43,6 @@ def snap_with_bias(bias0: float, bias1: float, train_nll=0.5, val_nll=0.6, it=0)
         params=pv, iteration=it, lr_at_capture=0.01,
         train_nll=train_nll, val_nll=val_nll, tag="min",
     )
-
-
-class TestWeightsEqual:
-    def test_values(self):
-        assert weights_equal(3).tolist() == [1.0, 1.0, 1.0]
-        assert weights_equal(1).tolist() == [1.0]
-
-    def test_rejects_zero(self):
-        with pytest.raises(InputError):
-            weights_equal(0)
 
 
 class TestWeightsTemperature:
@@ -129,13 +118,17 @@ class TestWeightsTemperature:
 
 
 class TestWeightsLikelihood:
+    """The likelihood rule: the tau = 1 temperature rule, and the oracle formula."""
+
     def test_symmetry(self):
-        np.testing.assert_allclose(likelihood_weights([-1.0, -1.0, -1.0]), 1.0, rtol=1e-15)
+        for w in (likelihood_weights([-1.0] * 3), weights_temperature([-1.0] * 3, 1.0)):
+            np.testing.assert_allclose(w, 1.0, rtol=1e-15)
 
     def test_hand_case(self):
         # log-likelihoods (0, -log 2): the shift of (log 2, 0) that keeps NLLs non-negative
-        w = likelihood_weights([0.0, -math.log(2.0)])
-        np.testing.assert_allclose(w, [4 / 3, 2 / 3], rtol=1e-12)
+        lls = [0.0, -math.log(2.0)]
+        for w in (likelihood_weights(lls), weights_temperature(lls, 1.0)):
+            np.testing.assert_allclose(w, [4 / 3, 2 / 3], rtol=1e-12)
 
     def test_identical_to_temperature_one(self):
         rng = np.random.default_rng(5)
@@ -143,48 +136,44 @@ class TestWeightsLikelihood:
         assert np.array_equal(likelihood_weights(lls), weights_temperature(lls, 1.0))
 
 
-def spec_weights(snaps: list[Snapshot], spec: WeightingSpec) -> np.ndarray:
-    """The weight row [K] of one spec."""
-    return weight_rows(snaps, [spec])[0]
+def temperature_row(snaps: list[Snapshot], tau, source: str = "train") -> np.ndarray:
+    """The snapshots' temperature weights at tau, from their log-likelihoods on source."""
+    return weights_temperature(log_likelihoods(snaps, source), tau)
 
 
-class TestBuildEnsemble:
-    """One spec's weights (weight_rows) and the checks weighted_mean makes on them."""
-
-    def test_equal_ignores_losses(self):
-        snaps = [snap_with_bias(0, 0, train_nll=nll, it=i) for i, nll in enumerate((0.2, 0.9, 2.0))]
-        assert spec_weights(snaps, WeightingSpec("equal")).tolist() == [1.0, 1.0, 1.0]
+class TestWeightRows:
+    """Weight rows from the snapshots' log-likelihoods, and the checks weighted_mean
+    makes on them."""
 
     def test_single_member_forced_to_one(self):
-        for rule in ("equal", "likelihood", "temperature"):
-            w = spec_weights([snap_with_bias(0, 0, train_nll=0.7)], WeightingSpec(rule, tau=0.5))
-            assert w.tolist() == [1.0]
+        snap = snap_with_bias(0, 0, train_nll=0.7, val_nll=1.9)
+        for source in SOURCES:
+            for tau in (0.5, 1.0):
+                assert temperature_row([snap], tau, source).tolist() == [1.0]
 
     def test_temperature_one_equals_likelihood(self):
         snaps = [snap_with_bias(0, 0, train_nll=nll, it=i) for i, nll in enumerate((0.2, 0.9, 2.0))]
-        a = spec_weights(snaps, WeightingSpec("likelihood"))
-        b = spec_weights(snaps, WeightingSpec("temperature", tau=1.0))
-        assert np.array_equal(a, b)
+        lls = log_likelihoods(snaps, "train")
+        assert np.array_equal(temperature_row(snaps, 1.0), likelihood_weights(lls))
 
     def test_source_selects_nll(self):
         snaps = [
             snap_with_bias(0, 0, train_nll=0.2, val_nll=0.9, it=0),
             snap_with_bias(0, 0, train_nll=0.9, val_nll=0.2, it=1),
         ]
-        train_w = spec_weights(snaps, WeightingSpec("temperature", tau=0.5, source="train"))
-        val_w = spec_weights(snaps, WeightingSpec("temperature", tau=0.5, source="validation"))
+        assert log_likelihoods(snaps, "train").tolist() == [-0.2, -0.9]
+        assert log_likelihoods(snaps, "validation").tolist() == [-0.9, -0.2]
+        train_w = temperature_row(snaps, 0.5, "train")
+        val_w = temperature_row(snaps, 0.5, "validation")
         assert train_w[0] > train_w[1]
         assert val_w[0] < val_w[1]
 
-    def test_spec_validation(self):
-        with pytest.raises(InputError):
-            WeightingSpec("best")
-        with pytest.raises(InputError):
-            WeightingSpec("temperature", tau=0.0)
-        with pytest.raises(InputError):
-            WeightingSpec("equal", source="test")
-        with pytest.raises(InputError):
-            WeightingSpec("inverse_loss")
+    def test_rejects_bad_tau_and_source(self):
+        snaps = [snap_with_bias(0, 0)]
+        with pytest.raises(InputError, match="tau must be positive"):
+            temperature_row(snaps, 0.0)
+        with pytest.raises(InputError, match="unknown weighting source 'test'"):
+            log_likelihoods(snaps, "test")
 
     def test_ensemble_invariants_enforced(self):
         probs = member_probs([snap_with_bias(0, 0)] * 2, np.array([[0.7]]))
@@ -213,7 +202,7 @@ class TestEnsemblePredict:
 
     def test_identical_members_equal_single(self):
         snaps = [snap_with_bias(0.4, -0.3, train_nll=nll, it=i) for i, nll in enumerate((0.3, 0.8))]
-        w = spec_weights(snaps, WeightingSpec("temperature", tau=0.5))
+        w = temperature_row(snaps, 0.5)
         x = np.array([0.7])
         np.testing.assert_allclose(
             weighted_mean(member_probs(snaps, x[None]), w)[0],
@@ -235,7 +224,7 @@ class TestEnsemblePredict:
         for i in range(4):
             pv = ParamVector(rng.normal(0, 1, ARCH_1D.num_params), ARCH_1D)
             snaps.append(Snapshot(pv, i, 0.01, 0.5, 0.5, "min"))
-        w = spec_weights(snaps, WeightingSpec("equal"))
+        w = np.ones(len(snaps))
         xs = rng.normal(0, 1, (10, 1))
         stacked = np.stack([np.vstack([forward_batch(s.params, x[None])[0] for x in xs]) for s in snaps])
         np.testing.assert_allclose(
@@ -249,7 +238,7 @@ class TestEnsemblePredict:
         for i in range(5):
             pv = ParamVector(rng.normal(0, 1, arch.num_params), arch)
             snaps.append(Snapshot(pv, i, 0.01, float(rng.uniform(0.1, 2)), 0.5, "min"))
-        w = spec_weights(snaps, WeightingSpec("temperature", tau=0.3))
+        w = temperature_row(snaps, 0.3)
         out = weighted_mean(member_probs(snaps, rng.normal(0, 1, (20, 3))), w)
         assert np.all(out >= 0.0)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
@@ -334,8 +323,7 @@ class TestMemberProbs:
 class TestSwaProbs:
     def test_rows_equal_forward_of_weighted_mean(self):
         snaps, xs = random_members(15)
-        specs = [WeightingSpec("equal"), WeightingSpec("temperature", tau=0.3)]
-        w = weight_rows(snaps, specs)
+        w = np.vstack([np.ones(len(snaps)), temperature_row(snaps, [0.3])])
         out = swa_probs(snaps, w, xs)
         assert out.shape == (2, 20, 4)
         for row, probs in zip(w, out, strict=True):
@@ -442,25 +430,23 @@ class TestBatchedScoring:
     def test_sweep_rows_equal_per_cell_path(self, grid, source, monkeypatch):
         snaps, probs, test = grid
         metrics = experiment(test, monkeypatch).scorer(snaps)
-        specs = [WeightingSpec("temperature", tau=tau, source=source) for tau in self.TAUS]
         nlls = np.array([s.train_nll if source == "train" else s.val_nll for s in snaps])
         for n in range(1, len(snaps) + 1):
             expected = [
                 reference_cell(probs[-n:], reference_weights(-nlls[-n:], tau), test.labels)
                 for tau in self.TAUS
             ]
-            assert metrics(specs, snaps[-n:]) == expected, n
+            w = temperature_row(snaps[-n:], self.TAUS, source)
+            assert metrics(w, snaps[-n:]) == expected, n
 
     def test_compare_pair_equals_per_cell_path(self, grid, monkeypatch):
         snaps, probs, test = grid
-        specs = [WeightingSpec("equal")] + [
-            WeightingSpec("temperature", tau=tau, source="validation") for tau in self.TAUS
-        ]
+        w = np.vstack([np.ones(len(snaps)), temperature_row(snaps, self.TAUS, "validation")])
         nlls = np.array([s.val_nll for s in snaps])
         expected = [reference_cell(probs, np.ones(len(snaps)), test.labels)] + [
             reference_cell(probs, reference_weights(-nlls, tau), test.labels) for tau in self.TAUS
         ]
-        assert experiment(test, monkeypatch).scorer(snaps)(specs) == expected
+        assert experiment(test, monkeypatch).scorer(snaps)(w) == expected
 
     def test_underflowing_tau_equals_per_cell_path(self, grid, monkeypatch):
         snaps, probs, test = grid
@@ -468,8 +454,7 @@ class TestBatchedScoring:
         lls = -np.array([s.train_nll for s in snaps])
         assert np.any(np.exp((lls - lls.max()) / tau) == 0.0)  # the tiny floor is in use
         w = reference_weights(lls, tau)
-        specs = [WeightingSpec("temperature", tau=tau), WeightingSpec("temperature", tau=1.0)]
-        met = experiment(test, monkeypatch).scorer(snaps)(specs)[0]
+        met = experiment(test, monkeypatch).scorer(snaps)(temperature_row(snaps, [tau, 1.0]))[0]
         assert met == reference_cell(probs, w, test.labels)
 
     def test_weight_rows_equal_single_tau_weights(self, grid):
@@ -497,9 +482,9 @@ class TestBatchedScoring:
 
 
 class TestBatchedSwa:
-    """The SWA rows the experiment scores in one call against the single-spec path,
+    """The SWA rows the experiment scores in one call against each row scored alone,
     compared with ==, at the benchmark grid's scale: 20 min members of a [6, 32, 3]
-    MLP, 600 test rows, the equal spec plus 15 taus."""
+    MLP, 600 test rows, the equal row plus 15 taus."""
 
     @pytest.fixture(scope="class")
     def members(self):
@@ -518,29 +503,26 @@ class TestBatchedSwa:
         return snaps, test
 
     @staticmethod
-    def specs(source: str) -> list[WeightingSpec]:
-        return [WeightingSpec("equal")] + [
-            WeightingSpec("temperature", tau=tau, source=source) for tau in TestBatchedScoring.TAUS
-        ]
+    def rows(snaps: list[Snapshot], source: str) -> list[np.ndarray]:
+        """The equal row, then one temperature row per tau, each made alone."""
+        taus = TestBatchedScoring.TAUS
+        return [np.ones(len(snaps))] + [temperature_row(snaps, tau, source) for tau in taus]
 
     @pytest.mark.parametrize("source", SOURCES)
     def test_rows_equal_single_spec_path(self, members, source, monkeypatch):
         snaps, test = members
-        specs = self.specs(source)
         expected = [
-            evaluate_rows(
-                forward_batch(swa_params(snaps, spec_weights(snaps, spec)), test.features)[None],
-                test,
-            )[0]
-            for spec in specs
+            evaluate_rows(forward_batch(swa_params(snaps, w), test.features)[None], test)[0]
+            for w in self.rows(snaps, source)
         ]
-        assert experiment(test, monkeypatch).scorer(snaps, swa=True)(specs) == expected
+        taus = TestBatchedScoring.TAUS
+        block = np.vstack([np.ones(len(snaps)), temperature_row(snaps, taus, source)])
+        assert experiment(test, monkeypatch).scorer(snaps, swa=True)(block) == expected
 
     @pytest.mark.parametrize("source", SOURCES)
     def test_average_equals_sum_over_members(self, members, source):
         snaps, _ = members
         stacked = np.stack([s.params.values for s in snaps])
-        for spec in self.specs(source):
-            w = spec_weights(snaps, spec)
+        for i, w in enumerate(self.rows(snaps, source)):
             expected = (w[:, None] * stacked).sum(axis=0) / len(snaps)
-            assert np.array_equal(swa_params(snaps, w).values, expected), spec
+            assert np.array_equal(swa_params(snaps, w).values, expected), i
