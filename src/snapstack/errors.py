@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the JSON kind check of its readers.
 
 The CLI maps these onto exit codes: InputError -> 1, TrainingError and
 SelectionError -> 2, FormatError and OS-level failures -> 3.
@@ -43,3 +43,20 @@ class CountMismatchError(FormatError):
 
 class ArchMismatchError(FormatError):
     """Stored parameters do not fit the declared architecture."""
+
+
+# the JSON values each Python type takes: Python counts a bool as an int, JSON does not
+_JSON_KINDS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
+def json_kind(hint: type, value, what: str):
+    """value, parsed from JSON, if it is of the JSON kind that hint (int, float or str)
+    takes; otherwise InputError naming what."""
+    types, name = _JSON_KINDS[hint]
+    if type(value) not in types:
+        raise InputError(f"{what} must be {name}, got {value!r}")
+    return value

@@ -26,6 +26,7 @@ from .errors import (
     InputError,
     SelectionError,
     TrainingError,
+    json_kind,
 )
 from .nn import Dataset, MlpArchitecture
 from .schedule import CycleConfig
@@ -115,14 +116,6 @@ class ExperimentConfig:
         return tuple(range(1, self.cycle.num_cycles + 1))
 
 
-# the JSON values each config type takes: Python counts a bool as an int, JSON does not
-_JSON_KINDS = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-}
-
-
 def _section(raw: dict, cls: type, prefix: str = "") -> dict:
     """The fields of dataclass cls read from raw, a JSON object, by their type hints; an
     error names its key. An absent field takes its default, and so does null where that
@@ -163,11 +156,8 @@ def _value(hint, key: str, value):
                 names = " or ".join(repr(cls.kind) for cls in kinds)
                 raise InputError(f"{key}.kind must be {names}, got {value.get('kind')!r}")
         return hint(**_section(value, hint, key + "."))
-    types, name = _JSON_KINDS[hint]
-    if type(value) not in types:
-        raise InputError(f"config key {key!r} must be {name}, got {value!r}")
     try:
-        value = hint(value)
+        value = hint(json_kind(hint, value, f"config key {key!r}"))
     except OverflowError:  # an integer too large for a float
         value = math.inf
     if hint is float and not math.isfinite(value):
@@ -228,50 +218,46 @@ def _write_csv(path: Path, columns: tuple[str, ...], rows: list[tuple]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-class _Experiment:
-    """One command's datasets and ensemble scorer; a store command keeps only the test
-    set, the one dataset it reads."""
+def _store_test_set(config: ExperimentConfig, store: SnapshotStore) -> Dataset:
+    """The test set of config, the one dataset a store command reads; warns when the store
+    was trained on different data than config produces."""
+    train, val, test, _ = build_datasets(config)
+    if (
+        store.train_fingerprint != fingerprint(train)
+        or store.val_fingerprint != fingerprint(val)
+    ):
+        warnings.warn(
+            "store was trained on different data than this config produces; "
+            "weights may be stale"
+        )
+    return test
 
-    def __init__(self, config: ExperimentConfig, store: SnapshotStore | None = None):
-        train, val, self.test, self.arch = build_datasets(config)
-        self.train, self.val = (train, val) if store is None else (None, None)
-        if store is not None and (
-            store.train_fingerprint != fingerprint(train)
-            or store.val_fingerprint != fingerprint(val)
-        ):
-            warnings.warn(
-                "store was trained on different data than this config produces; "
-                "weights may be stale"
-            )
 
-    def scorer(self, pool: list[Snapshot], swa: bool = False):
-        """metrics(weights, members) scores members, drawn from pool (all of it by default),
-        as one ensemble per weight row of weights [T, len(members)] in one pass: the mean of
-        their test outputs, or with swa the outputs of their mean parameters. Each pool
-        snapshot is forwarded once, here, and looked up by object: the seeds' finals in
-        compare share an iteration."""
-        probs = {} if swa else dict(zip(map(id, pool), member_probs(pool, self.test.features)))
+def _scorer(data: Dataset, pool: list[Snapshot]):
+    """metrics(weights, members) scores members, drawn from pool (all of it by default),
+    as one ensemble per weight row of weights [T, len(members)] in one pass: the mean of
+    their outputs on data. Each pool snapshot is forwarded once, here, and looked up by
+    object: the seeds' finals in compare share an iteration."""
+    probs = dict(zip(map(id, pool), member_probs(pool, data.features)))
 
-        def metrics(weights: np.ndarray, members=pool) -> list[EvalMetrics]:
-            if swa:
-                return evaluate_rows(swa_probs(members, weights, self.test.features), self.test)
-            return evaluate_rows(weighted_mean([probs[id(s)] for s in members], weights), self.test)
+    def metrics(weights: np.ndarray, members=pool) -> list[EvalMetrics]:
+        return evaluate_rows(weighted_mean([probs[id(s)] for s in members], weights), data)
 
-        return metrics
+    return metrics
 
 
 def cmd_train(config: ExperimentConfig, out_dir: str | Path) -> Path:
     """Train once with the full capture plan; write the store and its sidecar."""
     if config.cycle.cycle_len < 4:
         warnings.warn(f"degenerate cycle_len {config.cycle.cycle_len}: schedule has almost no descent")
-    exp = _Experiment(config)
-    exp.test = None  # built so a bad test file fails train; training never reads it
+    train, val, test, arch = build_datasets(config)
+    del test  # built so a bad test file fails train; training never reads it
     plan = plan_captures(
         config.cycle, config.window_halfwidth, [*config.offsets, config.offset_steps]
     )
     t0 = time.perf_counter()
     (store,) = train_runs(
-        exp.arch, exp.train, exp.val, config.cycle, [config.seed], [plan], config.batch_size
+        arch, train, val, config.cycle, [config.seed], [plan], config.batch_size
     )
     elapsed = time.perf_counter() - t0
     path = Path(out_dir) / "store.snap"
@@ -299,10 +285,10 @@ def cmd_sweep_temperature(
     are stacked with temperature weights and scored on the held-out test set.
     Each ensemble size scores all its taus in one pass over one forward per snapshot.
     """
-    exp = _Experiment(config, store)
+    test = _store_test_set(config, store)
     arg = config.window_halfwidth if policy == "window" else config.offset_steps
     snaps = select(store, policy, arg)
-    metrics = exp.scorer(snaps)
+    metrics = _scorer(test, snaps)
     lls = log_likelihoods(snaps, source)
     scored = {
         n: metrics(weights_temperature(lls[-n:], config.tau_grid), snaps[-n:])
@@ -331,7 +317,7 @@ def cmd_sweep_offset(
     if not (tau > 0.0 and math.isfinite(tau)):  # checked before any work
         raise InputError(f"tau must be a positive finite number, got {tau}")
     src = config.weighting_source
-    exp = _Experiment(config, store)
+    test = _store_test_set(config, store)
     rows = []
     for steps in config.offsets:
         try:
@@ -339,7 +325,7 @@ def cmd_sweep_offset(
         except SelectionError as e:
             warnings.warn(f"offset {steps} skipped: {e}")
             continue
-        (met,) = exp.scorer(snaps)(weights_temperature(log_likelihoods(snaps, src), [tau]))
+        (met,) = _scorer(test, snaps)(weights_temperature(log_likelihoods(snaps, src), [tau]))
         rows.append((steps, float(tau), len(snaps), met.accuracy, met.mean_nll, "offset", src))
     path = Path(out_dir) / "sweep_offset.csv"
     _write_csv(path, OFFSET_COLUMNS, rows)
@@ -353,7 +339,7 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
     independent-ensemble baseline trains additional models, in the same SGD
     loop as the capture run.
     """
-    exp = _Experiment(config)
+    train, val, test, arch = build_datasets(config)
 
     # the capture run plans only what the rows read, the final iterate last; captures
     # do not change the trajectory, so that iterate is independent member 0 (config.seed)
@@ -362,11 +348,10 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
     plans = [plan_captures(config.cycle, offsets=[config.offset_steps])]
     plans += [{last: "window"}] * (len(seeds) - 1)
     t0 = time.perf_counter()
-    store, *others = train_runs(exp.arch, exp.train, exp.val, config.cycle, seeds, plans,
-                                config.batch_size)
+    store, *others = train_runs(arch, train, val, config.cycle, seeds, plans, config.batch_size)
     train_time = time.perf_counter() - t0
     finals = [store.snapshots[-1]] + [run.snapshots[0] for run in others]
-    metrics = exp.scorer([*store.snapshots, *finals[1:]])
+    metrics = _scorer(test, [*store.snapshots, *finals[1:]])
 
     rows: list[tuple] = []
     (single,) = metrics(np.ones((1, 1)), finals[:1])
@@ -391,8 +376,8 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
             warnings.warn(f"policy {policy!r} skipped: {e}")
             continue
         add_pair("snapshot", policy, snaps, metrics)
-    swa_snaps = select(store, "min")
-    add_pair("swa", "min", swa_snaps, exp.scorer(swa_snaps, swa=True))
+    add_pair("swa", "min", select(store, "min"),
+             lambda w, snaps: evaluate_rows(swa_probs(snaps, w, test.features), test))
 
     csv_path = Path(out_dir) / "compare.csv"
     _write_csv(csv_path, COMPARE_COLUMNS, rows)

@@ -10,6 +10,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .errors import (
     SelectionError,
     TrainingError,
     TruncatedFileError,
+    json_kind,
 )
 from .nn import (
     Dataset,
@@ -360,18 +362,19 @@ def save_store(store: SnapshotStore, path: str | Path) -> None:
     bytes. A `<path>.meta.json` sidecar holds the human-facing run metadata.
     """
     path = Path(path)
-    header = json.dumps(_header_dict(store), sort_keys=True, separators=(",", ":")).encode()
+    header = _header_dict(store)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as f:
         f.write(STORE_MAGIC)
         f.write(struct.pack("<H", STORE_VERSION))
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
+        f.write(struct.pack("<I", len(blob)))
+        f.write(blob)
         for snap in store.snapshots:  # the array's own buffer, when it is already "<f8"
             f.write(np.ascontiguousarray(snap.params.values, dtype="<f8"))
     sidecar = {
         "run_id": store.run_id,
         "seed": store.seed,
-        "cfg": _header_dict(store)["cfg"],
+        "cfg": header["cfg"],
         "train_fingerprint": store.train_fingerprint,
         "val_fingerprint": store.val_fingerprint,
         "num_snapshots": len(store.snapshots),
@@ -380,6 +383,15 @@ def save_store(store: SnapshotStore, path: str | Path) -> None:
         "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     Path(str(path) + ".meta.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+
+
+# the JSON kind of each cfg key: the type of its CycleConfig field
+_CFG_KINDS = get_type_hints(CycleConfig)
+
+
+def _field(obj, key: str, hint: type):
+    """obj[key] of a store header, which must be of the JSON kind hint takes (json_kind)."""
+    return json_kind(hint, obj[key], repr(key))
 
 
 def load_store(path: str | Path) -> SnapshotStore:
@@ -411,13 +423,16 @@ def load_store(path: str | Path) -> SnapshotStore:
         ofs += header_len
 
         try:
-            arch = MlpArchitecture(tuple(header["arch"]["layer_sizes"]))
+            sizes = header["arch"]["layer_sizes"]
+            arch = MlpArchitecture(tuple(json_kind(int, s, "a layer size") for s in sizes))
             activation = header["arch"]["hidden_activation"]
             if activation != HIDDEN_ACTIVATION:
                 raise InputError(f"unsupported hidden activation: {activation!r}")
             cfg = CycleConfig(**header["cfg"])
+            for key, hint in _CFG_KINDS.items():  # CycleConfig takes a bool as a number
+                json_kind(hint, getattr(cfg, key), f"cfg.{key}")
             snap_meta = list(header["snapshots"])  # a non-iterable fails here, not at len()
-            param_count = int(header["param_count"])
+            param_count = _field(header, "param_count", int)
         except (KeyError, TypeError, ValueError, OverflowError, InputError) as e:
             raise FormatError(f"{path}: malformed store header ({e})") from e
         if param_count != arch.num_params:
@@ -441,20 +456,20 @@ def load_store(path: str | Path) -> SnapshotStore:
                     Snapshot(
                         # kept as it is where "<f8" is the native float64
                         params=ParamVector(_read_only(values), arch),
-                        iteration=int(meta["iteration"]),
-                        lr_at_capture=float(meta["lr_at_capture"]),
-                        train_nll=float(meta["train_nll"]),
-                        val_nll=float(meta["val_nll"]),
-                        tag=meta["tag"],
+                        iteration=_field(meta, "iteration", int),
+                        lr_at_capture=float(_field(meta, "lr_at_capture", float)),
+                        train_nll=float(_field(meta, "train_nll", float)),
+                        val_nll=float(_field(meta, "val_nll", float)),
+                        tag=_field(meta, "tag", str),
                     )
                 )
             return SnapshotStore(
-                run_id=header["run_id"],
+                run_id=_field(header, "run_id", str),
                 arch=arch,
                 cfg=cfg,
-                seed=int(header["seed"]),
-                train_fingerprint=header["train_fingerprint"],
-                val_fingerprint=header["val_fingerprint"],
+                seed=_field(header, "seed", int),
+                train_fingerprint=_field(header, "train_fingerprint", str),
+                val_fingerprint=_field(header, "val_fingerprint", str),
                 snapshots=tuple(snapshots),
             )
         except (KeyError, TypeError, ValueError, OverflowError, InputError) as e:

@@ -73,8 +73,14 @@ def _forward_into(out: np.ndarray, params, features: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_members(values) -> None:
+    if len(values) < 1:
+        raise InputError("ensemble needs at least one member")
+
+
 def member_probs(snapshots: list[Snapshot], features: np.ndarray) -> np.ndarray:
     """Each member's class probabilities, stacked [K, m, k]: one forward per member."""
+    _check_members(snapshots)
     out = np.empty((len(snapshots), len(features), snapshots[0].params.arch.num_classes))
     return _forward_into(out, [s.params for s in snapshots], features)
 
@@ -86,8 +92,7 @@ def weighted_mean(values, weights: np.ndarray) -> np.ndarray:
     axis 0 adds them, so each row equals the mean under its own weights alone.
     Each row must be finite, strictly positive and sum to K within WEIGHT_SUM_TOL."""
     w = np.asarray(weights, dtype=np.float64)
-    if len(values) < 1:
-        raise InputError("ensemble needs at least one member")
+    _check_members(values)
     if w.shape[-1:] != (len(values),):
         raise InputError(f"weights of shape {w.shape} for {len(values)} members")
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
@@ -110,6 +115,7 @@ def swa_probs(snapshots: list[Snapshot], weights: np.ndarray, features: np.ndarr
     vector under each weight row [T, K], each mean a checked ParamVector. The
     means are made one at a time, as forward_each reads them, and each is equal to
     its row of weighted_mean(values, weights). The members share one architecture."""
+    _check_members(snapshots)
     arch = snapshots[0].params.arch
     if any(s.params.arch != arch for s in snapshots):
         raise InputError("ensemble members must share one architecture")

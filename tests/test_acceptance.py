@@ -451,6 +451,17 @@ def test_c10_io_robustness(tmp_path):
         def with_header(**changes) -> bytes:
             return with_blob(json.dumps({**header, **changes}).encode())
 
+        def with_meta(**changes) -> bytes:
+            return with_header(snapshots=[{**snap_meta[0], **changes}, *snap_meta[1:]])
+
+        # a consistent store of arch (6, 8, 1) whose last layer size is the JSON true
+        bool_size = {"layer_sizes": [6, 8, True], "hidden_activation": "relu"}
+        bool_size_header = json.dumps({**header, "arch": bool_size, "param_count": 65}).encode()
+        bool_size_store = (
+            raw[:10] + struct.pack("<I", len(bool_size_header)) + bool_size_header
+            + bytes(len(snap_meta) * 65 * 8)
+        )
+
         # json.dumps refuses an int this long, so it goes into the encoded header
         long_seed_header = json.dumps(header).encode().replace(
             b'"seed": %d' % header["seed"], b'"seed": ' + b"9" * 5000
@@ -485,6 +496,21 @@ def test_c10_io_robustness(tmp_path):
             "store_total_iters_inf": (
                 with_header(cfg={**header["cfg"], "total_iters": float("inf")}), load_store
             ),
+            # a header value of another JSON kind than its field's, which int() or
+            # float() would coerce
+            "store_iteration_fraction": (with_meta(iteration=10.7), load_store),
+            "store_seed_text": (with_header(seed="7"), load_store),
+            "store_seed_bool": (with_header(seed=True), load_store),
+            "store_param_count_digits": (
+                with_header(param_count=str(header["param_count"])), load_store
+            ),
+            "store_train_nll_text": (with_meta(train_nll="0.5"), load_store),
+            "store_run_id_number": (with_header(run_id=5), load_store),
+            "store_fingerprint_number": (with_header(val_fingerprint=7), load_store),
+            "store_alpha_max_bool": (
+                with_header(cfg={**header["cfg"], "alpha_max": True}), load_store
+            ),
+            "store_layer_size_bool": (bool_size_store, load_store),
             "idx_image_magic": (flip(img_raw, 0), lambda p: load_idx(p, lbl_path)),
             "idx_image_cut": (img_raw[:-3], lambda p: load_idx(p, lbl_path)),
             "idx_label_magic": (flip(lbl_raw, 3), lambda p: load_idx(img_path, p)),

@@ -592,6 +592,7 @@ class TestCmdReport:
         pytest.param(b"accuracy,mean_nll,tau\n1.0,0.5,0.3,extra\n", id="long-row"),
         pytest.param(b"tau,accuracy,mean_nll\n1.0,nan,0.3\n0.5,0.9,0.4\n", id="nan-accuracy"),
         pytest.param(b"tau,accuracy,mean_nll\n1.0,inf,0.3\n0.5,0.9,0.4\n", id="inf-accuracy"),
+        pytest.param(b"", id="empty"),
     ])
     def test_unreadable_csv_is_format_error(self, tmp_path, payload):
         p = tmp_path / "bad.csv"

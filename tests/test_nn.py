@@ -113,6 +113,11 @@ class TestDataset:
         with pytest.raises(InputError):
             Dataset(np.zeros((2, 2)), [0], 2)
 
+    @pytest.mark.parametrize("shape", [(2,), (2, 1, 2)], ids=["1-d", "3-d"])
+    def test_rejects_features_not_a_matrix(self, shape):
+        with pytest.raises(InputError, match="2-d matrix"):
+            Dataset(np.zeros(shape), [0, 1], 2)
+
     def test_rejects_non_finite_features(self):
         with pytest.raises(InputError):
             Dataset(np.array([[0.0, np.inf]]), [0], 2)

@@ -19,6 +19,15 @@ def fenced(text: str, lang: str) -> str:
     return block.group(1)
 
 
+def quick_start() -> tuple[str, list[str]]:
+    """The quick start's config JSON and its five snapstack commands, each backslash
+    continuation joined into one line; the CI entry-point step runs them too."""
+    text = section("Quick start (CLI)")
+    commands = fenced(text, "sh").replace("\\\n", " ").splitlines()
+    assert len(commands) == 5 and all(c.startswith("snapstack ") for c in commands)
+    return fenced(text, "json"), commands
+
+
 def test_library_use_example_runs(capsys):
     code = fenced(section("Library use"), "python")
     exec(compile(code, f"{README}:Library use", "exec"), {})
@@ -26,11 +35,9 @@ def test_library_use_example_runs(capsys):
 
 
 def test_quick_start_commands_run(tmp_path, monkeypatch, capsys):
-    quick_start = section("Quick start (CLI)")
-    (tmp_path / "config.json").write_text(fenced(quick_start, "json"))
+    config, commands = quick_start()
+    (tmp_path / "config.json").write_text(config)
     monkeypatch.chdir(tmp_path)
-    commands = fenced(quick_start, "sh").replace("\\\n", " ").splitlines()
-    assert len(commands) == 5
     for line in commands:
         program, *argv = shlex.split(line)
         assert program == "snapstack"

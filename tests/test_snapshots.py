@@ -163,6 +163,31 @@ class TestCaptures:
         assert np.median(lasts) < np.median(firsts)
 
 
+def snap_at(iteration, arch=ARCH, nll=0.5):
+    return Snapshot(init_params(arch, 0), iteration, 0.1, nll, 0.5, "min")
+
+
+class TestRecordChecks:
+    """A snapshot, a store or a capture plan that no training run can produce is rejected."""
+
+    @pytest.mark.parametrize("make, match", [
+        pytest.param(lambda: snap_at(-1), "iteration must be non-negative", id="negative-iteration"),
+        pytest.param(lambda: snap_at(0, nll=-0.5), "NLLs must be non-negative", id="negative-nll"),
+        pytest.param(
+            lambda: SnapshotStore("r", ARCH, CFG, 0, "", "", [snap_at(5), snap_at(5)]),
+            "strictly increasing", id="iteration-repeated",
+        ),
+        pytest.param(
+            lambda: SnapshotStore("r", ARCH, CFG, 0, "", "", [snap_at(5, MlpArchitecture((2, 3)))]),
+            "differs from store architecture", id="other-architecture",
+        ),
+        pytest.param(lambda: small_run({7: "peak"}), "unknown capture tag 'peak'", id="capture-tag"),
+    ])
+    def test_rejects(self, make, match):
+        with pytest.raises(InputError, match=match):
+            make()
+
+
 class TestTrainRuns:
     def test_each_run_equals_its_own_training(self):
         # 96 training rows in batches of 20: every pass ends on a short minibatch

@@ -23,17 +23,11 @@ from snapstack import (
     weighted_mean,
     weights_temperature,
 )
-from snapstack import harness
+from snapstack.harness import _scorer
 from snapstack.nn import PROB_FLOOR
 from snapstack.stacking import SOURCES
 
 ARCH_1D = MlpArchitecture((1, 2))
-
-
-def experiment(test: Dataset, monkeypatch) -> harness._Experiment:
-    """An experiment context whose test set is `test`; it builds no other dataset."""
-    monkeypatch.setattr(harness, "build_datasets", lambda config: (None, None, test, None))
-    return harness._Experiment(None)
 
 
 def snap_with_bias(bias0: float, bias1: float, train_nll=0.5, val_nll=0.6, it=0) -> Snapshot:
@@ -96,6 +90,11 @@ class TestWeightsTemperature:
     def test_rejects_non_finite(self):
         with pytest.raises(InputError):
             weights_temperature([0.0, -np.inf], 1.0)
+
+    def test_rejects_empty(self):
+        for tau in (1.0, [1.0, 2.0]):
+            with pytest.raises(InputError, match="at least one log-likelihood"):
+                weights_temperature([], tau)
 
     def test_positive_and_normalized(self):
         rng = np.random.default_rng(4)
@@ -183,6 +182,10 @@ class TestWeightRows:
             weighted_mean(probs, [0.5, 0.6])
         with pytest.raises(InputError, match="at least one member"):
             weighted_mean([], np.ones(0))
+        with pytest.raises(InputError, match="at least one member"):
+            member_probs([], np.array([[0.7]]))
+        with pytest.raises(InputError, match="at least one member"):
+            swa_probs([], np.ones((1, 0)), np.array([[0.7]]))
         # every row of a [T, K] block is checked, and no weight may be non-finite
         with pytest.raises(InputError, match="sum to"):
             weighted_mean(probs, [[1.0, 1.0], [0.5, 0.6]])
@@ -403,8 +406,8 @@ def reference_cell(probs: np.ndarray, w: np.ndarray, labels: np.ndarray) -> Eval
 
 
 class TestBatchedScoring:
-    """The batched scorer against the per-cell formulas, compared with ==, at the
-    benchmark grid's scale: 40 members, 600 test rows, 15 taus."""
+    """The batched scorer, harness._scorer, against the per-cell formulas, compared
+    with ==, at the benchmark grid's scale: 40 members, 600 test rows, 15 taus."""
 
     TAUS = (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0, 1000.0)
 
@@ -427,9 +430,9 @@ class TestBatchedScoring:
         return snaps, probs, test
 
     @pytest.mark.parametrize("source", SOURCES)
-    def test_sweep_rows_equal_per_cell_path(self, grid, source, monkeypatch):
+    def test_sweep_rows_equal_per_cell_path(self, grid, source):
         snaps, probs, test = grid
-        metrics = experiment(test, monkeypatch).scorer(snaps)
+        metrics = _scorer(test, snaps)
         nlls = np.array([s.train_nll if source == "train" else s.val_nll for s in snaps])
         for n in range(1, len(snaps) + 1):
             expected = [
@@ -439,22 +442,22 @@ class TestBatchedScoring:
             w = temperature_row(snaps[-n:], self.TAUS, source)
             assert metrics(w, snaps[-n:]) == expected, n
 
-    def test_compare_pair_equals_per_cell_path(self, grid, monkeypatch):
+    def test_compare_pair_equals_per_cell_path(self, grid):
         snaps, probs, test = grid
         w = np.vstack([np.ones(len(snaps)), temperature_row(snaps, self.TAUS, "validation")])
         nlls = np.array([s.val_nll for s in snaps])
         expected = [reference_cell(probs, np.ones(len(snaps)), test.labels)] + [
             reference_cell(probs, reference_weights(-nlls, tau), test.labels) for tau in self.TAUS
         ]
-        assert experiment(test, monkeypatch).scorer(snaps)(w) == expected
+        assert _scorer(test, snaps)(w) == expected
 
-    def test_underflowing_tau_equals_per_cell_path(self, grid, monkeypatch):
+    def test_underflowing_tau_equals_per_cell_path(self, grid):
         snaps, probs, test = grid
         tau = 1e-3
         lls = -np.array([s.train_nll for s in snaps])
         assert np.any(np.exp((lls - lls.max()) / tau) == 0.0)  # the tiny floor is in use
         w = reference_weights(lls, tau)
-        met = experiment(test, monkeypatch).scorer(snaps)(temperature_row(snaps, [tau, 1.0]))[0]
+        met = _scorer(test, snaps)(temperature_row(snaps, [tau, 1.0]))[0]
         assert met == reference_cell(probs, w, test.labels)
 
     def test_weight_rows_equal_single_tau_weights(self, grid):
@@ -482,7 +485,7 @@ class TestBatchedScoring:
 
 
 class TestBatchedSwa:
-    """The SWA rows the experiment scores in one call against each row scored alone,
+    """The SWA rows compare scores in one swa_probs call against each row scored alone,
     compared with ==, at the benchmark grid's scale: 20 min members of a [6, 32, 3]
     MLP, 600 test rows, the equal row plus 15 taus."""
 
@@ -509,7 +512,7 @@ class TestBatchedSwa:
         return [np.ones(len(snaps))] + [temperature_row(snaps, tau, source) for tau in taus]
 
     @pytest.mark.parametrize("source", SOURCES)
-    def test_rows_equal_single_spec_path(self, members, source, monkeypatch):
+    def test_rows_equal_single_spec_path(self, members, source):
         snaps, test = members
         expected = [
             evaluate_rows(forward_batch(swa_params(snaps, w), test.features)[None], test)[0]
@@ -517,7 +520,7 @@ class TestBatchedSwa:
         ]
         taus = TestBatchedScoring.TAUS
         block = np.vstack([np.ones(len(snaps)), temperature_row(snaps, taus, source)])
-        assert experiment(test, monkeypatch).scorer(snaps, swa=True)(block) == expected
+        assert evaluate_rows(swa_probs(snaps, block, test.features), test) == expected
 
     @pytest.mark.parametrize("source", SOURCES)
     def test_average_equals_sum_over_members(self, members, source):
