@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the JSON kind check of its readers.
+"""Exception types shared across the package, the JSON kind check of its readers,
+and the names of the selection policies and weighting sources.
 
 The CLI maps these onto exit codes: InputError -> 1, TrainingError and
-SelectionError -> 2, FormatError and OS-level failures -> 3.
+SelectionError -> 2, FormatError and OS-level failures -> 3. Everything here is
+standard library, so the CLI's parser reads the name lists without loading numpy.
 """
 
 
@@ -44,6 +46,10 @@ class CountMismatchError(FormatError):
 class ArchMismatchError(FormatError):
     """Stored parameters do not fit the declared architecture."""
 
+
+# snapshots.select's policies and stacking.log_likelihoods' sources, which the CLI offers
+POLICIES = ("min", "mid", "min+mid", "window", "offset")
+SOURCES = ("train", "validation")
 
 # the JSON values each Python type takes: Python counts a bool as an int, JSON does not
 _JSON_KINDS = {

@@ -30,7 +30,10 @@ class MlpArchitecture:
     layer_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if not all(isinstance(s, numbers.Integral) for s in self.layer_sizes):
+        # a bool is an Integral, but no layer is True wide
+        if not all(
+            isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in self.layer_sizes
+        ):
             raise InputError(f"layer sizes must be integers, got {self.layer_sizes!r}")
         sizes = tuple(int(s) for s in self.layer_sizes)
         object.__setattr__(self, "layer_sizes", sizes)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import fingerprint
 from .errors import (
+    POLICIES,
     ArchMismatchError,
     BadMagicError,
     BadVersionError,
@@ -42,7 +43,6 @@ from .nn import (
 from .schedule import CycleConfig, cycle_minima, lr_at
 
 TAGS = ("min", "mid", "window", "offset")
-POLICIES = ("min", "mid", "min+mid", "window", "offset")
 
 STORE_MAGIC = b"SNAPSTOR"
 STORE_VERSION = 1
@@ -61,6 +61,7 @@ class Snapshot:
     tag: str
 
     def __post_init__(self):
+        json_kind(int, self.iteration, "iteration")  # the store holds it as a JSON integer
         if self.iteration < 0:
             raise InputError(f"iteration must be non-negative, got {self.iteration}")
         if self.tag not in TAGS:
@@ -86,6 +87,8 @@ class SnapshotStore:
     snapshots: tuple[Snapshot, ...]
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         self.snapshots = tuple(self.snapshots)
         prev = -1
         for snap in self.snapshots:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import SOURCES, InputError
 # forward_batch, the per-member reference, stays importable here: bench/spans.py traces it
 from .nn import (  # noqa: F401
     Dataset,
@@ -27,8 +27,6 @@ from .nn import (  # noqa: F401
     forward_each,
 )
 from .snapshots import Snapshot
-
-SOURCES = ("train", "validation")
 
 WEIGHT_SUM_TOL = 1e-9
 

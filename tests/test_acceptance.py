@@ -44,7 +44,7 @@ from snapstack import (
     weighted_mean,
     weights_temperature,
 )
-from snapstack.harness import (
+from snapstack.experiment import (
     cmd_compare,
     cmd_sweep_offset,
     cmd_sweep_temperature,

@@ -20,24 +20,22 @@ from snapstack import (
     FormatError,
     InputError,
     MlpArchitecture,
-    harness,
+    experiment,
     load_store,
     log_likelihoods,
     select,
     stacking,
     weights_temperature,
 )
-from snapstack.harness import (
+from snapstack.experiment import (
     build_datasets,
     cmd_compare,
-    cmd_report,
     cmd_sweep_offset,
     cmd_sweep_temperature,
     cmd_train,
     config_from_dict,
-    load_config,
-    main,
 )
+from snapstack.harness import cmd_report, load_config, main
 
 SMALL = {
     "dataset": {"kind": "blobs", "num_classes": 3, "per_class": 60, "dim": 2, "spread": 0.6,
@@ -277,14 +275,14 @@ def result(tmp_path_factory):
 
 @pytest.fixture
 def train_runs(monkeypatch):
-    """Records each harness.train_runs call as (seeds, the stores it returned)."""
-    calls, train_runs = [], harness.train_runs
+    """Records each experiment.train_runs call as (seeds, the stores it returned)."""
+    calls, train_runs = [], experiment.train_runs
 
     def recording(arch, train, val, cycle, seeds, *rest):
         calls.append((list(seeds), train_runs(arch, train, val, cycle, seeds, *rest)))
         return calls[-1][1]
 
-    monkeypatch.setattr(harness, "train_runs", recording)
+    monkeypatch.setattr(experiment, "train_runs", recording)
     return calls
 
 
@@ -778,7 +776,7 @@ class TestCli:
         def no_training(*args, **kwargs):
             raise AssertionError("trained despite a bad dataset")
 
-        monkeypatch.setattr(harness, "train_runs", no_training)
+        monkeypatch.setattr(experiment, "train_runs", no_training)
         rng = np.random.default_rng(0)
         paths = {}
         for part, n, side in (("train", 60, 4), ("test", 50, 3)):
@@ -907,3 +905,82 @@ class TestCli:
         main(["train", "--config", str(cfg_path), "--seed", "9", "--out-dir", str(tmp_path / "s9")])
         store = load_store(tmp_path / "s9" / "store.snap")
         assert store.seed == 9
+
+
+def fresh_interpreter(code: str, *args: str) -> str:
+    """The stdout of code run with args in a new interpreter on this package."""
+    src = str(Path(snapstack.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+NUMPY_LOADED = "import sys; print('numpy' in sys.modules)"
+
+
+class TestImports:
+    """The CLI and report need only the standard library; the package's exports load on
+    first use, and a command that takes a config loads numpy when it reads it."""
+
+    EXPORTS = {
+        "SplitSpec", "fingerprint", "load_idx", "make_blobs", "split",
+        "ArchMismatchError", "BadMagicError", "BadVersionError", "CountMismatchError",
+        "FormatError", "InputError", "SelectionError", "SnapstackError", "TrainingError",
+        "TruncatedFileError",
+        "Dataset", "MlpArchitecture", "ParamVector", "forward_batch", "init_params",
+        "CycleConfig", "cycle_minima", "lr_at",
+        "Snapshot", "SnapshotStore", "load_store", "plan_captures", "save_store", "select",
+        "train_runs",
+        "EvalMetrics", "evaluate_rows", "log_likelihoods", "member_probs", "swa_probs",
+        "weighted_mean", "weights_temperature",
+    }
+
+    @pytest.mark.parametrize("module", ["snapstack", "snapstack.harness"])
+    def test_import_loads_no_numpy(self, module):
+        assert fresh_interpreter(f"import {module}\n{NUMPY_LOADED}") == "False\n"
+
+    def test_report_loads_no_numpy(self, setup, result, tmp_path):
+        cfg, store, _ = setup
+        sweep = cmd_sweep_temperature(cfg, store, "min", "train", tmp_path)
+        csvs = [str(sweep), str(result[2]["csv_path"])]
+        out = tmp_path / "report.md"
+        code = (
+            "import sys\nfrom snapstack.harness import main\n"
+            f"assert main(['report', *sys.argv[1:]]) == 0\n{NUMPY_LOADED}"
+        )
+        assert fresh_interpreter(code, *csvs, "--out", str(out)) == f"wrote {out}\nFalse\n"
+        assert out.read_text() == cmd_report(csvs, tmp_path / "again.md").read_text()
+
+    def test_config_read_loads_numpy(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(SMALL))
+        code = (
+            f"import sys\nfrom snapstack.harness import load_config\n{NUMPY_LOADED}\n"
+            f"load_config(sys.argv[1])\n{NUMPY_LOADED}"
+        )
+        assert fresh_interpreter(code, str(cfg_path)) == "False\nTrue\n"
+
+    def test_exports_resolve_to_their_definitions(self):
+        assert len(snapstack.__all__) == len(self.EXPORTS) == 37
+        assert set(snapstack.__all__) == self.EXPORTS
+        assert self.EXPORTS <= set(dir(snapstack))
+        for name in snapstack.__all__:
+            value = getattr(snapstack, name)
+            assert value.__module__.startswith("snapstack.")
+            assert getattr(sys.modules[value.__module__], name) is value, name
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            snapstack.no_such_name
+        assert not hasattr(snapstack, "no_such_name")
+
+    def test_submodule_import_falls_through(self):
+        # `from snapstack import stacking` asks the package first, then imports the module
+        code = (
+            "import snapstack\nassert not hasattr(snapstack, 'stacking')\n"
+            "from snapstack import stacking\nprint(stacking.__name__)"
+        )
+        assert fresh_interpreter(code) == "snapstack.stacking\n"

@@ -52,6 +52,8 @@ class TestArchitecture:
     def test_rejects_non_integral_sizes(self):
         with pytest.raises(InputError, match="integers"):
             MlpArchitecture((6.7, 32.2, 3))
+        with pytest.raises(InputError, match="integers"):
+            MlpArchitecture((2, True, 3))  # not a layer of width 1
         assert MlpArchitecture((np.int64(6), 32, 3)).layer_sizes == (6, 32, 3)
 
 

@@ -24,7 +24,8 @@ from snapstack import (
     save_store,
     select,
 )
-from snapstack.harness import cmd_report, config_from_dict
+from snapstack.experiment import config_from_dict
+from snapstack.harness import cmd_report
 from snapstack.snapshots import STORE_MAGIC
 
 # derandomized and bounded, so the suite stays deterministic and quick

@@ -172,6 +172,9 @@ class TestRecordChecks:
 
     @pytest.mark.parametrize("make, match", [
         pytest.param(lambda: snap_at(-1), "iteration must be non-negative", id="negative-iteration"),
+        # the store reader takes only a JSON integer, so the writer must not write another
+        pytest.param(lambda: snap_at(10.7), "iteration must be an integer", id="float-iteration"),
+        pytest.param(lambda: snap_at(True), "iteration must be an integer", id="bool-iteration"),
         pytest.param(lambda: snap_at(0, nll=-0.5), "NLLs must be non-negative", id="negative-nll"),
         pytest.param(
             lambda: SnapshotStore("r", ARCH, CFG, 0, "", "", [snap_at(5), snap_at(5)]),
@@ -180,6 +183,10 @@ class TestRecordChecks:
         pytest.param(
             lambda: SnapshotStore("r", ARCH, CFG, 0, "", "", [snap_at(5, MlpArchitecture((2, 3)))]),
             "differs from store architecture", id="other-architecture",
+        ),
+        pytest.param(
+            lambda: SnapshotStore("r", ARCH, CFG, -3, "", "", []),
+            "seed must be non-negative", id="negative-seed",
         ),
         pytest.param(lambda: small_run({7: "peak"}), "unknown capture tag 'peak'", id="capture-tag"),
     ])
@@ -596,3 +603,17 @@ class TestStoreIO:
             (tmp_path / "act.snap").write_bytes(out)
             with pytest.raises(FormatError, match="hidden_activation|tanh"):
                 load_store(tmp_path / "act.snap")
+
+    def test_rejects_negative_seed(self, tmp_path):
+        # the reader builds its store through SnapshotStore, which the writer's store passed
+        store = small_run(plan_captures(CFG))
+        path = tmp_path / "run.snap"
+        save_store(store, path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, 10)
+        header = json.loads(raw[14 : 14 + header_len].decode())
+        new_header = json.dumps({**header, "seed": -3}).encode()
+        out = raw[:10] + struct.pack("<I", len(new_header)) + new_header + raw[14 + header_len :]
+        (tmp_path / "seed.snap").write_bytes(out)
+        with pytest.raises(FormatError, match="seed must be non-negative"):
+            load_store(tmp_path / "seed.snap")

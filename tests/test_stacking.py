@@ -23,7 +23,7 @@ from snapstack import (
     weighted_mean,
     weights_temperature,
 )
-from snapstack.harness import _scorer
+from snapstack.experiment import _scorer
 from snapstack.nn import PROB_FLOOR
 from snapstack.stacking import SOURCES
 
@@ -406,7 +406,7 @@ def reference_cell(probs: np.ndarray, w: np.ndarray, labels: np.ndarray) -> Eval
 
 
 class TestBatchedScoring:
-    """The batched scorer, harness._scorer, against the per-cell formulas, compared
+    """The batched scorer, experiment._scorer, against the per-cell formulas, compared
     with ==, at the benchmark grid's scale: 40 members, 600 test rows, 15 taus."""
 
     TAUS = (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0, 1000.0)
