@@ -212,6 +212,38 @@ def _parts(
     )
 
 
+# the bytes of float64 rows that split_fingerprints scales and hashes at a time
+_CHUNK_BYTES = 1 << 20
+
+
+def split_fingerprints(
+    rows: np.ndarray, labels: np.ndarray, num_classes: int, spec: SplitSpec
+) -> tuple[str, str]:
+    """(fingerprint(train), fingerprint(val)) of `split` of the pool (rows, labels), with
+    the same errors, without the pool's float matrix. rows are float64 features, or
+    uint8 pixel rows, which are scaled as `load_idx` scales them.
+
+    Each part's rows are gathered in split order, a chunk at a time, into one reused
+    float64 buffer whose bytes feed the part's digest.
+    """
+    _check_labels(labels, num_classes)  # the pool's label error comes before the split's
+    parts = _split_rows(labels.size, spec)
+    chunk = np.empty((max(1, _CHUNK_BYTES // (8 * rows.shape[1])), rows.shape[1]))
+    prints = []
+    for part in parts:
+        h = hashlib.sha256(str(num_classes).encode())
+        for start in range(0, len(part), len(chunk)):
+            idx = part[start : start + len(chunk)]
+            buf = chunk[: len(idx)]
+            buf[...] = rows[idx]
+            if rows.dtype == np.uint8:
+                buf /= 255.0
+            h.update(buf)
+        h.update(np.ascontiguousarray(labels[part], dtype=np.int64))
+        prints.append(h.hexdigest())
+    return prints[0], prints[1]
+
+
 def fingerprint(data: Dataset) -> str:
     """Content hash of a dataset, for store metadata."""
     h = hashlib.sha256()

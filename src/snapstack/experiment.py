@@ -19,7 +19,15 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import SplitSpec, fingerprint, load_idx, load_idx_split, make_blobs, split
+from .data import (
+    SplitSpec,
+    _read_idx,
+    load_idx,
+    load_idx_split,
+    make_blobs,
+    split,
+    split_fingerprints,
+)
 from .errors import SOURCES, InputError, SelectionError, json_kind
 from .nn import Dataset, MlpArchitecture
 from .schedule import CycleConfig
@@ -164,26 +172,39 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset, MlpArchitecture]:
     """Materialize (train, val, test) and the matching architecture."""
-    ds, seed = config.dataset, config.seed
+    ds = config.dataset
     if isinstance(ds, BlobsData):
-        k, dim, spread = ds.num_classes, ds.dim, ds.spread
-        pool = make_blobs(k, ds.per_class, dim, spread, seed=seed, centers_seed=seed)
-        train, val = split(pool, SplitSpec(config.val_fraction, seed))
-        test_seed = seed + TEST_SEED_OFFSET
-        test_n = ds.per_class if ds.test_per_class is None else ds.test_per_class
-        test = make_blobs(k, test_n, dim, spread, seed=test_seed, centers_seed=seed)
+        pool = _blobs_pool(ds, config.seed)
+        train, val = split(pool, SplitSpec(config.val_fraction, config.seed))
     else:
         # the pool is split as uint8 pixels before the test set loads, so each float
         # matrix is held once
         train, val = load_idx_split(
-            ds.train_images, ds.train_labels, SplitSpec(config.val_fraction, seed),
+            ds.train_images, ds.train_labels, SplitSpec(config.val_fraction, config.seed),
             ds.limit, ds.num_classes,
         )
-        test = load_idx(ds.test_images, ds.test_labels, ds.test_limit, train.num_classes)
-        if test.dim != train.dim:
-            raise InputError(f"{ds.test_images}: {test.dim} features, training has {train.dim}")
+    test = _test_set(config, train.num_classes, train.dim)
     arch = MlpArchitecture((train.dim, *config.hidden, train.num_classes))
     return train, val, test, arch
+
+
+def _blobs_pool(ds: BlobsData, seed: int) -> Dataset:
+    return make_blobs(ds.num_classes, ds.per_class, ds.dim, ds.spread, seed=seed, centers_seed=seed)
+
+
+def _test_set(config: ExperimentConfig, num_classes: int, dim: int) -> Dataset:
+    """config's test set, for a pool of num_classes classes and dim features."""
+    ds, seed = config.dataset, config.seed
+    if isinstance(ds, BlobsData):
+        test_n = ds.per_class if ds.test_per_class is None else ds.test_per_class
+        return make_blobs(
+            ds.num_classes, test_n, ds.dim, ds.spread, seed=seed + TEST_SEED_OFFSET,
+            centers_seed=seed,
+        )
+    test = load_idx(ds.test_images, ds.test_labels, ds.test_limit, num_classes)
+    if test.dim != dim:
+        raise InputError(f"{ds.test_images}: {test.dim} features, training has {dim}")
+    return test
 
 
 def _fmt(v) -> str:
@@ -200,14 +221,28 @@ def _write_csv(path: Path, columns: tuple[str, ...], rows: list[tuple]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _split_prints(config: ExperimentConfig) -> tuple[tuple[str, str], int, int]:
+    """The fingerprints of build_datasets' (train, val), their class count and feature
+    width, with its errors up to the test set, in its order; train and val are not built."""
+    ds = config.dataset
+    # build_datasets checks the fraction after making a blobs pool, before reading an IDX one
+    if isinstance(ds, BlobsData):
+        pool = _blobs_pool(ds, config.seed)
+        spec = SplitSpec(config.val_fraction, config.seed)
+        rows, labels, k = pool.features, pool.labels, pool.num_classes
+    else:  # uint8 pixel rows that view the file's bytes
+        spec = SplitSpec(config.val_fraction, config.seed)
+        rows, labels, k = _read_idx(ds.train_images, ds.train_labels, ds.limit, ds.num_classes)
+    return split_fingerprints(rows, labels, k, spec), k, rows.shape[1]
+
+
 def _store_test_set(config: ExperimentConfig, store: SnapshotStore) -> Dataset:
     """The test set of config, the one dataset a store command reads; warns when the store
-    was trained on different data than config produces."""
-    train, val, test, _ = build_datasets(config)
-    if (
-        store.train_fingerprint != fingerprint(train)
-        or store.val_fingerprint != fingerprint(val)
-    ):
+    was trained on different data than config produces. The pool is fingerprinted and
+    let go before the test set is built."""
+    prints, k, dim = _split_prints(config)
+    test = _test_set(config, k, dim)
+    if prints != (store.train_fingerprint, store.val_fingerprint):
         warnings.warn(
             "store was trained on different data than this config produces; "
             "weights may be stale"
@@ -332,6 +367,7 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
     t0 = time.perf_counter()
     store, *others = train_runs(arch, train, val, config.cycle, seeds, plans, config.batch_size)
     train_time = time.perf_counter() - t0
+    del train, val  # every row is scored on test
     finals = [store.snapshots[-1]] + [run.snapshots[0] for run in others]
     metrics = _scorer(test, [*store.snapshots, *finals[1:]])
 

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 import struct
 import warnings
+import zlib
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -68,8 +71,17 @@ class Snapshot:
             raise InputError(f"unknown snapshot tag {self.tag!r}, expected one of {TAGS}")
         for name in ("lr_at_capture", "train_nll", "val_nll"):
             v = getattr(self, name)
-            if not np.isfinite(v):
+            # the store holds it as a JSON number, which a bool is not; a numpy number
+            # is kept as the float it equals, which JSON can write
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise InputError(f"snapshot {name} must be a number, got {v!r}")
+            try:
+                v = float(v)
+            except OverflowError:  # an integer too large for a float
+                v = math.inf
+            if not math.isfinite(v):
                 raise InputError(f"snapshot {name} must be finite, got {v}")
+            setattr(self, name, v)
         if self.train_nll < 0.0 or self.val_nll < 0.0:
             raise InputError("snapshot NLLs must be non-negative")
 
@@ -397,11 +409,54 @@ def _field(obj, key: str, hint: type):
     return json_kind(hint, obj[key], repr(key))
 
 
+class _Payload:
+    """The parameter payload of a loaded store file, read one snapshot at a time.
+
+    `load_store` records the file's identity and size and a CRC-32 of each snapshot's
+    bytes; each read checks all three, so a file replaced, truncated or rewritten
+    since the load raises FormatError instead of giving other parameters.
+    """
+
+    def __init__(self, path, stat: os.stat_result, offset: int, arch: MlpArchitecture):
+        self.path, self.offset, self.arch = path, offset, arch
+        self.file = os.path.abspath(path)  # the same file after a change of directory
+        self.identity = (stat.st_dev, stat.st_ino, stat.st_size)
+        self.crcs: list[int] = []  # one per snapshot, appended by load_store
+
+    def read(self, i: int) -> np.ndarray:
+        values = np.empty(self.arch.num_params, dtype="<f8")
+        with open(self.file, "rb", buffering=0) as f:
+            stat = os.fstat(f.fileno())
+            if (stat.st_dev, stat.st_ino, stat.st_size) != self.identity:
+                raise FormatError(f"{self.path}: store file changed since it was loaded")
+            f.seek(self.offset + i * values.nbytes)
+            if f.readinto(values) != values.nbytes:
+                raise TruncatedFileError(f"{self.path}: parameter payload ended early")
+        if zlib.crc32(values) != self.crcs[i]:
+            raise FormatError(f"{self.path}: store file changed since it was loaded")
+        # the bytes load_store checked; kept as they are where "<f8" is the native float64
+        return _read_only(values.astype(np.float64, copy=False))
+
+
+class _StoredParams(ParamVector):
+    """A loaded snapshot's parameters, left in the store file: `values` reads them on
+    each use and nothing keeps them, so a loaded store holds no payload."""
+
+    def __init__(self, payload: _Payload, index: int):
+        self._payload, self._index, self.arch = payload, index, payload.arch
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._payload.read(self._index)
+
+
 def load_store(path: str | Path) -> SnapshotStore:
     """Read a store written by save_store; round-trips bit-exactly.
 
-    The header is read first, then each snapshot's parameters in turn, so the
-    file is never held whole next to the parameter vectors made from it.
+    Every check runs here: the header, then each snapshot's parameters in turn,
+    streamed through one reused buffer. The store keeps none of them: a snapshot's
+    `params.values` reads its payload from the file on each use, and the file must
+    not change while the store is in use.
     """
     with open(path, "rb") as f:
         buf = f.read(len(STORE_MAGIC))
@@ -416,7 +471,8 @@ def load_store(path: str | Path) -> SnapshotStore:
         if version != STORE_VERSION:
             raise BadVersionError(f"{path}: store version {version}, expected {STORE_VERSION}")
         ofs = len(STORE_MAGIC) + 6
-        size = os.fstat(f.fileno()).st_size
+        stat = os.fstat(f.fileno())
+        size = stat.st_size
         if size < ofs + header_len:
             raise TruncatedFileError(f"{path}: truncated store header")
         try:
@@ -449,16 +505,19 @@ def load_store(path: str | Path) -> SnapshotStore:
                 f"{path}: parameter payload is {size - ofs} bytes, expected {expected}"
             )
 
+        payload = _Payload(path, stat, ofs, arch)
+        values = np.empty(param_count, dtype="<f8")
         snapshots = []
         try:
-            for meta in snap_meta:
-                values = np.empty(param_count, dtype="<f8")
+            for i, meta in enumerate(snap_meta):
                 if f.readinto(values) != values.nbytes:
                     raise TruncatedFileError(f"{path}: parameter payload ended early")
+                if not np.isfinite(values).all():  # ParamVector's check and message
+                    raise InputError("parameter vector contains non-finite values")
+                payload.crcs.append(zlib.crc32(values))
                 snapshots.append(
                     Snapshot(
-                        # kept as it is where "<f8" is the native float64
-                        params=ParamVector(_read_only(values), arch),
+                        params=_StoredParams(payload, i),
                         iteration=_field(meta, "iteration", int),
                         lr_at_capture=float(_field(meta, "lr_at_capture", float)),
                         train_nll=float(_field(meta, "train_nll", float)),

@@ -17,7 +17,8 @@ from snapstack import (
     make_blobs,
     split,
 )
-from snapstack.data import load_idx_split
+from snapstack import data as data_module
+from snapstack.data import _read_idx, load_idx_split, split_fingerprints
 
 
 class TestMakeBlobs:
@@ -182,6 +183,52 @@ class TestLoadIdxSplit:
             load_idx_split(img, lbl, SplitSpec(0.5, 0), num_classes=3)
         assert str(got.value) == str(want.value)
         assert "labels must lie in [0, 3), got range [0, 5]" in str(got.value)
+
+
+class TestSplitFingerprints:
+    """split_fingerprints equals the fingerprints of split's parts: of an IDX pool's uint8
+    pixels, which it scales as load_idx does, and of float features; errors too."""
+
+    # whole chunks, a chunk of one row, and chunks that end inside each part
+    CHUNKS = [None, 1, 3]
+
+    @pytest.mark.parametrize("chunk_rows", CHUNKS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_idx_pool(self, tmp_path, monkeypatch, chunk_rows, seed):
+        rng = np.random.default_rng([seed, 26])
+        n, side = int(rng.integers(10, 60)), int(rng.integers(1, 9))
+        img, lbl = write_idx_pair(
+            tmp_path, rng.integers(0, 256, (n, side, side)), rng.integers(0, 10, n)
+        )
+        limit = [None, int(rng.integers(5, n + 1))][seed % 2]
+        spec = SplitSpec(float(rng.uniform(0.1, 0.45)), seed)
+        if chunk_rows is not None:
+            monkeypatch.setattr(data_module, "_CHUNK_BYTES", 8 * side * side * chunk_rows)
+        got = split_fingerprints(*_read_idx(img, lbl, limit, None), spec)
+        assert got == tuple(map(fingerprint, split(load_idx(img, lbl, limit), spec)))
+
+    @pytest.mark.parametrize("chunk_rows", CHUNKS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_blobs_pool(self, monkeypatch, chunk_rows, seed):
+        rng = np.random.default_rng([seed, 27])
+        dim = int(rng.integers(2, 9))
+        pool = make_blobs(int(rng.integers(2, 5)), int(rng.integers(5, 40)), dim, 0.7, seed=seed)
+        spec = SplitSpec(float(rng.uniform(0.1, 0.45)), seed)
+        if chunk_rows is not None:
+            monkeypatch.setattr(data_module, "_CHUNK_BYTES", 8 * dim * chunk_rows)
+        got = split_fingerprints(pool.features, pool.labels, pool.num_classes, spec)
+        assert got == tuple(map(fingerprint, split(pool, spec)))
+
+    @pytest.mark.parametrize("labels, num_classes", [([0, 1], None), ([0, 5], 3)],
+                             ids=["split-error", "label-error-first"])
+    def test_errors_equal_split_of_load(self, tmp_path, labels, num_classes):
+        # 2 rows cannot be split; a label outside the classes fails before that
+        img, lbl = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), labels)
+        with pytest.raises(InputError) as want:
+            split(load_idx(img, lbl, num_classes=num_classes), SplitSpec(0.5, 0))
+        with pytest.raises(InputError) as got:
+            split_fingerprints(*_read_idx(img, lbl, None, num_classes), SplitSpec(0.5, 0))
+        assert str(got.value) == str(want.value)
 
 
 class TestSplit:

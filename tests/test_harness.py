@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,31 @@ class TestSweepTemperature:
         with pytest.warns(UserWarning, match="different data"):
             cmd_sweep_temperature(other, store, "min", "train", tmp_path)
 
+    @pytest.mark.parametrize("top, dataset, stale", [
+        pytest.param({}, {}, False, id="same"),
+        pytest.param({}, {"test_limit": 300}, False, id="test-limit"),  # not fingerprinted
+        pytest.param({"seed": 1}, {}, True, id="seed"),
+        pytest.param({"val_fraction": 0.25}, {}, True, id="fraction"),
+        pytest.param({}, {"limit": 900}, True, id="limit"),
+        pytest.param({}, None, True, id="test-as-pool"),
+    ])
+    def test_stale_idx_store_warns(self, idx_store, tmp_path, top, dataset, stale):
+        # the pool's split is fingerprinted as it is read, without building train or val
+        raw, store_path = idx_store
+        ds = raw["dataset"]
+        if dataset is None:  # the test files as the pool, and the pool's as the test set
+            dataset = {f"{a}_{kind}": ds[f"{b}_{kind}"] for a, b in (("train", "test"),
+                       ("test", "train")) for kind in ("images", "labels")}
+        cfg = config_from_dict({**raw, **top, "dataset": {**ds, **dataset}})
+        store = load_store(store_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cmd_sweep_temperature(cfg, store, "min", "train", tmp_path)
+        assert [str(w.message) for w in caught] == stale * [
+            "store was trained on different data than this config produces; "
+            "weights may be stale"
+        ]
+
 
 class TestSweepOffset:
     def test_rows_per_available_offset(self, tmp_path):
@@ -455,6 +481,189 @@ def test_idx_build_holds_each_matrix_once(tmp_path):
         )
 
 
+def write_mnist_shaped(tmp_path, sizes: dict[str, int], seed: int = 0) -> dict:
+    """An IDX dataset config of MNIST-shaped images, a class prototype plus heavy pixel
+    noise, with the row count of each part ("train", "test") in sizes."""
+    from conftest import write_idx_pair
+
+    rng = np.random.default_rng([seed, 784])
+    shared = rng.random((28, 28)) < 0.15
+    prototypes = np.where(shared ^ (rng.random((10, 28, 28)) < 0.01), 200.0, 20.0)
+    paths = {}
+    for part, n in sizes.items():
+        labels = rng.integers(0, 10, n)
+        pixels = np.clip(prototypes[labels] + rng.normal(0.0, 120.0, (n, 28, 28)), 0.0, 255.0)
+        (tmp_path / part).mkdir()
+        paths[f"{part}_images"], paths[f"{part}_labels"] = map(
+            str, write_idx_pair(tmp_path / part, pixels, labels)
+        )
+    return {"kind": "idx", "num_classes": 10, **paths}
+
+
+@pytest.fixture(scope="module")
+def idx_store(tmp_path_factory):
+    """(raw config, store path): an MNIST-shaped pool of 1,000 images and 600 test
+    images, 784-32-10, and a store of 37 snapshots (7.5 MB), of which min+mid scores 10."""
+    tmp = tmp_path_factory.mktemp("idx_store")
+    raw = {
+        "dataset": write_mnist_shaped(tmp, {"train": 1000, "test": 600}),
+        "hidden": [32],
+        "cycle": {"alpha_min": 0.01, "alpha_max": 0.1, "cycle_len": 20, "total_iters": 100},
+        "seed": 0,
+        "batch_size": 32,
+        "window_halfwidth": 2,
+        "offsets": [-5, 5],
+        "offset_steps": 5,
+    }
+    return raw, cmd_train(config_from_dict(raw), tmp / "out")
+
+
+class TestStoreCommands:
+    """sweep-temp and sweep-offset read the test set and the snapshots they score, and
+    fail as they did when they built every dataset and read every payload at load."""
+
+    @pytest.mark.parametrize("argv", [["sweep-temp", "--policy", "min+mid"], ["sweep-offset"]])
+    def test_memory_holds_test_set_and_scored_snapshots(self, idx_store, tmp_path, argv):
+        # neither the pool's float matrix (6.3 MB) nor the store's payload (7.5 MB) is
+        # held: the traced peak is the test set, the snapshots scored and a fixed slack
+        raw, store_path = idx_store
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        store = load_store(store_path)
+        if argv[0] == "sweep-temp":
+            scored = {s.iteration for s in select(store, "min+mid")}
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the last cycle's +5 runs past the end
+                scored = {s.iteration for k in raw["offsets"] for s in select(store, "offset", k)}
+        snapshot_bytes = len(scored) * store.arch.num_params * 8
+        test_bytes = 600 * (784 + 1) * 8
+        assert len(store.snapshots) > 3 * len(scored)
+        argv = [*argv, "--config", str(cfg_path), "--store", str(store_path),
+                "--out-dir", str(tmp_path)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        slack = 3 * 2**20
+        assert peak <= test_bytes + snapshot_bytes + slack, (
+            f"peak {peak} bytes: test set {test_bytes}, {len(scored)} snapshots "
+            f"{snapshot_bytes}"
+        )
+
+    # config changes, from the files of an IDX pool (idx), an absent file (missing), a
+    # test set 3x3 pixels wide (narrow) and test labels outside the pool's classes (wide)
+    CORPUS = [
+        # a bad fraction fails after a bad blobs pool, before a missing IDX pool
+        pytest.param(lambda f: {"val_fraction": 1.5,
+                                "dataset": {**SMALL["dataset"], "per_class": 0}}, id="blobs-pool"),
+        pytest.param(lambda f: {"val_fraction": 1.5,
+                                "dataset": {**f["idx"], "train_images": f["missing"]}},
+                     id="fraction"),
+        pytest.param(lambda f: {"val_fraction": 0.6}, id="blobs-split"),
+        pytest.param(lambda f: {"dataset": {**SMALL["dataset"], "test_per_class": 0}},
+                     id="blobs-test"),
+        pytest.param(lambda f: {"dataset": {**f["idx"], "train_images": f["missing"],
+                                            "test_images": f["missing"] + "-test"}},
+                     id="idx-pool"),
+        # 3 rows cannot be split, and label 2 lies outside 2 classes
+        pytest.param(lambda f: {"dataset": {**f["idx"], "num_classes": 2, "limit": 3}},
+                     id="idx-labels"),
+        pytest.param(lambda f: {"dataset": {**f["idx"], "limit": 2}}, id="idx-split"),
+        pytest.param(lambda f: {"dataset": {**f["idx"], "test_images": f["missing"]}},
+                     id="idx-test"),
+        pytest.param(lambda f: {"dataset": {**f["idx"], "test_images": f["narrow_images"],
+                                            "test_labels": f["narrow_labels"]}},
+                     id="idx-test-width"),
+        pytest.param(lambda f: {"dataset": {**f["idx"], "test_labels": f["wide_labels"]}},
+                     id="idx-test-labels"),
+    ]
+
+    @pytest.mark.parametrize("changes", CORPUS)
+    def test_errors_equal_build_datasets(self, tmp_path, changes):
+        # the error that building every dataset gives, and the first of two
+        from conftest import write_idx_pair
+
+        rng = np.random.default_rng(0)
+        files = {"missing": str(tmp_path / "missing.idx")}
+        for part, n, side, classes in (("train", 60, 4, 3), ("test", 50, 4, 3),
+                                       ("narrow", 50, 3, 3), ("wide", 50, 4, 5)):
+            (tmp_path / part).mkdir()
+            files[f"{part}_images"], files[f"{part}_labels"] = map(str, write_idx_pair(
+                tmp_path / part, rng.integers(0, 256, (n, side, side)), np.arange(n) % classes
+            ))
+        files["idx"] = {"kind": "idx", **{f"{part}_{kind}": files[f"{part}_{kind}"]
+                                          for part in ("train", "test")
+                                          for kind in ("images", "labels")}}
+        cfg = small_config(**changes(files))
+        with pytest.raises(Exception) as want:
+            build_datasets(cfg)
+        store = load_store(cmd_train(small_config(), tmp_path / "out"))
+        with pytest.raises(Exception) as got:
+            experiment._store_test_set(cfg, store)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda raw: raw[:-100], id="truncated"),
+        pytest.param(lambda raw: b"\xff" + raw[1:], id="magic"),
+    ])
+    @pytest.mark.parametrize("part", ["images", "labels"])
+    @pytest.mark.parametrize("command", ["sweep-temp", "sweep-offset"])
+    def test_damaged_pool_fails_as_it_did(self, idx_store, tmp_path, capsys, damage, part,
+                                          command):
+        # exit 3 with the message that building the pool gives
+        raw, store_path = idx_store
+        raw = json.loads(json.dumps(raw))
+        damaged = tmp_path / f"pool-{part}.idx"
+        damaged.write_bytes(damage(Path(raw["dataset"][f"train_{part}"]).read_bytes()))
+        raw["dataset"][f"train_{part}"] = str(damaged)
+        with pytest.raises(FormatError) as want:
+            build_datasets(config_from_dict(raw))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path), "--store", str(store_path),
+                     "--out-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"error: {want.value}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("change", [
+        pytest.param(lambda raw, n: raw[:-n], id="truncated"),
+        # the last 7 vectors rotated by one: each a valid one, in another snapshot's place
+        pytest.param(lambda raw, n: raw[: -7 * n] + raw[-n:] + raw[-7 * n : -n], id="rewritten"),
+    ])
+    @pytest.mark.parametrize("command", ["sweep-temp", "sweep-offset"])
+    def test_store_changed_after_load_exits_3(self, tmp_path, capsys, monkeypatch, change,
+                                              command):
+        # the payload is read when it is scored; a store file changed since its load
+        # fails the command there, and nothing is scored on other parameters
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(SMALL))
+        store_path = cmd_train(small_config(), tmp_path / "store")
+        n = 8 * load_store(store_path).arch.num_params
+        real_load = experiment.load_store
+
+        def load_then_change(path):
+            store = real_load(path)
+            Path(path).write_bytes(change(Path(path).read_bytes(), n))
+            return store
+
+        monkeypatch.setattr(experiment, "load_store", load_then_change)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--store", str(store_path),
+                     "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {re.escape(str(store_path))}: store file changed since "
+                            r"it was loaded\n", err), err
+        assert not out.exists()
+
+
 # train, sweep-temp and compare in one interpreter: argv is the config path and
 # the output directory; exits 1 on the first command that fails
 RUN_COMMANDS = """
@@ -473,23 +682,9 @@ def test_blas_threads_change_no_parameter(tmp_path):
     # criterion 8's bytes hold at a fixed BLAS thread count: at d=784 the scoring
     # GEMMs may sum in another order at 2 threads, so the NLLs may move in the last
     # bits, while training's small GEMMs, and so every snapshot, must not
-    from conftest import write_idx_pair
-
-    rng = np.random.default_rng([0, 784])
-    # MNIST-shaped images: a class prototype plus heavy pixel noise
-    shared = rng.random((28, 28)) < 0.15
-    prototypes = np.where(shared ^ (rng.random((10, 28, 28)) < 0.01), 200.0, 20.0)
-    paths = {}
-    for part, n in (("train", 200), ("test", 400)):
-        labels = rng.integers(0, 10, n)
-        pixels = np.clip(prototypes[labels] + rng.normal(0.0, 120.0, (n, 28, 28)), 0.0, 255.0)
-        (tmp_path / part).mkdir()
-        paths[f"{part}_images"], paths[f"{part}_labels"] = map(
-            str, write_idx_pair(tmp_path / part, pixels, labels)
-        )
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({
-        "dataset": {"kind": "idx", "num_classes": 10, **paths},
+        "dataset": write_mnist_shaped(tmp_path, {"train": 200, "test": 400}),
         "hidden": [32],
         "cycle": {"alpha_min": 0.01, "alpha_max": 0.1, "cycle_len": 40, "total_iters": 200},
         "seed": 0,

@@ -176,6 +176,7 @@ class TestRecordChecks:
         pytest.param(lambda: snap_at(10.7), "iteration must be an integer", id="float-iteration"),
         pytest.param(lambda: snap_at(True), "iteration must be an integer", id="bool-iteration"),
         pytest.param(lambda: snap_at(0, nll=-0.5), "NLLs must be non-negative", id="negative-nll"),
+        pytest.param(lambda: snap_at(0, nll=10**400), "must be finite", id="huge-int-nll"),
         pytest.param(
             lambda: SnapshotStore("r", ARCH, CFG, 0, "", "", [snap_at(5), snap_at(5)]),
             "strictly increasing", id="iteration-repeated",
@@ -193,6 +194,23 @@ class TestRecordChecks:
     def test_rejects(self, make, match):
         with pytest.raises(InputError, match=match):
             make()
+
+    @pytest.mark.parametrize("name", ["lr_at_capture", "train_nll", "val_nll"])
+    @pytest.mark.parametrize("value", [True, np.True_, "0.5", None])
+    def test_rejects_a_stat_that_is_no_number(self, name, value):
+        # the store holds each stat as a JSON number, which load_store would refuse
+        stats = {"lr_at_capture": 0.1, "train_nll": 0.5, "val_nll": 0.5, name: value}
+        with pytest.raises(InputError, match=f"{name} must be a number"):
+            Snapshot(init_params(ARCH, 0), 1, tag="min", **stats)
+
+    @pytest.mark.parametrize("value", [1, 0.25, np.float64(0.3), np.float32(0.3), np.int64(2)])
+    def test_numeric_stats_round_trip(self, tmp_path, value):
+        snap = Snapshot(init_params(ARCH, 0), 1, value, value, value, "min")
+        assert all(type(v) is float and v == value
+                   for v in (snap.lr_at_capture, snap.train_nll, snap.val_nll))
+        store = SnapshotStore("r", ARCH, CFG, 0, "", "", [snap])
+        save_store(store, tmp_path / "run.snap")
+        assert load_store(tmp_path / "run.snap") == store
 
 
 class TestTrainRuns:
@@ -476,6 +494,19 @@ class TestSelect:
                     select(store, "min+mid")
 
 
+def _swap_last_payloads(path):
+    # a rewrite in place, of the same size, whose every vector is a valid, finite one
+    raw, n = path.read_bytes(), 8 * ARCH.num_params
+    path.write_bytes(raw[: -2 * n] + raw[-n:] + raw[-2 * n : -n])
+
+
+def _replace_with_copy(path):
+    # the same bytes in another file, renamed over the store
+    copy = path.with_name("copy.snap")
+    copy.write_bytes(path.read_bytes())
+    copy.replace(path)
+
+
 class TestStoreIO:
     def test_round_trip_exact(self, tmp_path):
         store = small_run(plan_captures(CFG, window_halfwidth=1))
@@ -483,9 +514,9 @@ class TestStoreIO:
         save_store(store, path)
         assert load_store(path) == store
 
-    def test_load_holds_the_file_about_once(self, tmp_path):
-        # an idx784-shaped store: the parameters are read one snapshot at a time,
-        # never from a whole-file buffer held next to the vectors made from it
+    @staticmethod
+    def idx784_shaped_store(path) -> SnapshotStore:
+        """40 snapshots of 784-32-10 (8.1 MB), saved to path."""
         arch = MlpArchitecture((784, 32, 10))
         rng = np.random.default_rng(0)
         snaps = tuple(
@@ -495,8 +526,14 @@ class TestStoreIO:
         )
         store = SnapshotStore(run_id="idx784-shaped", arch=arch, cfg=CycleConfig(0.01, 0.1, 100, 500),
                               seed=0, train_fingerprint="", val_fingerprint="", snapshots=snaps)
-        path = tmp_path / "run.snap"
         save_store(store, path)
+        return store
+
+    def test_load_holds_the_file_about_once(self, tmp_path):
+        # an idx784-shaped store: the parameters are read one snapshot at a time,
+        # never from a whole-file buffer held next to the vectors made from it
+        path = tmp_path / "run.snap"
+        store = self.idx784_shaped_store(path)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -507,6 +544,67 @@ class TestStoreIO:
         assert loaded == store
         size = path.stat().st_size
         assert peak <= 1.1 * size, f"peak {peak} bytes for a {size}-byte store"
+
+    def test_load_keeps_no_payload(self, tmp_path):
+        # the payload is checked through one [P] buffer and left in the file: a
+        # snapshot's parameters are read when they are used, and nothing keeps them
+        path = tmp_path / "run.snap"
+        store = self.idx784_shaped_store(path)
+        vector = store.arch.num_params * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_store(path)
+            held, peak = (m - before for m in tracemalloc.get_traced_memory())
+            values = loaded.snapshots[7].params.values
+            read = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * vector + 100_000, f"peak {peak} bytes, one vector is {vector}"
+        assert held <= 100_000, f"the loaded store holds {held} bytes"
+        assert read - held >= vector  # the read gives a fresh array
+        assert np.array_equal(values, store.snapshots[7].params.values)
+        assert loaded == store
+
+    def test_non_finite_payload_fails_at_load(self, tmp_path):
+        store = small_run(plan_captures(CFG))
+        path = tmp_path / "run.snap"
+        save_store(store, path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, len(raw) - 8 * ARCH.num_params, np.nan)  # the last one's
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="non-finite"):
+            load_store(path)
+
+    # (change, how many snapshots from the last fail to read; None: all of them)
+    CHANGES = [
+        pytest.param(lambda path: path.write_bytes(path.read_bytes()[:-8]), None, id="truncated"),
+        pytest.param(lambda path: path.write_bytes(b""), None, id="emptied"),
+        pytest.param(lambda path: path.write_bytes(path.read_bytes() + bytes(8)), None,
+                     id="extended"),
+        pytest.param(lambda path: _replace_with_copy(path), None, id="replaced"),
+        pytest.param(lambda path: _swap_last_payloads(path), 2, id="rewritten"),
+        pytest.param(lambda path: path.write_bytes(path.read_bytes()), 0, id="same-bytes"),
+    ]
+
+    @pytest.mark.parametrize("change, failing", CHANGES)
+    def test_file_changed_after_load_fails_at_use(self, tmp_path, change, failing):
+        # a read gives the bytes load_store checked, or raises FormatError naming the
+        # file; a file replaced, or of another size, fails every read
+        store = small_run(plan_captures(CFG))
+        path = tmp_path / "run.snap"
+        save_store(store, path)
+        loaded = load_store(path)
+        count = len(loaded.snapshots)
+        assert count > 2
+        change(path)
+        first_failing = 0 if failing is None else count - failing
+        for i, (snap, kept) in enumerate(zip(loaded.snapshots, store.snapshots)):
+            if i < first_failing:
+                assert np.array_equal(snap.params.values, kept.params.values)
+            else:
+                with pytest.raises(FormatError, match=re.escape(str(path))):
+                    snap.params.values
 
     def test_payload_is_each_vector_little_endian(self, tmp_path):
         store = small_run(plan_captures(CFG, window_halfwidth=1))
