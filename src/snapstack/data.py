@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,26 +230,31 @@ def split_fingerprints(
     _check_labels(labels, num_classes)  # the pool's label error comes before the split's
     parts = _split_rows(labels.size, spec)
     chunk = np.empty((max(1, _CHUNK_BYTES // (8 * rows.shape[1])), rows.shape[1]))
-    prints = []
-    for part in parts:
-        h = hashlib.sha256(str(num_classes).encode())
+
+    def scaled_chunks(part):
         for start in range(0, len(part), len(chunk)):
             idx = part[start : start + len(chunk)]
             buf = chunk[: len(idx)]
             buf[...] = rows[idx]
             if rows.dtype == np.uint8:
                 buf /= 255.0
-            h.update(buf)
-        h.update(np.ascontiguousarray(labels[part], dtype=np.int64))
-        prints.append(h.hexdigest())
+            yield buf
+
+    prints = [_digest(num_classes, scaled_chunks(part), labels[part]) for part in parts]
     return prints[0], prints[1]
+
+
+def _digest(num_classes: int, feature_chunks: Iterable[np.ndarray], labels: np.ndarray) -> str:
+    """SHA-256 of the class count, the float64 feature rows chunk by chunk in row order,
+    then the int64 labels: the bytes of a dataset's fingerprint."""
+    h = hashlib.sha256(str(num_classes).encode())
+    for chunk in feature_chunks:
+        # hash the C-ordered buffers in place; the bytes are those of tobytes()
+        h.update(np.ascontiguousarray(chunk, dtype=np.float64))
+    h.update(np.ascontiguousarray(labels, dtype=np.int64))
+    return h.hexdigest()
 
 
 def fingerprint(data: Dataset) -> str:
     """Content hash of a dataset, for store metadata."""
-    h = hashlib.sha256()
-    h.update(str(data.num_classes).encode())
-    # hash the C-ordered buffers in place; the bytes are those of tobytes()
-    h.update(np.ascontiguousarray(data.features))
-    h.update(np.ascontiguousarray(data.labels))
-    return h.hexdigest()
+    return _digest(data.num_classes, [data.features], data.labels)

@@ -379,13 +379,22 @@ def save_store(store: SnapshotStore, path: str | Path) -> None:
     path = Path(path)
     header = _header_dict(store)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
-        f.write(STORE_MAGIC)
-        f.write(struct.pack("<H", STORE_VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for snap in store.snapshots:  # the array's own buffer, when it is already "<f8"
-            f.write(np.ascontiguousarray(snap.params.values, dtype="<f8"))
+    # written beside path, then renamed over it: a store loaded from path reads its
+    # payload from that file while this runs, so it must not be truncated in place
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as f:
+            f.write(STORE_MAGIC)
+            f.write(struct.pack("<H", STORE_VERSION))
+            f.write(struct.pack("<I", len(blob)))
+            f.write(blob)
+            for snap in store.snapshots:  # the array's own buffer, when it is already "<f8"
+                f.write(np.ascontiguousarray(snap.params.values, dtype="<f8"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     sidecar = {
         "run_id": store.run_id,
         "seed": store.seed,

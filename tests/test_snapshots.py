@@ -514,6 +514,32 @@ class TestStoreIO:
         save_store(store, path)
         assert load_store(path) == store
 
+    def test_save_over_its_own_source(self, tmp_path):
+        # a loaded store reads its payload from the file it is being saved over
+        store = small_run(plan_captures(CFG, window_halfwidth=1))
+        path = tmp_path / "run.snap"
+        save_store(store, path)
+        data = path.read_bytes()
+        loaded = load_store(path)
+        save_store(loaded, path)
+        assert path.read_bytes() == data
+        assert load_store(path) == store
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.snap", "run.snap.meta.json"]
+        # the loaded store's file was replaced: its reads fail, never give other bytes
+        with pytest.raises(FormatError, match="changed since it was loaded"):
+            loaded.snapshots[0].params.values
+
+    def test_failed_save_leaves_no_file(self, tmp_path):
+        store = small_run(plan_captures(CFG, window_halfwidth=1))
+        path = tmp_path / "run.snap"
+        save_store(store, path)
+        loaded = load_store(path)
+        with open(path, "r+b") as f:
+            f.truncate(path.stat().st_size - 8)
+        with pytest.raises(FormatError):
+            save_store(loaded, tmp_path / "out.snap")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.snap", "run.snap.meta.json"]
+
     @staticmethod
     def idx784_shaped_store(path) -> SnapshotStore:
         """40 snapshots of 784-32-10 (8.1 MB), saved to path."""
