@@ -1,10 +1,14 @@
-"""Exception types shared across the package, the JSON kind check of its readers,
-and the names of the selection policies and weighting sources.
+"""Exception types shared across the package, the JSON kind check of the config reader
+and the store header's dataclasses, and the names of the selection policies and
+weighting sources.
 
 The CLI maps these onto exit codes: InputError -> 1, TrainingError and
 SelectionError -> 2, FormatError and OS-level failures -> 3. Everything here is
 standard library, so the CLI's parser reads the name lists without loading numpy.
 """
+
+import math
+import numbers
 
 
 class SnapstackError(Exception):
@@ -51,18 +55,26 @@ class ArchMismatchError(FormatError):
 POLICIES = ("min", "mid", "min+mid", "window", "offset")
 SOURCES = ("train", "validation")
 
-# the JSON values each Python type takes: Python counts a bool as an int, JSON does not
+# the values each Python type takes as a JSON kind, numpy's scalars too: Python counts a
+# bool as an integer, JSON does not
 _JSON_KINDS = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+    str: (str, "a string"),
 }
 
 
 def json_kind(hint: type, value, what: str):
-    """value, parsed from JSON, if it is of the JSON kind that hint (int, float or str)
-    takes; otherwise InputError naming what."""
-    types, name = _JSON_KINDS[hint]
-    if type(value) not in types:
+    """value as the plain int, float or str that JSON writes, if it is of the JSON kind that
+    hint (int, float or str) takes and, as a float, finite; otherwise InputError naming what.
+    """
+    kind, name = _JSON_KINDS[hint]
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise InputError(f"{what} must be {name}, got {value!r}")
+    try:
+        value = hint(value)
+    except OverflowError:  # an integer too large for a float
+        value = math.inf
+    if hint is float and not math.isfinite(value):
+        raise InputError(f"{what} must be finite, got {value}")
     return value

@@ -156,13 +156,7 @@ def _value(hint, key: str, value):
                 names = " or ".join(repr(cls.kind) for cls in kinds)
                 raise InputError(f"{key}.kind must be {names}, got {value.get('kind')!r}")
         return hint(**_section(value, hint, key + "."))
-    try:
-        value = hint(json_kind(hint, value, f"config key {key!r}"))
-    except OverflowError:  # an integer too large for a float
-        value = math.inf
-    if hint is float and not math.isfinite(value):
-        raise InputError(f"config key {key!r} must be a finite number")
-    return value
+    return json_kind(hint, value, f"config key {key!r}")
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

@@ -9,14 +9,13 @@ buffers a caller hands in to be written.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, islice
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, json_kind
 
 # Clamp applied to predicted probabilities before log so a confident wrong
 # prediction yields a large finite loss instead of inf.
@@ -30,12 +29,10 @@ class MlpArchitecture:
     layer_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        # a bool is an Integral, but no layer is True wide
-        if not all(
-            isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in self.layer_sizes
-        ):
-            raise InputError(f"layer sizes must be integers, got {self.layer_sizes!r}")
-        sizes = tuple(int(s) for s in self.layer_sizes)
+        try:  # no layer is True wide
+            sizes = tuple(json_kind(int, s, "a layer size") for s in self.layer_sizes)
+        except InputError:
+            raise InputError(f"layer sizes must be integers, got {self.layer_sizes!r}") from None
         object.__setattr__(self, "layer_sizes", sizes)
         if len(sizes) < 2:
             raise InputError("architecture needs at least input and output layers")
@@ -115,7 +112,7 @@ class ParamVector:
 def _check_labels(labels: np.ndarray, num_classes: int) -> None:
     """Raise unless num_classes is a positive integer and every label lies in
     [0, num_classes)."""
-    if not isinstance(num_classes, numbers.Integral) or num_classes < 1:
+    if json_kind(int, num_classes, "num_classes") < 1:
         raise InputError(f"num_classes must be a positive integer, got {num_classes!r}")
     if labels.min() < 0 or labels.max() >= num_classes:
         raise InputError(

@@ -8,10 +8,9 @@ iteration, not epoch, so capture policies can address exact trajectory points.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, json_kind
 
 
 @dataclass(frozen=True)
@@ -22,13 +21,14 @@ class CycleConfig:
     total_iters: int
 
     def __post_init__(self):
+        # a store header holds each as a JSON number; numpy's are kept as the plain one
+        for name, hint in (("alpha_min", float), ("alpha_max", float),
+                           ("cycle_len", int), ("total_iters", int)):
+            object.__setattr__(self, name, json_kind(hint, getattr(self, name), name))
         if not (0.0 < self.alpha_min < self.alpha_max):
             raise InputError(
                 f"need 0 < alpha_min < alpha_max, got {self.alpha_min}, {self.alpha_max}"
             )
-        for name in ("cycle_len", "total_iters"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise InputError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.cycle_len < 2:
             raise InputError(f"cycle_len must be at least 2, got {self.cycle_len}")
         if self.total_iters < self.cycle_len:

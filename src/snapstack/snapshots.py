@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
 import struct
 import warnings
@@ -13,7 +11,6 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -64,24 +61,14 @@ class Snapshot:
     tag: str
 
     def __post_init__(self):
-        json_kind(int, self.iteration, "iteration")  # the store holds it as a JSON integer
+        # the store header holds each number as the plain one JSON writes
+        self.iteration = json_kind(int, self.iteration, "iteration")
         if self.iteration < 0:
             raise InputError(f"iteration must be non-negative, got {self.iteration}")
         if self.tag not in TAGS:
             raise InputError(f"unknown snapshot tag {self.tag!r}, expected one of {TAGS}")
         for name in ("lr_at_capture", "train_nll", "val_nll"):
-            v = getattr(self, name)
-            # the store holds it as a JSON number, which a bool is not; a numpy number
-            # is kept as the float it equals, which JSON can write
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise InputError(f"snapshot {name} must be a number, got {v!r}")
-            try:
-                v = float(v)
-            except OverflowError:  # an integer too large for a float
-                v = math.inf
-            if not math.isfinite(v):
-                raise InputError(f"snapshot {name} must be finite, got {v}")
-            setattr(self, name, v)
+            setattr(self, name, json_kind(float, getattr(self, name), f"snapshot {name}"))
         if self.train_nll < 0.0 or self.val_nll < 0.0:
             raise InputError("snapshot NLLs must be non-negative")
 
@@ -99,6 +86,9 @@ class SnapshotStore:
     snapshots: tuple[Snapshot, ...]
 
     def __post_init__(self):
+        for name, hint in (("run_id", str), ("seed", int),
+                           ("train_fingerprint", str), ("val_fingerprint", str)):
+            setattr(self, name, json_kind(hint, getattr(self, name), name))
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
         self.snapshots = tuple(self.snapshots)
@@ -409,15 +399,6 @@ def save_store(store: SnapshotStore, path: str | Path) -> None:
     Path(str(path) + ".meta.json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
-# the JSON kind of each cfg key: the type of its CycleConfig field
-_CFG_KINDS = get_type_hints(CycleConfig)
-
-
-def _field(obj, key: str, hint: type):
-    """obj[key] of a store header, which must be of the JSON kind hint takes (json_kind)."""
-    return json_kind(hint, obj[key], repr(key))
-
-
 class _Payload:
     """The parameter payload of a loaded store file, read one snapshot at a time.
 
@@ -490,17 +471,18 @@ def load_store(path: str | Path) -> SnapshotStore:
             raise FormatError(f"{path}: store header is not valid JSON ({e})") from e
         ofs += header_len
 
+        # the dataclasses are the header's schema: each refuses a missing or unknown key
+        # and a value of another JSON kind. ** and {**} take only a JSON object
         try:
-            sizes = header["arch"]["layer_sizes"]
-            arch = MlpArchitecture(tuple(json_kind(int, s, "a layer size") for s in sizes))
-            activation = header["arch"]["hidden_activation"]
+            fields = {**header}
+            arch_fields = {**fields.pop("arch")}
+            activation = arch_fields.pop("hidden_activation")
             if activation != HIDDEN_ACTIVATION:
                 raise InputError(f"unsupported hidden activation: {activation!r}")
-            cfg = CycleConfig(**header["cfg"])
-            for key, hint in _CFG_KINDS.items():  # CycleConfig takes a bool as a number
-                json_kind(hint, getattr(cfg, key), f"cfg.{key}")
-            snap_meta = list(header["snapshots"])  # a non-iterable fails here, not at len()
-            param_count = _field(header, "param_count", int)
+            arch = MlpArchitecture(**arch_fields)
+            cfg = CycleConfig(**fields.pop("cfg"))
+            snap_meta = list(fields.pop("snapshots"))  # a non-iterable fails here, not at len()
+            param_count = json_kind(int, fields.pop("param_count"), "param_count")
         except (KeyError, TypeError, ValueError, OverflowError, InputError) as e:
             raise FormatError(f"{path}: malformed store header ({e})") from e
         if param_count != arch.num_params:
@@ -524,24 +506,7 @@ def load_store(path: str | Path) -> SnapshotStore:
                 if not np.isfinite(values).all():  # ParamVector's check and message
                     raise InputError("parameter vector contains non-finite values")
                 payload.crcs.append(zlib.crc32(values))
-                snapshots.append(
-                    Snapshot(
-                        params=_StoredParams(payload, i),
-                        iteration=_field(meta, "iteration", int),
-                        lr_at_capture=float(_field(meta, "lr_at_capture", float)),
-                        train_nll=float(_field(meta, "train_nll", float)),
-                        val_nll=float(_field(meta, "val_nll", float)),
-                        tag=_field(meta, "tag", str),
-                    )
-                )
-            return SnapshotStore(
-                run_id=_field(header, "run_id", str),
-                arch=arch,
-                cfg=cfg,
-                seed=_field(header, "seed", int),
-                train_fingerprint=_field(header, "train_fingerprint", str),
-                val_fingerprint=_field(header, "val_fingerprint", str),
-                snapshots=tuple(snapshots),
-            )
+                snapshots.append(Snapshot(_StoredParams(payload, i), **meta))
+            return SnapshotStore(arch=arch, cfg=cfg, snapshots=tuple(snapshots), **fields)
         except (KeyError, TypeError, ValueError, OverflowError, InputError) as e:
             raise FormatError(f"{path}: malformed store contents ({e})") from e

@@ -511,6 +511,11 @@ def test_c10_io_robustness(tmp_path):
                 with_header(cfg={**header["cfg"], "alpha_max": True}), load_store
             ),
             "store_layer_size_bool": (bool_size_store, load_store),
+            # JSON has no Infinity, and the dataclasses take no key they have no field for
+            "store_alpha_max_infinity": (
+                with_header(cfg={**header["cfg"], "alpha_max": float("inf")}), load_store
+            ),
+            "store_snapshot_unknown_key": (with_meta(note="kept"), load_store),
             "idx_image_magic": (flip(img_raw, 0), lambda p: load_idx(p, lbl_path)),
             "idx_image_cut": (img_raw[:-3], lambda p: load_idx(p, lbl_path)),
             "idx_label_magic": (flip(lbl_raw, 3), lambda p: load_idx(img_path, p)),

@@ -1137,6 +1137,11 @@ class TestImports:
     def test_import_loads_no_numpy(self, module):
         assert fresh_interpreter(f"import {module}\n{NUMPY_LOADED}") == "False\n"
 
+    def test_cli_import_loads_no_dataclasses(self):
+        # the report command pays for every module the CLI imports
+        loaded = "print('numpy' in sys.modules, 'dataclasses' in sys.modules)"
+        assert fresh_interpreter(f"import sys, snapstack.harness\n{loaded}") == "False False\n"
+
     def test_report_loads_no_numpy(self, setup, result, tmp_path):
         cfg, store, _ = setup
         sweep = cmd_sweep_temperature(cfg, store, "min", "train", tmp_path)

@@ -129,6 +129,8 @@ class TestDataset:
             Dataset(np.zeros((3, 2)), [0.5, 1.7, 2.9], 3)
         with pytest.raises(InputError, match="num_classes"):
             Dataset(np.zeros((2, 2)), [0, 1], 2.5)
+        with pytest.raises(InputError, match="num_classes"):
+            Dataset(np.zeros((2, 2)), [0, 0], True)  # not a count of one class
         ds = Dataset(np.zeros((3, 2)), np.array([0, 1, 2], dtype=np.uint8), 3)
         assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 2]
 

@@ -1,6 +1,7 @@
 """Unit tests for snapshot capture, the selection policies, and store I/O."""
 
 import json
+import math
 import re
 import struct
 import tracemalloc
@@ -167,6 +168,12 @@ def snap_at(iteration, arch=ARCH, nll=0.5):
     return Snapshot(init_params(arch, 0), iteration, 0.1, nll, 0.5, "min")
 
 
+def store_with(**changes):
+    fields = {"run_id": "r", "arch": ARCH, "cfg": CFG, "seed": 0, "train_fingerprint": "",
+              "val_fingerprint": "", "snapshots": [], **changes}
+    return SnapshotStore(**fields)
+
+
 class TestRecordChecks:
     """A snapshot, a store or a capture plan that no training run can produce is rejected."""
 
@@ -190,6 +197,29 @@ class TestRecordChecks:
             "seed must be non-negative", id="negative-seed",
         ),
         pytest.param(lambda: small_run({7: "peak"}), "unknown capture tag 'peak'", id="capture-tag"),
+        # load_store refuses each of these in a header, so no store may hold one
+        pytest.param(lambda: CycleConfig(True, 2.0, 20, 60), "alpha_min must be a number",
+                     id="bool-alpha"),
+        pytest.param(lambda: CycleConfig("0.05", 0.5, 20, 60), "alpha_min must be a number",
+                     id="text-alpha"),
+        pytest.param(lambda: CycleConfig(0.05, None, 20, 60), "alpha_max must be a number",
+                     id="null-alpha"),
+        pytest.param(lambda: CycleConfig(0.05, math.inf, 20, 60), "alpha_max must be finite",
+                     id="inf-alpha"),
+        pytest.param(lambda: CycleConfig(math.nan, 0.5, 20, 60), "alpha_min must be finite",
+                     id="nan-alpha"),
+        pytest.param(lambda: CycleConfig(0.05, 10**400, 20, 60), "alpha_max must be finite",
+                     id="huge-int-alpha"),
+        pytest.param(lambda: store_with(seed=True), "seed must be an integer", id="bool-seed"),
+        pytest.param(lambda: store_with(seed=1.5), "seed must be an integer", id="float-seed"),
+        pytest.param(lambda: store_with(seed="0"), "seed must be an integer", id="text-seed"),
+        pytest.param(lambda: store_with(seed=None), "seed must be an integer", id="null-seed"),
+        pytest.param(lambda: store_with(run_id=5), "run_id must be a string", id="number-run-id"),
+        pytest.param(lambda: store_with(run_id=None), "run_id must be a string", id="null-run-id"),
+        pytest.param(lambda: store_with(train_fingerprint=None),
+                     "train_fingerprint must be a string", id="null-fingerprint"),
+        pytest.param(lambda: store_with(val_fingerprint=True),
+                     "val_fingerprint must be a string", id="bool-fingerprint"),
     ])
     def test_rejects(self, make, match):
         with pytest.raises(InputError, match=match):
@@ -209,6 +239,21 @@ class TestRecordChecks:
         assert all(type(v) is float and v == value
                    for v in (snap.lr_at_capture, snap.train_nll, snap.val_nll))
         store = SnapshotStore("r", ARCH, CFG, 0, "", "", [snap])
+        save_store(store, tmp_path / "run.snap")
+        assert load_store(tmp_path / "run.snap") == store
+
+    @pytest.mark.parametrize("integer, real", [
+        (np.int64, np.float64), (np.int32, np.float32), (np.uint16, np.float16),
+    ])
+    def test_numpy_header_values_round_trip(self, tmp_path, integer, real):
+        # each is kept as the plain int or float it equals, which JSON can write
+        cfg = CycleConfig(real(0.02), real(0.3), integer(20), integer(60))
+        snap = Snapshot(init_params(ARCH, 0), integer(19), real(0.02), real(0.5), 0.5, "min")
+        store = SnapshotStore("r", ARCH, cfg, integer(3), "", "", [snap])
+        header = [cfg.alpha_min, cfg.alpha_max, cfg.cycle_len, cfg.total_iters, store.seed,
+                  snap.iteration, snap.lr_at_capture, snap.train_nll]
+        assert [type(v) for v in header] == [float, float, int, int, int, int, float, float]
+        assert header == [real(0.02), real(0.3), 20, 60, 3, 19, real(0.02), real(0.5)]
         save_store(store, tmp_path / "run.snap")
         assert load_store(tmp_path / "run.snap") == store
 
@@ -686,6 +731,28 @@ class TestStoreIO:
         (tmp_path / "v99.snap").write_bytes(bytes(raw))
         with pytest.raises(BadVersionError):
             load_store(tmp_path / "v99.snap")
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda h: h.update(note=1), id="header-key"),
+        pytest.param(lambda h: h["arch"].update(note=1), id="arch-key"),
+        pytest.param(lambda h: h["cfg"].update(note=1), id="cfg-key"),
+        pytest.param(lambda h: h["snapshots"][1].update(note=1), id="snapshot-key"),
+        pytest.param(lambda h: h.update(cfg=list(h["cfg"].items())), id="cfg-pairs"),
+        pytest.param(lambda h: h["snapshots"].append(list(h["snapshots"].pop().items())),
+                     id="snapshot-pairs"),
+    ])
+    def test_header_takes_only_the_fields_of_its_dataclasses(self, tmp_path, edit):
+        # a key that no field has, or a JSON array of [key, value] pairs, is refused
+        path = tmp_path / "run.snap"
+        save_store(small_run(plan_captures(CFG)), path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, 10)
+        header = json.loads(raw[14 : 14 + header_len])
+        edit(header)
+        blob = json.dumps(header).encode()
+        path.write_bytes(raw[:10] + struct.pack("<I", len(blob)) + blob + raw[14 + header_len :])
+        with pytest.raises(FormatError, match="malformed store"):
+            load_store(path)
 
     def test_arch_mismatch(self, tmp_path):
         store = small_run(plan_captures(CFG))
