@@ -9,6 +9,7 @@ standard library, so the CLI's parser reads the name lists without loading numpy
 
 import math
 import numbers
+import sys
 
 
 class SnapstackError(Exception):
@@ -66,7 +67,9 @@ _JSON_KINDS = {
 
 def json_kind(hint: type, value, what: str):
     """value as the plain int, float or str that JSON writes, if it is of the JSON kind that
-    hint (int, float or str) takes and, as a float, finite; otherwise InputError naming what.
+    hint (int, float or str) takes and, as a float, finite, and as an int no longer than
+    Python converts to a string (sys.get_int_max_str_digits()); otherwise InputError
+    naming what.
     """
     kind, name = _JSON_KINDS[hint]
     if isinstance(value, bool) or not isinstance(value, kind):
@@ -77,4 +80,11 @@ def json_kind(hint: type, value, what: str):
         value = math.inf
     if hint is float and not math.isfinite(value):
         raise InputError(f"{what} must be finite, got {value}")
+    if hint is int:
+        try:  # json.dumps writes an int through the same conversion
+            str(value)
+        except ValueError:  # the value is not named: formatting it raises this again
+            raise InputError(
+                f"{what} must be an integer of at most {sys.get_int_max_str_digits()} digits"
+            ) from None
     return value

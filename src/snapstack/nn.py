@@ -197,11 +197,13 @@ class Workspace:
     """The arrays `_forward` and `_grad` write into, made for one input array `x`
     [..., b, d] that the caller refills before each call: each layer's output,
     the one-hot label rows `targets` [..., b, k] (also the caller's to fill), the
-    backprop deltas and ReLU masks of the hidden layers, and one [..., b, 1]
-    buffer for the softmax reductions. The transposed views of the inputs and of
-    `layers`' weights are built here once, so a workspace serves only the
-    layers and the input it was made for. `grad=False` makes only what a
-    forward pass needs.
+    backprop deltas and ReLU masks of the hidden layers, and the softmax's two
+    buffers: a class-major copy of the logits `by_class` [..., k, b] and one
+    [..., b, 1] buffer `sums` for the row reductions. The transposed views of the
+    class-major copy, of `sums`, of the inputs and of `layers`' weights are built
+    here once, so a workspace serves only the layers and the input it was made
+    for. `grad=False` makes only what a forward pass needs: the layer outputs and
+    the softmax buffers.
     """
 
     def __init__(
@@ -210,7 +212,10 @@ class Workspace:
         lead = x.shape[:-1]
         self.x = x
         self.acts = [np.empty((*lead, w.shape[-1])) for w, _ in layers]
+        self.by_class = np.empty((*lead[:-1], layers[-1][0].shape[-1], lead[-1]))
+        self.by_class_rows = self.by_class.swapaxes(-1, -2)  # [..., b, k], to copy into
         self.sums = np.empty((*lead, 1))
+        self.row_max = self.sums.swapaxes(-1, -2)  # [..., 1, b], the max's out=
         if grad:
             hidden = self.acts[:-1]
             self.targets = np.empty_like(self.acts[-1])
@@ -220,13 +225,25 @@ class Workspace:
             self.weights_t = [w.swapaxes(-1, -2) for w, _ in layers]
 
 
-def _softmax(z: np.ndarray, sums: np.ndarray) -> None:
-    """Row-wise softmax of the logits z [..., k], in place, with the row reductions
-    written to `sums` [..., 1]; maximum.reduce and add.reduce are the reductions
-    ndarray.max and ndarray.sum run."""
-    z -= np.maximum.reduce(z, axis=-1, keepdims=True, out=sums)  # shift by the row max
+def _softmax(ws: Workspace) -> None:
+    """Row-wise softmax of the logits `ws.acts[-1]` [..., m, k], in place.
+
+    The row max is taken over the class-major copy `ws.by_class` [..., k, m]: one
+    elementwise maximum per class over m-long rows, where a last-axis reduce pays
+    for each short row. It is written into `ws.sums` seen as [..., 1, m]. A max is
+    exact in any order, so the probabilities keep the bits of a last-axis max; of
+    the order-sensitive cases, ±0 ties give the same bytes after the shift and
+    exp, and a row holding NaN comes out NaN either way (only the sign of such a
+    NaN may differ, where the logits hold a negative one). The row sum stays a
+    last-axis add.reduce, whose summation order depends on k. maximum.reduce and
+    add.reduce are the reductions ndarray.max and ndarray.sum run.
+    """
+    z = ws.acts[-1]
+    np.copyto(ws.by_class_rows, z)
+    np.maximum.reduce(ws.by_class, axis=-2, keepdims=True, out=ws.row_max)
+    z -= ws.sums  # shift by the row max
     np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=-1, keepdims=True, out=sums)
+    z /= np.add.reduce(z, axis=-1, keepdims=True, out=ws.sums)
 
 
 def _hidden(x: np.ndarray, w: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -255,7 +272,7 @@ def _forward(
     w, b = layers[-1]
     z = np.matmul(x, w, out=ws.acts[-1])
     z += b
-    _softmax(z, ws.sums)
+    _softmax(ws)
     return [features, *ws.acts]
 
 

@@ -162,6 +162,12 @@ def train_runs(
     evaluated on the full training and validation sets. Each store is
     deterministic given (arch, data, val, cfg, seed, plan) and equals, bit for
     bit, the store of its pair trained alone.
+
+    A run whose parameters go non-finite raises TrainingError naming the first
+    such iteration and its seed (the first diverged run's, when several diverge
+    there). The loop checks the parameters only at checkpoints (see `_descend`);
+    when one fails, the runs are stepped again from the start with the check after
+    every step, which finds that iteration. A finite run pays for no replay.
     """
     if not len(seeds) == len(capture_plans) >= 1:
         raise InputError(
@@ -179,6 +185,43 @@ def train_runs(
         if not 0 <= t < cfg.total_iters:
             raise InputError(f"capture iteration {t} outside [0, {cfg.total_iters})")
 
+    pending = _descend(arch, data, cfg, seeds, plans, batch_size, every_step=False)
+    if pending is None:  # a checkpoint saw a non-finite parameter; this replay raises
+        pending = _descend(arch, data, cfg, seeds, plans, batch_size, every_step=True)
+    # captured parameters are immutable, so scoring can wait until the loop is
+    # done; one forward per snapshot covers both evaluation sets, and the
+    # snapshots of every run share the blocked forward in capture order
+    m = data.num_examples
+    features = _stacked_rows(data.features, val.features)
+    labels = np.concatenate([data.labels, val.labels])
+    probs = forward_each((params for runs in pending for _, _, params in runs), features)
+    prints = fingerprint(data), fingerprint(val)
+    stores = []
+    for seed, plan, runs in zip(seeds, plans, pending):
+        captured = []
+        for t, lr, params in runs:
+            nlls = _example_nll(next(probs), labels)
+            train_nll, val_nll = float(nlls[:m].mean()), float(nlls[m:].mean())
+            captured.append(Snapshot(params, t, lr, train_nll, val_nll, plan[t]))
+        stores.append(SnapshotStore(f"run-{seed}", arch, cfg, seed, *prints, tuple(captured)))
+    return stores
+
+
+def _descend(
+    arch: MlpArchitecture, data: Dataset, cfg: CycleConfig, seeds: list[int],
+    plans: list[dict[int, str]], batch_size: int, every_step: bool,
+) -> list[list[tuple[int, float, ParamVector]]] | None:
+    """The SGD loop of `train_runs`: each run's captures as (iteration, rate,
+    parameters) in iteration order, or None when a checkpoint finds a non-finite
+    parameter.
+
+    The checkpoints are the last step of each pass over the data, each planned
+    capture (before its parameters are copied) and the last iteration. Inf and NaN
+    minus anything stay non-finite, so `values -= grad` keeps every divergence
+    until the next checkpoint sees it. With `every_step`, the check runs after
+    every step instead and raises TrainingError at the first iteration that left
+    a non-finite value.
+    """
     # the loop steps a raw array in place through layer views built once: a
     # ParamVector copies and re-checks its values, which only the captures need.
     # The gradient, the finiteness mask and each minibatch size's workspace (its
@@ -195,10 +238,11 @@ def train_runs(
     spaces: dict[int, Workspace] = {}  # by minibatch size: full, and short at the end of a pass
     rates = [lr_at(cfg, t) for t in range(cfg.cycle_len)]  # the rate depends on the phase only
     planned = set().union(*plans)
+    checkpoints = planned | {cfg.total_iters - 1}
     shuffle_rngs = [np.random.default_rng([seed, 1]) for seed in seeds]  # apart from init
     pos = m  # the first step draws each run's first shuffle
     pending: list[list[tuple[int, float, ParamVector]]] = [[] for _ in seeds]
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence raises below
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked below
         for t in range(cfg.total_iters):
             if pos >= m:
                 orders = np.stack([rng.permutation(m) for rng in shuffle_rngs])
@@ -216,31 +260,18 @@ def train_runs(
             _grad(layers, ws, grad_layers)
             grad *= lr  # then values -= grad: the bits of values -= lr * grad
             values -= grad
-            if not np.isfinite(values, out=finite).all():
+            if (every_step or pos >= m or t in checkpoints) and not np.isfinite(
+                values, out=finite
+            ).all():
+                if not every_step:
+                    return None
                 r = int(np.argmin(finite.all(axis=-1)))
                 raise TrainingError(f"training diverged at iteration {t} (seed {seeds[r]})")
             if t in planned:
                 for r, plan in enumerate(plans):
                     if t in plan:
                         pending[r].append((t, lr, ParamVector(values[r], arch)))
-
-    del grad, grad_layers, finite, minibatch, onehot, spaces, ws
-    # captured parameters are immutable, so scoring can wait until the loop is
-    # done; one forward per snapshot covers both evaluation sets, and the
-    # snapshots of every run share the blocked forward in capture order
-    features = _stacked_rows(data.features, val.features)
-    labels = np.concatenate([data.labels, val.labels])
-    probs = forward_each((params for runs in pending for _, _, params in runs), features)
-    prints = fingerprint(data), fingerprint(val)
-    stores = []
-    for seed, plan, runs in zip(seeds, plans, pending):
-        captured = []
-        for t, lr, params in runs:
-            nlls = _example_nll(next(probs), labels)
-            train_nll, val_nll = float(nlls[:m].mean()), float(nlls[m:].mean())
-            captured.append(Snapshot(params, t, lr, train_nll, val_nll, plan[t]))
-        stores.append(SnapshotStore(f"run-{seed}", arch, cfg, seed, *prints, tuple(captured)))
-    return stores
+    return pending
 
 
 def _stacked_rows(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:

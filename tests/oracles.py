@@ -5,7 +5,9 @@ compares the training loop with these references compares the same arithmetic:
 `backward` runs the production `_grad`, `nll_loss` the production forward and
 per-example NLL, and `sgd_step` is the out-of-place form of the loop's in-place
 update. `likelihood_weights` is the paper's likelihood rule written out on its
-own, with no call into the package. No command uses them.
+own, with no call into the package, and `softmax_last_axis` the softmax with
+both row reductions along the last axis, the reference for the package's row
+max over a class-major copy. No command uses them.
 """
 
 from __future__ import annotations
@@ -57,6 +59,17 @@ def sgd_step(params: ParamVector, gradient: ParamVector, lr: float) -> ParamVect
 def cycle_midpoints(cfg: CycleConfig) -> list[int]:
     """First iteration of each completed cycle at or below the half-amplitude rate."""
     return [c * cfg.cycle_len + cfg.mid_phase for c in range(cfg.num_cycles)]
+
+
+def softmax_last_axis(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of the logits z [..., k] as a new array, with both row
+    reductions on the last axis: the max, the shift, exp, the sum and the division
+    in the order the package's softmax runs them."""
+    z = np.array(z, dtype=np.float64)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
 
 
 def likelihood_weights(lls) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+import sys
 import tracemalloc
 import warnings
 
@@ -38,6 +39,7 @@ from snapstack import (
     train_runs,
 )
 from snapstack import snapshots
+from snapstack.nn import _grad
 from snapstack.schedule import cycle_minima, lr_at
 
 ARCH = MlpArchitecture((2, 4, 3))
@@ -90,6 +92,34 @@ REFERENCE_CASES = [
 
 def reference_split(sizes, per_class):
     return split(make_blobs(sizes[-1], per_class, sizes[0], 1.0, seed=3), SplitSpec(0.2, 3))
+
+
+def checkpoints(cfg, steps, plans):
+    """The iterations at which train_runs checks the parameters for a non-finite value:
+    the last step of each pass of `steps` minibatches, each planned capture and the
+    last iteration."""
+    ends = range(steps - 1, cfg.total_iters, steps)
+    return {*ends, *(t for plan in plans for t in plan), cfg.total_iters - 1}
+
+
+# 6-32-3 on the 96 training rows of reference_split((6, 32, 3), 40), with alpha_min
+# from 300 to 949 and alpha_max ten times that: the runs first go non-finite in their
+# eighth to tenth pass. Each case puts the first non-finite update at the kind of
+# point of the loop's checks that `where` names, which the test confirms against the
+# reference loop
+BOUNDARY_CASES = [
+    # seed 0 first goes non-finite at iteration 51, two steps before its pass ends
+    pytest.param(300.0, 60, 16, [0], [{}], "between", id="between-checkpoints"),
+    # iteration 47, the sixth and last full minibatch of the eighth pass
+    pytest.param(533.5, 60, 16, [0], [{}], "pass end", id="last-step-of-a-pass"),
+    # iteration 44, the 16-row minibatch that ends the ninth pass of 20-row ones
+    pytest.param(948.7, 60, 20, [0], [{}], "short minibatch", id="short-last-minibatch"),
+    pytest.param(300.0, 60, 16, [0], [{51: "window"}], "capture", id="planned-capture"),
+    # the schedule depends on the phase only, so the run is that of 60 iterations
+    pytest.param(300.0, 52, 16, [0], [{}], "last", id="last-iteration"),
+    # seed 1 at iteration 50, seed 0 at 51: the pass's third and fourth steps
+    pytest.param(300.0, 60, 16, [0, 1], [{}, {}], "between", id="two-runs-one-pass"),
+]
 
 
 class TestCaptures:
@@ -210,6 +240,15 @@ class TestRecordChecks:
                      id="nan-alpha"),
         pytest.param(lambda: CycleConfig(0.05, 10**400, 20, 60), "alpha_max must be finite",
                      id="huge-int-alpha"),
+        # json.dumps writes an int through str(), which refuses one this long
+        pytest.param(lambda: store_with(seed=10**5000), "seed must be an integer of at most",
+                     id="long-seed"),
+        pytest.param(lambda: CycleConfig(0.02, 0.3, 10**5000, 10**5000),
+                     "cycle_len must be an integer of at most", id="long-cycle-len"),
+        pytest.param(lambda: CycleConfig(0.02, 0.3, 20, 10**5000),
+                     "total_iters must be an integer of at most", id="long-total-iters"),
+        pytest.param(lambda: snap_at(10**5000), "iteration must be an integer of at most",
+                     id="long-iteration"),
         pytest.param(lambda: store_with(seed=True), "seed must be an integer", id="bool-seed"),
         pytest.param(lambda: store_with(seed=1.5), "seed must be an integer", id="float-seed"),
         pytest.param(lambda: store_with(seed="0"), "seed must be an integer", id="text-seed"),
@@ -241,6 +280,11 @@ class TestRecordChecks:
         store = SnapshotStore("r", ARCH, CFG, 0, "", "", [snap])
         save_store(store, tmp_path / "run.snap")
         assert load_store(tmp_path / "run.snap") == store
+
+    def test_longest_writable_integer_round_trips(self, tmp_path):
+        seed = 10 ** (sys.get_int_max_str_digits() - 1)
+        save_store(store_with(seed=seed), tmp_path / "run.snap")
+        assert load_store(tmp_path / "run.snap").seed == seed
 
     @pytest.mark.parametrize("integer, real", [
         (np.int64, np.float64), (np.int32, np.float32), (np.uint16, np.float16),
@@ -334,6 +378,43 @@ class TestTrainRuns:
         seed = seeds[diverged.index(t)]
         with pytest.raises(TrainingError, match=rf"iteration {t} \(seed {seed}\)$"):
             train_runs(arch, train, val, wild, seeds, [{}] * 3, batch)
+
+    @pytest.mark.parametrize("alpha, total, batch, seeds, plans, where", BOUNDARY_CASES)
+    def test_divergence_at_checkpoint_boundaries(
+        self, monkeypatch, alpha, total, batch, seeds, plans, where
+    ):
+        arch = MlpArchitecture((6, 32, 3))
+        train, val = reference_split(arch.layer_sizes, 40)
+        cfg = CycleConfig(alpha, 10 * alpha, 20, total)
+        diverged = [reference_divergence(arch, train, cfg, s, batch) for s in seeds]
+        t = min(diverged)
+        seed = seeds[diverged.index(t)]
+        steps = -(-train.num_examples // batch)
+        checks = checkpoints(cfg, steps, plans)
+        kind = {
+            "between": t not in checks,
+            "pass end": t % steps == steps - 1 and train.num_examples % batch == 0,
+            "short minibatch": t % steps == steps - 1 and train.num_examples % batch > 0,
+            "capture": any(t in plan for plan in plans) and t % steps < steps - 1,
+            "last": t == total - 1 and t % steps < steps - 1,
+        }
+        assert kind[where]
+        if len(seeds) > 1:  # every run diverges, each at another step of t's pass
+            assert len(set(diverged)) == len(seeds)
+            assert {d // steps for d in diverged} == {t // steps}
+        grads = []
+        monkeypatch.setattr(snapshots, "_grad", lambda *a: grads.append(1) or _grad(*a))
+        with pytest.raises(TrainingError, match=rf"iteration {t} \(seed {seed}\)$"):
+            train_runs(arch, train, val, cfg, seeds, plans, batch)
+        # up to the first checkpoint at or after t, then the replay up to t
+        assert len(grads) == min(c for c in checks if c >= t) + 1 + t + 1
+
+    def test_finite_run_steps_once(self, monkeypatch):
+        # no checkpoint fails, so nothing is replayed
+        grads = []
+        monkeypatch.setattr(snapshots, "_grad", lambda *a: grads.append(1) or _grad(*a))
+        small_run(plan_captures(CFG))
+        assert len(grads) == CFG.total_iters
 
     def test_divergence_names_seed(self):
         train, val = quick_split()
