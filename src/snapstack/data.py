@@ -126,20 +126,17 @@ def _read_idx(
     return pixels.reshape(take, rows * cols), labels, k
 
 
-def _scaled(pixels: np.ndarray, parts: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
-    """uint8 pixel rows as a fresh read-only float64 matrix, divided by 255: all of
-    them, or the rows of each index array in `parts` one part after another, each
-    part gathered on its own."""
-    if parts is None:
-        feats = pixels.astype(np.float64)
-    else:
-        feats = np.empty((sum(len(rows) for rows in parts), pixels.shape[1]))
-        start = 0
-        for rows in parts:
-            feats[start : start + len(rows)] = pixels[rows]
-            start += len(rows)
-    feats /= 255.0
-    return _read_only(feats)
+def _gather(rows: np.ndarray, idx, out: np.ndarray) -> np.ndarray:
+    """out, filled with the float64 features of rows[idx] and returned: uint8 pixel rows
+    are divided by 255, float64 rows are taken as they are. No float copy of the rows is
+    made: float rows are taken straight into out, and pixels are cast into it (for
+    pixels, idx may also be a slice)."""
+    if rows.dtype == np.uint8:
+        out[...] = rows[idx]
+        out /= 255.0
+    else:  # mode="raise" would gather into a buffer and copy it into out; idx is in range
+        rows.take(idx, axis=0, out=out, mode="clip")
+    return out
 
 
 def load_idx(
@@ -154,29 +151,17 @@ def load_idx(
     row-wise. `limit` truncates to the first `limit` examples.
     """
     pixels, labels, k = _read_idx(images_path, labels_path, limit, num_classes)
-    return Dataset(_scaled(pixels), labels, k)
+    feats = _gather(pixels, slice(None), np.empty(pixels.shape))
+    return Dataset(_read_only(feats), labels, k)
 
 
-def load_idx_split(
-    images_path: str,
-    labels_path: str,
-    spec: SplitSpec,
-    limit: int | None = None,
-    num_classes: int | None = None,
-) -> tuple[Dataset, Dataset]:
-    """`split(load_idx(images_path, labels_path, limit, num_classes), spec)`.
-
-    The same datasets and errors, without the scaled pool in its file order: each
-    part's uint8 pixel rows are scaled into the joined matrix in split order.
-    """
-    pixels, labels, k = _read_idx(images_path, labels_path, limit, num_classes)
-    _check_labels(labels, k)  # the pool's label error comes before the split's
-    parts = _split_rows(labels.size, spec)
-    return _parts(_scaled(pixels, parts), labels, parts, k)
-
-
-def _split_rows(m: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices of the (train, validation) parts that `split` takes of m rows."""
+def _split_rows(
+    labels: np.ndarray, num_classes: int, spec: SplitSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of the (train, validation) parts that `split` takes of the pool with
+    these labels; a label outside num_classes fails before a split that cannot be made."""
+    _check_labels(labels, num_classes)
+    m = labels.size
     # snap the ceil so 100 * (1 - 0.2) style float noise cannot shift a row
     n_train = math.ceil(m * (1.0 - spec.val_fraction) - 1e-9)
     n_val = m - n_train
@@ -195,21 +180,26 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     Training gets ceil(m * (1 - val_fraction)) rows, validation the rest. Both
     feature matrices are row blocks of one read-only [train; val] matrix.
     """
-    parts = _split_rows(data.num_examples, spec)
-    joined = _read_only(data.features[np.concatenate(parts)])
-    return _parts(joined, data.labels, parts, data.num_classes)
+    return _split_pool(data.features, data.labels, data.num_classes, spec)
 
 
-def _parts(
-    joined: np.ndarray, labels: np.ndarray, parts: tuple[np.ndarray, np.ndarray], k: int
+def _split_pool(
+    rows: np.ndarray, labels: np.ndarray, num_classes: int, spec: SplitSpec
 ) -> tuple[Dataset, Dataset]:
-    """The (train, validation) datasets over the read-only matrix `joined` of their
-    rows in that order: each keeps its block of rows as a view, so a caller that
-    scores both sets reads them as one matrix without a copy."""
+    """`split` of the pool (rows, labels): rows are float64 features, or uint8 pixel rows,
+    which are scaled as `load_idx` scales them. Each part's rows are gathered in split
+    order straight into one read-only [train; val] matrix, and each dataset keeps its
+    block of rows as a view, so a caller that scores both sets reads them as one matrix
+    without a copy."""
+    parts = _split_rows(labels, num_classes, spec)
+    joined = np.empty((labels.size, rows.shape[1]))
     n_train = len(parts[0])
+    _gather(rows, parts[0], joined[:n_train])
+    _gather(rows, parts[1], joined[n_train:])
+    _read_only(joined)
     return (
-        Dataset(joined[:n_train], labels[parts[0]], k),
-        Dataset(joined[n_train:], labels[parts[1]], k),
+        Dataset(joined[:n_train], labels[parts[0]], num_classes),
+        Dataset(joined[n_train:], labels[parts[1]], num_classes),
     )
 
 
@@ -227,18 +217,13 @@ def split_fingerprints(
     Each part's rows are gathered in split order, a chunk at a time, into one reused
     float64 buffer whose bytes feed the part's digest.
     """
-    _check_labels(labels, num_classes)  # the pool's label error comes before the split's
-    parts = _split_rows(labels.size, spec)
+    parts = _split_rows(labels, num_classes, spec)
     chunk = np.empty((max(1, _CHUNK_BYTES // (8 * rows.shape[1])), rows.shape[1]))
 
     def scaled_chunks(part):
         for start in range(0, len(part), len(chunk)):
             idx = part[start : start + len(chunk)]
-            buf = chunk[: len(idx)]
-            buf[...] = rows[idx]
-            if rows.dtype == np.uint8:
-                buf /= 255.0
-            yield buf
+            yield _gather(rows, idx, chunk[: len(idx)])
 
     prints = [_digest(num_classes, scaled_chunks(part), labels[part]) for part in parts]
     return prints[0], prints[1]

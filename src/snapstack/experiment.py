@@ -19,15 +19,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import (
-    SplitSpec,
-    _read_idx,
-    load_idx,
-    load_idx_split,
-    make_blobs,
-    split,
-    split_fingerprints,
-)
+from .data import SplitSpec, _read_idx, _split_pool, load_idx, make_blobs, split_fingerprints
 from .errors import SOURCES, InputError, SelectionError, json_kind
 from .nn import Dataset, MlpArchitecture
 from .schedule import CycleConfig
@@ -166,24 +158,26 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset, MlpArchitecture]:
     """Materialize (train, val, test) and the matching architecture."""
-    ds = config.dataset
-    if isinstance(ds, BlobsData):
-        pool = _blobs_pool(ds, config.seed)
-        train, val = split(pool, SplitSpec(config.val_fraction, config.seed))
-    else:
-        # the pool is split as uint8 pixels before the test set loads, so each float
-        # matrix is held once
-        train, val = load_idx_split(
-            ds.train_images, ds.train_labels, SplitSpec(config.val_fraction, config.seed),
-            ds.limit, ds.num_classes,
-        )
+    spec = SplitSpec(config.val_fraction, config.seed)  # a bad fraction fails before the pool
+    # the pool is let go once split, before the test set loads, so each float matrix is
+    # held once
+    train, val = _split_pool(*_pool(config), spec)
     test = _test_set(config, train.num_classes, train.dim)
     arch = MlpArchitecture((train.dim, *config.hidden, train.num_classes))
     return train, val, test, arch
 
 
-def _blobs_pool(ds: BlobsData, seed: int) -> Dataset:
-    return make_blobs(ds.num_classes, ds.per_class, ds.dim, ds.spread, seed=seed, centers_seed=seed)
+def _pool(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, int]:
+    """config's training pool, which build_datasets splits: (rows, labels, class count),
+    the rows a blobs pool's float64 features or an IDX pool's uint8 pixel rows, which
+    view the file's bytes."""
+    ds, seed = config.dataset, config.seed
+    if isinstance(ds, BlobsData):
+        pool = make_blobs(
+            ds.num_classes, ds.per_class, ds.dim, ds.spread, seed=seed, centers_seed=seed
+        )
+        return pool.features, pool.labels, pool.num_classes
+    return _read_idx(ds.train_images, ds.train_labels, ds.limit, ds.num_classes)
 
 
 def _test_set(config: ExperimentConfig, num_classes: int, dim: int) -> Dataset:
@@ -215,26 +209,15 @@ def _write_csv(path: Path, columns: tuple[str, ...], rows: list[tuple]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _split_prints(config: ExperimentConfig) -> tuple[tuple[str, str], int, int]:
-    """The fingerprints of build_datasets' (train, val), their class count and feature
-    width, with its errors up to the test set, in its order; train and val are not built."""
-    ds = config.dataset
-    # build_datasets checks the fraction after making a blobs pool, before reading an IDX one
-    if isinstance(ds, BlobsData):
-        pool = _blobs_pool(ds, config.seed)
-        spec = SplitSpec(config.val_fraction, config.seed)
-        rows, labels, k = pool.features, pool.labels, pool.num_classes
-    else:  # uint8 pixel rows that view the file's bytes
-        spec = SplitSpec(config.val_fraction, config.seed)
-        rows, labels, k = _read_idx(ds.train_images, ds.train_labels, ds.limit, ds.num_classes)
-    return split_fingerprints(rows, labels, k, spec), k, rows.shape[1]
-
-
 def _store_test_set(config: ExperimentConfig, store: SnapshotStore) -> Dataset:
     """The test set of config, the one dataset a store command reads; warns when the store
     was trained on different data than config produces. The pool is fingerprinted and
-    let go before the test set is built."""
-    prints, k, dim = _split_prints(config)
+    let go before the test set is built, with build_datasets' errors in its order; train
+    and val are not built."""
+    spec = SplitSpec(config.val_fraction, config.seed)
+    rows, labels, k = _pool(config)
+    prints, dim = split_fingerprints(rows, labels, k, spec), rows.shape[1]
+    del rows, labels
     test = _test_set(config, k, dim)
     if prints != (store.train_fingerprint, store.val_fingerprint):
         warnings.warn(

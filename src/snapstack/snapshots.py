@@ -8,7 +8,7 @@ import struct
 import warnings
 import zlib
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -362,33 +362,17 @@ def select(store: SnapshotStore, policy: str, arg: int = 0) -> list[Snapshot]:
 
 
 def _header_dict(store: SnapshotStore) -> dict:
-    return {
-        "run_id": store.run_id,
-        "seed": store.seed,
-        "arch": {
-            "layer_sizes": list(store.arch.layer_sizes),
-            "hidden_activation": HIDDEN_ACTIVATION,
-        },
-        "cfg": {
-            "alpha_min": store.cfg.alpha_min,
-            "alpha_max": store.cfg.alpha_max,
-            "cycle_len": store.cfg.cycle_len,
-            "total_iters": store.cfg.total_iters,
-        },
-        "train_fingerprint": store.train_fingerprint,
-        "val_fingerprint": store.val_fingerprint,
-        "param_count": store.arch.num_params,
-        "snapshots": [
-            {
-                "iteration": s.iteration,
-                "lr_at_capture": s.lr_at_capture,
-                "train_nll": s.train_nll,
-                "val_nll": s.val_nll,
-                "tag": s.tag,
-            }
-            for s in store.snapshots
-        ],
-    }
+    """The store's JSON header: each field of the store and of its snapshots but their
+    parameters, which follow as raw bytes; the architecture also names its activation,
+    and the header its parameter count."""
+    header = {f.name: getattr(store, f.name) for f in fields(SnapshotStore)}
+    header["arch"] = {**asdict(store.arch), "hidden_activation": HIDDEN_ACTIVATION}
+    header["cfg"] = asdict(store.cfg)
+    header["param_count"] = store.arch.num_params
+    # asdict would deep-copy each snapshot's payload through params
+    meta = [f.name for f in fields(Snapshot) if f.name != "params"]
+    header["snapshots"] = [{name: getattr(s, name) for name in meta} for s in store.snapshots]
+    return header
 
 
 def save_store(store: SnapshotStore, path: str | Path) -> None:
@@ -505,15 +489,15 @@ def load_store(path: str | Path) -> SnapshotStore:
         # the dataclasses are the header's schema: each refuses a missing or unknown key
         # and a value of another JSON kind. ** and {**} take only a JSON object
         try:
-            fields = {**header}
-            arch_fields = {**fields.pop("arch")}
+            header = {**header}
+            arch_fields = {**header.pop("arch")}
             activation = arch_fields.pop("hidden_activation")
             if activation != HIDDEN_ACTIVATION:
                 raise InputError(f"unsupported hidden activation: {activation!r}")
             arch = MlpArchitecture(**arch_fields)
-            cfg = CycleConfig(**fields.pop("cfg"))
-            snap_meta = list(fields.pop("snapshots"))  # a non-iterable fails here, not at len()
-            param_count = json_kind(int, fields.pop("param_count"), "param_count")
+            cfg = CycleConfig(**header.pop("cfg"))
+            snap_meta = list(header.pop("snapshots"))  # a non-iterable fails here, not at len()
+            param_count = json_kind(int, header.pop("param_count"), "param_count")
         except (KeyError, TypeError, ValueError, OverflowError, InputError) as e:
             raise FormatError(f"{path}: malformed store header ({e})") from e
         if param_count != arch.num_params:
@@ -538,6 +522,6 @@ def load_store(path: str | Path) -> SnapshotStore:
                     raise InputError("parameter vector contains non-finite values")
                 payload.crcs.append(zlib.crc32(values))
                 snapshots.append(Snapshot(_StoredParams(payload, i), **meta))
-            return SnapshotStore(arch=arch, cfg=cfg, snapshots=tuple(snapshots), **fields)
+            return SnapshotStore(arch=arch, cfg=cfg, snapshots=tuple(snapshots), **header)
         except (KeyError, TypeError, ValueError, OverflowError, InputError) as e:
             raise FormatError(f"{path}: malformed store contents ({e})") from e

@@ -5,16 +5,20 @@ compares the training loop with these references compares the same arithmetic:
 `backward` runs the production `_grad`, `nll_loss` the production forward and
 per-example NLL, and `sgd_step` is the out-of-place form of the loop's in-place
 update. `likelihood_weights` is the paper's likelihood rule written out on its
-own, with no call into the package, and `softmax_last_axis` the softmax with
+own, with no call into the package, `softmax_last_axis` the softmax with
 both row reductions along the last axis, the reference for the package's row
-max over a class-major copy. No command uses them.
+max over a class-major copy, and `split_reference` the train/validation split
+written out as one fancy index of the pool's features, the reference for the
+package's part-by-part gather. No command uses them.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from snapstack import CycleConfig, Dataset, InputError, ParamVector, TrainingError
+from snapstack import CycleConfig, Dataset, InputError, ParamVector, SplitSpec, TrainingError
 from snapstack.nn import Workspace, _check_fits, _example_nll, _forward, _grad, _layers
 
 
@@ -79,3 +83,18 @@ def likelihood_weights(lls) -> np.ndarray:
     lls = np.asarray(lls, dtype=np.float64)
     raw = np.maximum(np.exp(lls - lls.max()), np.finfo(np.float64).tiny)
     return raw * (raw.size / raw.sum())
+
+
+def split_reference(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
+    """(train, validation) of data: ceil(m * (1 - val_fraction)) rows of a permutation
+    seeded by spec.seed for training, the rest for validation, taken from the features
+    in one fancy index. It makes no check; a split the package rejects has no reference."""
+    m = data.num_examples
+    n_train = math.ceil(m * (1.0 - spec.val_fraction) - 1e-9)
+    perm = np.random.default_rng(spec.seed).permutation(m)
+    parts = perm[:n_train], perm[n_train:]
+    joined = data.features[np.concatenate(parts)]
+    return (
+        Dataset(joined[:n_train], data.labels[parts[0]], data.num_classes),
+        Dataset(joined[n_train:], data.labels[parts[1]], data.num_classes),
+    )

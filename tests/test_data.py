@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import write_idx_pair
+from oracles import split_reference
 from snapstack import (
     BadMagicError,
     CountMismatchError,
@@ -18,7 +19,12 @@ from snapstack import (
     split,
 )
 from snapstack import data as data_module
-from snapstack.data import _read_idx, load_idx_split, split_fingerprints
+from snapstack.data import _read_idx, _split_pool, split_fingerprints
+
+
+def load_idx_split(img, lbl, spec, limit=None, num_classes=None):
+    """The pool split of an IDX pair's uint8 pixel rows, as build_datasets makes it."""
+    return _split_pool(*_read_idx(img, lbl, limit, num_classes), spec)
 
 
 class TestMakeBlobs:
@@ -144,7 +150,8 @@ def assert_joined(train, val):
 
 
 class TestLoadIdxSplit:
-    """load_idx_split equals split(load_idx(...)): datasets, fingerprints, errors."""
+    """The pool split of an IDX pair's uint8 pixels equals split(load_idx(...)) and the
+    reference split of the loaded set: datasets, fingerprints, errors."""
 
     @pytest.mark.parametrize("limit, num_classes, fraction", [(None, None, 0.2), (37, 10, 0.33)])
     def test_equals_split_of_load(self, tmp_path, limit, num_classes, fraction):
@@ -153,9 +160,12 @@ class TestLoadIdxSplit:
             tmp_path, rng.integers(0, 256, (50, 3, 4)), rng.integers(0, 9, 50)
         )
         spec = SplitSpec(fraction, 11)
-        want = split(load_idx(img, lbl, limit, num_classes), spec)
+        loaded = load_idx(img, lbl, limit, num_classes)
+        want = split(loaded, spec)
         got = load_idx_split(img, lbl, spec, limit, num_classes)
         assert got[0] == want[0] and got[1] == want[1]
+        reference = split_reference(loaded, spec)
+        assert got[0] == reference[0] and got[1] == reference[1]
         assert [fingerprint(d) for d in got] == [fingerprint(d) for d in want]
         assert all(not d.features.flags.writeable for d in got)
 
@@ -252,6 +262,16 @@ class TestSplit:
 
     def test_parts_are_row_blocks_of_one_matrix(self):
         assert_joined(*split(make_blobs(3, 30, 2, 1.0, seed=2), SplitSpec(0.25, 3)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_reference(self, seed):
+        rng = np.random.default_rng([seed, 29])
+        pool = make_blobs(int(rng.integers(2, 5)), int(rng.integers(3, 60)),
+                          int(rng.integers(2, 9)), 0.7, seed=seed)
+        spec = SplitSpec(float(rng.uniform(0.2, 0.45)), seed)  # 1 <= val rows < train rows
+        got, want = split(pool, spec), split_reference(pool, spec)
+        assert got[0] == want[0] and got[1] == want[1]
+        assert_joined(*got)
 
     def test_deterministic(self):
         data = make_blobs(3, 30, 2, 1.0, seed=2)

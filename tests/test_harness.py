@@ -559,7 +559,7 @@ class TestStoreCommands:
     # config changes, from the files of an IDX pool (idx), an absent file (missing), a
     # test set 3x3 pixels wide (narrow) and test labels outside the pool's classes (wide)
     CORPUS = [
-        # a bad fraction fails after a bad blobs pool, before a missing IDX pool
+        # a bad fraction fails before any pool is read, a bad blobs pool or a missing IDX one
         pytest.param(lambda f: {"val_fraction": 1.5,
                                 "dataset": {**SMALL["dataset"], "per_class": 0}}, id="blobs-pool"),
         pytest.param(lambda f: {"val_fraction": 1.5,
@@ -607,6 +607,23 @@ class TestStoreCommands:
         with pytest.raises(Exception) as got:
             experiment._store_test_set(cfg, store)
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    @pytest.mark.parametrize("command", ["sweep-temp", "sweep-offset"])
+    def test_bad_fraction_fails_before_bad_blobs_pool(self, tmp_path, capsys, command):
+        # the fraction is checked before the pool is made, as for an IDX pool
+        raw = {**SMALL, "val_fraction": 1.5, "dataset": {**SMALL["dataset"], "per_class": 0}}
+        message = "val_fraction must be in (0, 1), got 1.5"
+        with pytest.raises(InputError) as built:
+            build_datasets(config_from_dict(raw))
+        assert str(built.value) == message
+        store_path = cmd_train(small_config(), tmp_path / "out")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path), "--store", str(store_path),
+                     "--out-dir", str(tmp_path / "sweep")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "sweep").exists()
 
     @pytest.mark.parametrize("damage", [
         pytest.param(lambda raw: raw[:-100], id="truncated"),
