@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -54,6 +55,11 @@ def make_blobs(
         raise InputError(f"per_class must be positive, got {per_class}")
     if dim < 2:
         raise InputError(f"dim must be at least 2, got {dim}")
+    if 8 * num_classes * per_class * dim > sys.maxsize:  # no array could hold the features
+        raise InputError(
+            f"{num_classes} x {per_class} rows of {dim} features are more than "
+            f"{sys.maxsize} bytes"
+        )
     if spread <= 0.0:
         raise InputError(f"spread must be positive, got {spread}")
     if centers_seed is None:

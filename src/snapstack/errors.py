@@ -2,8 +2,8 @@
 and the store header's dataclasses, and the names of the selection policies and
 weighting sources.
 
-The CLI maps these onto exit codes: InputError -> 1, TrainingError and
-SelectionError -> 2, FormatError and OS-level failures -> 3. Everything here is
+The CLI maps these onto exit codes: InputError -> 1, TrainingError, SelectionError
+and MemoryError -> 2, FormatError and OS-level failures -> 3. Everything here is
 standard library, so the CLI's parser reads the name lists without loading numpy.
 """
 

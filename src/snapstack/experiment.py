@@ -89,9 +89,12 @@ class ExperimentConfig:
     weighting_source: str = "train"
 
     def __post_init__(self):
-        # store headers may declare any run length; a config's run must be trainable
-        if self.cycle.total_iters > sys.maxsize:
-            raise InputError(f"total_iters {self.cycle.total_iters} exceeds {sys.maxsize}")
+        # store headers may declare any run length; a config's run must be trainable,
+        # and its independent runs countable
+        for name, value in (("total_iters", self.cycle.total_iters),
+                            ("num_independent", self.num_independent)):
+            if value > sys.maxsize:
+                raise InputError(f"{name} {value} exceeds {sys.maxsize}")
         if not self.tau_grid:
             raise InputError("temperature grid must not be empty")
         if any(not tau > 0.0 for tau in self.tau_grid):
@@ -340,7 +343,7 @@ def cmd_compare(config: ExperimentConfig, out_dir: str | Path) -> dict:
     last = config.cycle.total_iters - 1
     seeds = list(range(config.seed, config.seed + config.num_independent))
     plans = [plan_captures(config.cycle, offsets=[config.offset_steps])]
-    plans += [{last: "window"}] * (len(seeds) - 1)
+    plans += [{last}] * (len(seeds) - 1)
     t0 = time.perf_counter()
     store, *others = train_runs(arch, train, val, config.cycle, seeds, plans, config.batch_size)
     train_time = time.perf_counter() - t0

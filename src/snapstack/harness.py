@@ -1,10 +1,10 @@
 """The command-line interface, and the report command.
 
 Subcommands: train, sweep-temp, sweep-offset, compare, report. Exit codes: 0
-success, 1 validation error, 2 runtime/training error, 3 I/O error. This module
-imports only the standard library: report reads and writes text, and the
-computing commands (snapstack.experiment, which loads numpy) are imported when
-load_config reads their config.
+success, 1 validation error, 2 runtime/training error or out of memory, 3 I/O
+error. This module imports only the standard library: report reads and writes
+text, and the computing commands (snapstack.experiment, which loads numpy) are
+imported when load_config reads their config.
 """
 
 from __future__ import annotations
@@ -179,6 +179,10 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:  # an array larger than the machine can hold
+        print(f"error: out of memory ({e})" if str(e) else "error: out of memory",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

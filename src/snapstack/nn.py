@@ -9,6 +9,7 @@ buffers a caller hands in to be written.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -38,6 +39,11 @@ class MlpArchitecture:
             raise InputError("architecture needs at least input and output layers")
         if any(s < 1 for s in sizes):
             raise InputError(f"layer sizes must be positive, got {sizes}")
+        if 8 * self.num_params > sys.maxsize:  # no array could hold the parameter vector
+            raise InputError(
+                f"layer sizes {sizes} need {self.num_params} parameters, more than "
+                f"{sys.maxsize} bytes"
+            )
 
     @property
     def input_dim(self) -> int:

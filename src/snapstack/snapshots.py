@@ -1,4 +1,4 @@
-"""Capture, tag, select, and serialize snapshot models along one training run."""
+"""Capture, select, and serialize snapshot models along one training run."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import os
 import struct
 import warnings
 import zlib
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -42,11 +42,8 @@ from .nn import (
 )
 from .schedule import CycleConfig, cycle_minima, lr_at
 
-TAGS = ("min", "mid", "window", "offset")
-
 STORE_MAGIC = b"SNAPSTOR"
-STORE_VERSION = 1
-HIDDEN_ACTIVATION = "relu"  # the MLP's only one; the header names it
+STORE_VERSION = 2
 
 
 @dataclass
@@ -55,19 +52,15 @@ class Snapshot:
 
     params: ParamVector
     iteration: int
-    lr_at_capture: float
     train_nll: float
     val_nll: float
-    tag: str
 
     def __post_init__(self):
         # the store header holds each number as the plain one JSON writes
         self.iteration = json_kind(int, self.iteration, "iteration")
         if self.iteration < 0:
             raise InputError(f"iteration must be non-negative, got {self.iteration}")
-        if self.tag not in TAGS:
-            raise InputError(f"unknown snapshot tag {self.tag!r}, expected one of {TAGS}")
-        for name in ("lr_at_capture", "train_nll", "val_nll"):
+        for name in ("train_nll", "val_nll"):
             setattr(self, name, json_kind(float, getattr(self, name), f"snapshot {name}"))
         if self.train_nll < 0.0 or self.val_nll < 0.0:
             raise InputError("snapshot NLLs must be non-negative")
@@ -77,7 +70,6 @@ class Snapshot:
 class SnapshotStore:
     """Immutable record of one training run's captured snapshots."""
 
-    run_id: str
     arch: MlpArchitecture
     cfg: CycleConfig
     seed: int
@@ -86,8 +78,7 @@ class SnapshotStore:
     snapshots: tuple[Snapshot, ...]
 
     def __post_init__(self):
-        for name, hint in (("run_id", str), ("seed", int),
-                           ("train_fingerprint", str), ("val_fingerprint", str)):
+        for name, hint in (("seed", int), ("train_fingerprint", str), ("val_fingerprint", str)):
             setattr(self, name, json_kind(hint, getattr(self, name), name))
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
@@ -130,34 +121,26 @@ def _shifts(cfg: CycleConfig, policy: str, arg: int = 0) -> list[int]:
 
 def plan_captures(
     cfg: CycleConfig, window_halfwidth: int = 0, offsets: Iterable[int] = ()
-) -> dict[int, str]:
-    """Capture iterations of every policy, with tags: the rate minima, the
-    half-amplitude points, the final iterate, and any windows and offsets.
-
-    When an iteration serves several policies it keeps the most specific tag:
-    min over mid over offset over window. Out-of-range window/offset targets
-    are dropped here; the selections later skip those cycles with a warning.
-    """
-    targets = [("window", _shifts(cfg, "window", window_halfwidth))]
-    targets += [("offset", _shifts(cfg, "offset", steps)) for steps in offsets]
-    targets += [("mid", _shifts(cfg, "mid")), ("min", _shifts(cfg, "min"))]
-    minima = cycle_minima(cfg)
-    plan: dict[int, str] = {}
-    for tag, shifts in targets:  # later tags overwrite earlier ones
-        for m in minima:
-            plan.update((m + d, tag) for d in shifts if m + d < cfg.total_iters)
-    plan.setdefault(cfg.total_iters - 1, "window")
+) -> set[int]:
+    """Capture iterations of every policy: each policy's targets around each rate
+    minimum (`_shifts`: the minima, the half-amplitude points, the window and each
+    offset), and the final iterate. Targets past the run's end are dropped here; the
+    selections later skip those cycles with a warning."""
+    shifts = {*_shifts(cfg, "window", window_halfwidth), *_shifts(cfg, "min+mid")}
+    shifts.update(d for steps in offsets for d in _shifts(cfg, "offset", steps))
+    plan = {m + d for m in cycle_minima(cfg) for d in shifts if m + d < cfg.total_iters}
+    plan.add(cfg.total_iters - 1)
     return plan
 
 
 def train_runs(
     arch: MlpArchitecture, data: Dataset, val: Dataset, cfg: CycleConfig,
-    seeds: list[int], capture_plans: list[Mapping[int, str]], batch_size: int,
+    seeds: list[int], capture_plans: list[Iterable[int]], batch_size: int,
 ) -> list[SnapshotStore]:
     """One SGD run under the cyclical schedule per (seed, plan) pair, snapshotting
     the planned iterations; the runs step together, their parameters stacked [R, P].
 
-    Each plan maps iteration -> tag, as `plan_captures` builds it. Snapshots
+    Each plan is an iterable of iterations, as `plan_captures` builds it. Snapshots
     record the parameters right after that iteration's update, with mean NLL
     evaluated on the full training and validation sets. Each store is
     deterministic given (arch, data, val, cfg, seed, plan) and equals, bit for
@@ -178,10 +161,8 @@ def train_runs(
     _check_fits(val, arch, "validation set")
     if batch_size < 1:
         raise InputError(f"batch_size must be positive, got {batch_size}")
-    plans = [{int(t): tag for t, tag in plan.items()} for plan in capture_plans]
-    for t, tag in (item for plan in plans for item in plan.items()):
-        if tag not in TAGS:
-            raise InputError(f"unknown capture tag {tag!r}")
+    plans = [{json_kind(int, t, "capture iteration") for t in plan} for plan in capture_plans]
+    for t in (t for plan in plans for t in plan):
         if not 0 <= t < cfg.total_iters:
             raise InputError(f"capture iteration {t} outside [0, {cfg.total_iters})")
 
@@ -194,26 +175,24 @@ def train_runs(
     m = data.num_examples
     features = _stacked_rows(data.features, val.features)
     labels = np.concatenate([data.labels, val.labels])
-    probs = forward_each((params for runs in pending for _, _, params in runs), features)
+    probs = forward_each((params for runs in pending for _, params in runs), features)
     prints = fingerprint(data), fingerprint(val)
     stores = []
-    for seed, plan, runs in zip(seeds, plans, pending):
+    for seed, runs in zip(seeds, pending):
         captured = []
-        for t, lr, params in runs:
+        for t, params in runs:
             nlls = _example_nll(next(probs), labels)
-            train_nll, val_nll = float(nlls[:m].mean()), float(nlls[m:].mean())
-            captured.append(Snapshot(params, t, lr, train_nll, val_nll, plan[t]))
-        stores.append(SnapshotStore(f"run-{seed}", arch, cfg, seed, *prints, tuple(captured)))
+            captured.append(Snapshot(params, t, float(nlls[:m].mean()), float(nlls[m:].mean())))
+        stores.append(SnapshotStore(arch, cfg, seed, *prints, tuple(captured)))
     return stores
 
 
 def _descend(
     arch: MlpArchitecture, data: Dataset, cfg: CycleConfig, seeds: list[int],
-    plans: list[dict[int, str]], batch_size: int, every_step: bool,
-) -> list[list[tuple[int, float, ParamVector]]] | None:
-    """The SGD loop of `train_runs`: each run's captures as (iteration, rate,
-    parameters) in iteration order, or None when a checkpoint finds a non-finite
-    parameter.
+    plans: list[set[int]], batch_size: int, every_step: bool,
+) -> list[list[tuple[int, ParamVector]]] | None:
+    """The SGD loop of `train_runs`: each run's captures as (iteration, parameters)
+    in iteration order, or None when a checkpoint finds a non-finite parameter.
 
     The checkpoints are the last step of each pass over the data, each planned
     capture (before its parameters are copied) and the last iteration. Inf and NaN
@@ -241,7 +220,7 @@ def _descend(
     checkpoints = planned | {cfg.total_iters - 1}
     shuffle_rngs = [np.random.default_rng([seed, 1]) for seed in seeds]  # apart from init
     pos = m  # the first step draws each run's first shuffle
-    pending: list[list[tuple[int, float, ParamVector]]] = [[] for _ in seeds]
+    pending: list[list[tuple[int, ParamVector]]] = [[] for _ in seeds]
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked below
         for t in range(cfg.total_iters):
             if pos >= m:
@@ -270,7 +249,7 @@ def _descend(
             if t in planned:
                 for r, plan in enumerate(plans):
                     if t in plan:
-                        pending[r].append((t, lr, ParamVector(values[r], arch)))
+                        pending[r].append((t, ParamVector(values[r], arch)))
     return pending
 
 
@@ -363,10 +342,9 @@ def select(store: SnapshotStore, policy: str, arg: int = 0) -> list[Snapshot]:
 
 def _header_dict(store: SnapshotStore) -> dict:
     """The store's JSON header: each field of the store and of its snapshots but their
-    parameters, which follow as raw bytes; the architecture also names its activation,
-    and the header its parameter count."""
+    parameters, which follow as raw bytes, and the parameter count."""
     header = {f.name: getattr(store, f.name) for f in fields(SnapshotStore)}
-    header["arch"] = {**asdict(store.arch), "hidden_activation": HIDDEN_ACTIVATION}
+    header["arch"] = asdict(store.arch)
     header["cfg"] = asdict(store.cfg)
     header["param_count"] = store.arch.num_params
     # asdict would deep-copy each snapshot's payload through params
@@ -401,7 +379,6 @@ def save_store(store: SnapshotStore, path: str | Path) -> None:
         tmp.unlink(missing_ok=True)
         raise
     sidecar = {
-        "run_id": store.run_id,
         "seed": store.seed,
         "cfg": header["cfg"],
         "train_fingerprint": store.train_fingerprint,
@@ -474,7 +451,10 @@ def load_store(path: str | Path) -> SnapshotStore:
             raise TruncatedFileError(f"{path}: truncated store header")
         version, header_len = struct.unpack("<HI", buf)
         if version != STORE_VERSION:
-            raise BadVersionError(f"{path}: store version {version}, expected {STORE_VERSION}")
+            raise BadVersionError(
+                f"{path}: store version {version}, expected {STORE_VERSION}; "
+                f"rerun train to rebuild it"
+            )
         ofs = len(STORE_MAGIC) + 6
         stat = os.fstat(f.fileno())
         size = stat.st_size
@@ -490,11 +470,7 @@ def load_store(path: str | Path) -> SnapshotStore:
         # and a value of another JSON kind. ** and {**} take only a JSON object
         try:
             header = {**header}
-            arch_fields = {**header.pop("arch")}
-            activation = arch_fields.pop("hidden_activation")
-            if activation != HIDDEN_ACTIVATION:
-                raise InputError(f"unsupported hidden activation: {activation!r}")
-            arch = MlpArchitecture(**arch_fields)
+            arch = MlpArchitecture(**header.pop("arch"))
             cfg = CycleConfig(**header.pop("cfg"))
             snap_meta = list(header.pop("snapshots"))  # a non-iterable fails here, not at len()
             param_count = json_kind(int, header.pop("param_count"), "param_count")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import struct
 
 import numpy as np
@@ -22,7 +23,6 @@ from snapstack import (
     split,
     weighted_mean,
 )
-from snapstack.schedule import cycle_minima
 
 
 @pytest.fixture
@@ -68,21 +68,12 @@ def store_from_nlls(
 ) -> SnapshotStore:
     """Synthetic store with prescribed per-iteration validation NLLs."""
     zeros = ParamVector(np.zeros(arch.num_params), arch)
-    snaps = []
-    minima = set(cycle_minima(cfg))
-    for t in sorted(val_nlls):
-        snaps.append(
-            Snapshot(
-                params=zeros,
-                iteration=t,
-                lr_at_capture=lr_at(cfg, t),
-                train_nll=(train_nlls or val_nlls)[t],
-                val_nll=val_nlls[t],
-                tag="min" if t in minima else "window",
-            )
-        )
+    snaps = [
+        Snapshot(params=zeros, iteration=t, train_nll=(train_nlls or val_nlls)[t],
+                 val_nll=val_nlls[t])
+        for t in sorted(val_nlls)
+    ]
     return SnapshotStore(
-        run_id="synthetic",
         arch=arch,
         cfg=cfg,
         seed=0,
@@ -90,6 +81,21 @@ def store_from_nlls(
         val_fingerprint="",
         snapshots=tuple(snaps),
     )
+
+
+def version_1_store(raw: bytes) -> bytes:
+    """The bytes of the store file raw in version 1 of the format: its header also held
+    a run id, the hidden activation, and each snapshot's learning rate and capture tag
+    (here "window" for each, a tag version 1 accepted at any iteration)."""
+    (header_len,) = struct.unpack_from("<I", raw, 10)
+    header = json.loads(raw[14 : 14 + header_len])
+    header["run_id"] = f"run-{header['seed']}"
+    header["arch"]["hidden_activation"] = "relu"
+    cfg = CycleConfig(**header["cfg"])
+    for meta in header["snapshots"]:
+        meta.update(lr_at_capture=lr_at(cfg, meta["iteration"]), tag="window")
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return raw[:8] + struct.pack("<HI", 1, len(blob)) + blob + raw[14 + header_len :]
 
 
 def write_idx_pair(tmp_path, images: np.ndarray, labels: np.ndarray):

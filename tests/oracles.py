@@ -7,9 +7,11 @@ per-example NLL, and `sgd_step` is the out-of-place form of the loop's in-place
 update. `likelihood_weights` is the paper's likelihood rule written out on its
 own, with no call into the package, `softmax_last_axis` the softmax with
 both row reductions along the last axis, the reference for the package's row
-max over a class-major copy, and `split_reference` the train/validation split
+max over a class-major copy, `split_reference` the train/validation split
 written out as one fancy index of the pool's features, the reference for the
-package's part-by-part gather. No command uses them.
+package's part-by-part gather, and `plan_reference` the capture plan written out
+cycle by cycle from its definition, the reference for the package's per-policy
+shifts. No command uses them.
 """
 
 from __future__ import annotations
@@ -63,6 +65,24 @@ def sgd_step(params: ParamVector, gradient: ParamVector, lr: float) -> ParamVect
 def cycle_midpoints(cfg: CycleConfig) -> list[int]:
     """First iteration of each completed cycle at or below the half-amplitude rate."""
     return [c * cfg.cycle_len + cfg.mid_phase for c in range(cfg.num_cycles)]
+
+
+def plan_reference(cfg: CycleConfig, window_halfwidth: int = 0, offsets=()) -> set[int]:
+    """The iterations `train` captures, cycle by cycle: in each completed cycle c of
+    L = cycle_len iterations, its rate minimum c * L + L - 1 (the cycle's last
+    iteration), its half-amplitude point c * L + p for the first phase p with
+    p / (L - 1) >= 1/2, the iterations within window_halfwidth of the minimum and the
+    minimum plus each offset; then the run's last iteration. Iterations past the run's
+    end are dropped. It makes no check; a plan the package rejects has no reference."""
+    length, total = cfg.cycle_len, cfg.total_iters
+    half = next(p for p in range(length) if 2 * p >= length - 1)
+    plan = {total - 1}
+    for c in range(total // length):
+        minimum = c * length + length - 1
+        targets = [c * length + half, minimum, *(minimum + o for o in offsets)]
+        targets += range(minimum - window_halfwidth, minimum + window_halfwidth + 1)
+        plan.update(t for t in targets if t < total)
+    return plan
 
 
 def softmax_last_axis(z: np.ndarray) -> np.ndarray:

@@ -17,10 +17,12 @@ from conftest import (
     ensemble_metrics,
     store_from_nlls,
     swa_params,
+    version_1_store,
     write_idx_pair,
 )
 from oracles import backward, cycle_midpoints, likelihood_weights, nll_loss
 from snapstack import (
+    BadVersionError,
     CycleConfig,
     Dataset,
     FormatError,
@@ -270,7 +272,7 @@ def test_c05_ensemble_prediction_algebra():
         snaps = []
         for i in range(5):
             pv = ParamVector(rng.normal(0.0, 1.0, arch.num_params), arch)
-            snaps.append(Snapshot(pv, i, 0.01, float(rng.uniform(0.2, 2.0)), 0.5, "min"))
+            snaps.append(Snapshot(pv, i, float(rng.uniform(0.2, 2.0)), 0.5))
         xs = rng.normal(0.0, 1.0, (40, 3))
 
         eq = np.ones(len(snaps))
@@ -405,7 +407,7 @@ def test_c09_swa_algebra():
         arch = MlpArchitecture((1, 1))
 
         def snap(v0, v1, it):
-            return Snapshot(ParamVector(np.array([v0, v1]), arch), it, 0.1, 0.5, 0.5, "min")
+            return Snapshot(ParamVector(np.array([v0, v1]), arch), it, 0.5, 0.5)
 
         same = snap(0.7, -0.4, 0)
         out = swa_params([same] * 3, [1.0] * 3)
@@ -455,7 +457,7 @@ def test_c10_io_robustness(tmp_path):
             return with_header(snapshots=[{**snap_meta[0], **changes}, *snap_meta[1:]])
 
         # a consistent store of arch (6, 8, 1) whose last layer size is the JSON true
-        bool_size = {"layer_sizes": [6, 8, True], "hidden_activation": "relu"}
+        bool_size = {"layer_sizes": [6, 8, True]}
         bool_size_header = json.dumps({**header, "arch": bool_size, "param_count": 65}).encode()
         bool_size_store = (
             raw[:10] + struct.pack("<I", len(bool_size_header)) + bool_size_header
@@ -479,8 +481,7 @@ def test_c10_io_robustness(tmp_path):
             "store_param_count_text": (with_header(param_count="many"), load_store),
             "store_param_count_inf": (with_header(param_count=float("inf")), load_store),
             "store_layer_size_text": (
-                with_header(arch={"layer_sizes": [6, "eight", 3], "hidden_activation": "relu"}),
-                load_store,
+                with_header(arch={"layer_sizes": [6, "eight", 3]}), load_store
             ),
             "store_iteration_inf": (
                 with_header(snapshots=[{**snap_meta[0], "iteration": float("inf")}, *snap_meta[1:]]),
@@ -505,7 +506,6 @@ def test_c10_io_robustness(tmp_path):
                 with_header(param_count=str(header["param_count"])), load_store
             ),
             "store_train_nll_text": (with_meta(train_nll="0.5"), load_store),
-            "store_run_id_number": (with_header(run_id=5), load_store),
             "store_fingerprint_number": (with_header(val_fingerprint=7), load_store),
             "store_alpha_max_bool": (
                 with_header(cfg={**header["cfg"], "alpha_max": True}), load_store
@@ -516,6 +516,11 @@ def test_c10_io_robustness(tmp_path):
                 with_header(cfg={**header["cfg"], "alpha_max": float("inf")}), load_store
             ),
             "store_snapshot_unknown_key": (with_meta(note="kept"), load_store),
+            # the keys that version 1 also wrote are unknown to version 2, and a
+            # version-1 file is refused whole
+            "store_run_id": (with_header(run_id="run-3"), load_store),
+            "store_snapshot_tag": (with_meta(tag="min"), load_store),
+            "store_version_1": (version_1_store(raw), load_store),
             "idx_image_magic": (flip(img_raw, 0), lambda p: load_idx(p, lbl_path)),
             "idx_image_cut": (img_raw[:-3], lambda p: load_idx(p, lbl_path)),
             "idx_label_magic": (flip(lbl_raw, 3), lambda p: load_idx(img_path, p)),
@@ -536,3 +541,5 @@ def test_c10_io_robustness(tmp_path):
             path.write_bytes(payload)
             with pytest.raises(FormatError):
                 loader(path)
+        with pytest.raises(BadVersionError, match="store version 1, expected 2"):
+            load_store(tmp_path / "store_version_1")

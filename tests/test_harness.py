@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import snapstack
-from conftest import ensemble_metrics, store_from_nlls
+from conftest import ensemble_metrics, store_from_nlls, version_1_store
 from snapstack import (
     FormatError,
     InputError,
@@ -680,6 +680,22 @@ class TestStoreCommands:
                             r"it was loaded\n", err), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep-temp", "sweep-offset"])
+    def test_version_1_store_exits_3(self, setup, tmp_path, capsys, command):
+        # a version-1 store is refused whole, before any dataset is read or file written
+        _, _, store_dir = setup
+        store_path = tmp_path / "v1.snap"
+        store_path.write_bytes(version_1_store((store_dir / "store.snap").read_bytes()))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(SMALL))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--store", str(store_path),
+                     "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {store_path}: store version 1, expected 2; rerun train to rebuild it\n"
+        )
+        assert not out.exists()
+
 
 # train, sweep-temp and compare in one interpreter: argv is the config path and
 # the output directory; exits 1 on the first command that fails
@@ -811,6 +827,25 @@ class TestCmdReport:
             cmd_report([p], tmp_path / "report.md")
 
 
+# sizes no array can hold exit 1 when the config or the architecture is checked,
+# and one that only the allocation refuses exits 2: 2**55 hidden units at d=6 ask
+# for more memory than a 57-bit address space holds, so nothing is reserved
+COMPUTING_COMMANDS = ("train", "sweep-temp", "sweep-offset", "compare")
+OVERSIZED = [
+    *(pytest.param({"dataset": {**SMALL["dataset"], key: 10**20}}, command, 1,
+                   id=f"{key}-{command}")
+      for key in ("num_classes", "per_class", "dim", "test_per_class")
+      for command in COMPUTING_COMMANDS),
+    *(pytest.param({"num_independent": 10**20}, command, 1, id=f"num_independent-{command}")
+      for command in COMPUTING_COMMANDS),
+    *(pytest.param({"hidden": [10**20]}, command, 1, id=f"hidden-{command}")
+      for command in ("train", "compare")),
+    *(pytest.param({"dataset": {**SMALL["dataset"], "dim": 6}, "hidden": [2**55]}, command,
+                   2, id=f"hidden-2**55-{command}")
+      for command in ("train", "compare")),
+]
+
+
 class TestCli:
     def write_config(self, tmp_path, **overrides):
         raw = json.loads(json.dumps(SMALL))
@@ -921,6 +956,20 @@ class TestCli:
         out_dir = tmp_path / "out"
         assert main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir), *argv]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("overrides, command, code", OVERSIZED)
+    def test_oversized_sizes_exit_with_one_error_line(self, setup, tmp_path, capsys, overrides,
+                                                      command, code):
+        _, _, store_dir = setup
+        cfg_path = self.write_config(tmp_path, **overrides)
+        out_dir = tmp_path / "out"
+        store = ["--store", str(store_dir / "store.snap")] if command.startswith("sweep") else []
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path), "--out-dir", str(out_dir), *store]) == code
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [^\n]*\n", err), err
+        assert err.startswith("error: out of memory") == (code == 2)
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("overrides,key", [

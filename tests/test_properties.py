@@ -174,11 +174,10 @@ def test_load_store_bytes_value_or_error(store_file, edits):
 
 
 HEADER_PATHS = (
-    "run_id", "seed", "arch", "arch.layer_sizes", "arch.layer_sizes.0", "arch.layer_sizes.2",
-    "arch.hidden_activation", "cfg", "cfg.alpha_min", "cfg.alpha_max", "cfg.cycle_len",
-    "cfg.total_iters", "train_fingerprint", "param_count", "snapshots", "snapshots.0",
-    "snapshots.0.iteration", "snapshots.1.iteration", "snapshots.0.lr_at_capture",
-    "snapshots.0.train_nll", "snapshots.1.val_nll", "snapshots.0.tag",
+    "seed", "arch", "arch.layer_sizes", "arch.layer_sizes.0", "arch.layer_sizes.2", "cfg",
+    "cfg.alpha_min", "cfg.alpha_max", "cfg.cycle_len", "cfg.total_iters", "train_fingerprint",
+    "param_count", "snapshots", "snapshots.0", "snapshots.0.iteration",
+    "snapshots.1.iteration", "snapshots.0.train_nll", "snapshots.1.val_nll",
 )
 HEADER_VALUES = st.one_of(
     st.none(),

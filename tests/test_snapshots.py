@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import quick_split, store_from_nlls
-from oracles import backward, cycle_midpoints, sgd_step
+from oracles import backward, cycle_midpoints, plan_reference, sgd_step
 from snapstack import (
     ArchMismatchError,
     BadMagicError,
@@ -109,22 +109,22 @@ def checkpoints(cfg, steps, plans):
 # reference loop
 BOUNDARY_CASES = [
     # seed 0 first goes non-finite at iteration 51, two steps before its pass ends
-    pytest.param(300.0, 60, 16, [0], [{}], "between", id="between-checkpoints"),
+    pytest.param(300.0, 60, 16, [0], [()], "between", id="between-checkpoints"),
     # iteration 47, the sixth and last full minibatch of the eighth pass
-    pytest.param(533.5, 60, 16, [0], [{}], "pass end", id="last-step-of-a-pass"),
+    pytest.param(533.5, 60, 16, [0], [()], "pass end", id="last-step-of-a-pass"),
     # iteration 44, the 16-row minibatch that ends the ninth pass of 20-row ones
-    pytest.param(948.7, 60, 20, [0], [{}], "short minibatch", id="short-last-minibatch"),
-    pytest.param(300.0, 60, 16, [0], [{51: "window"}], "capture", id="planned-capture"),
+    pytest.param(948.7, 60, 20, [0], [()], "short minibatch", id="short-last-minibatch"),
+    pytest.param(300.0, 60, 16, [0], [{51}], "capture", id="planned-capture"),
     # the schedule depends on the phase only, so the run is that of 60 iterations
-    pytest.param(300.0, 52, 16, [0], [{}], "last", id="last-iteration"),
+    pytest.param(300.0, 52, 16, [0], [()], "last", id="last-iteration"),
     # seed 1 at iteration 50, seed 0 at 51: the pass's third and fourth steps
-    pytest.param(300.0, 60, 16, [0, 1], [{}, {}], "between", id="two-runs-one-pass"),
+    pytest.param(300.0, 60, 16, [0, 1], [(), ()], "between", id="two-runs-one-pass"),
 ]
 
 
 class TestCaptures:
     def test_empty_plan_trains_without_snapshots(self):
-        store = small_run({})
+        store = small_run(())
         assert store.snapshots == ()
 
     def test_deterministic(self):
@@ -143,42 +143,63 @@ class TestCaptures:
         expected = {t: p for t, p in reference_steps(ARCH, train, CFG, 5, 16) if t in plan}
         assert {s.iteration: s.params for s in store.snapshots} == expected
 
-    def test_auto_tags_from_schedule(self):
-        store = small_run(plan_captures(CFG, window_halfwidth=1))
-        tags = {s.iteration: s.tag for s in store.snapshots}
-        for t in cycle_minima(CFG):
-            assert tags[t - 1] == "window"
-            assert tags[t] == "min"
-        for t in cycle_midpoints(CFG):
-            assert tags[t] == "mid"
+    def test_plan_equals_reference(self):
+        # cycle_len 2, where the half-amplitude point is the minimum, and 3, where it is
+        # the iteration before it; truncated last cycles; and windows and offsets
+        # clipped at the run's end
+        for length in (2, 3, 4, 5, 8):
+            for total in (length, 2 * length, 3 * length + 1, 3 * length + length - 1):
+                cfg = CycleConfig(0.02, 0.3, length, total)
+                for w in range((length + 1) // 2):  # the widest window is under length / 2
+                    for offsets in ([], [length - 1], [1 - length], [-1, 1], [1 - length, 0, 2]):
+                        offsets = [o for o in offsets if abs(o) < length]
+                        assert plan_captures(cfg, w, offsets) == plan_reference(cfg, w, offsets)
 
-    def test_explicit_tag_mapping(self):
-        store = small_run({7: "offset", 19: "min"})
-        assert [s.tag for s in store.snapshots] == ["offset", "min"]
+    def test_selections_take_planned_iterations(self):
+        # on a store that holds every iteration, each policy selects only iterations
+        # that its plan captures
+        for length, total in [(2, 8), (3, 10), (4, 8), (5, 23), (20, 60)]:
+            cfg = CycleConfig(0.02, 0.3, length, total)
+            store = store_from_nlls(cfg, ARCH, {t: 1.0 - t / total for t in range(total)})
+            picks = [("min", 0, plan_captures(cfg)), ("mid", 0, plan_captures(cfg)),
+                     ("min+mid", 0, plan_captures(cfg))]
+            picks += [("window", w, plan_captures(cfg, w)) for w in range((length + 1) // 2)]
+            picks += [("offset", o, plan_captures(cfg, offsets=[o]))
+                      for o in range(1 - length, length)]
+            for policy, arg, plan in picks:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # cycles past the run's end are skipped
+                    chosen = select(store, policy, arg)
+                assert {s.iteration for s in chosen} <= plan, (length, policy, arg)
+
+    def test_plan_is_any_iterable_of_iterations(self):
+        for plan in ([19, 7], (7, 19, 7), {7, 19}, iter([7, 19]), range(7, 20, 12)):
+            store = small_run(plan)
+            assert [s.iteration for s in store.snapshots] == [7, 19]
 
     def test_out_of_range_plan_rejected(self):
         with pytest.raises(InputError):
-            small_run({60: "window"})
+            small_run({60})
         with pytest.raises(InputError):
-            small_run({-1: "window"})
+            small_run({-1})
 
     def test_mismatched_data_rejected(self):
         train, val = quick_split()
         wrong_arch = MlpArchitecture((5, 4, 3))
         with pytest.raises(InputError):
-            train_runs(wrong_arch, train, val, CFG, [0], [{}], 32)
+            train_runs(wrong_arch, train, val, CFG, [0], [()], 32)
 
     def test_divergence_names_iteration(self):
         train, val = quick_split()
         wild = CycleConfig(1e7, 1e8, 20, 60)
         with pytest.raises(TrainingError, match="iteration"):
-            train_runs(ARCH, train, val, wild, [0], [{}], 16)
+            train_runs(ARCH, train, val, wild, [0], [()], 16)
 
     def test_snapshot_metadata(self):
         store = small_run(plan_captures(CFG))
         for snap, t in zip(select(store, "min"), cycle_minima(CFG), strict=True):
             assert snap.iteration == t
-            assert snap.lr_at_capture == CFG.alpha_min
+            assert lr_at(CFG, snap.iteration) == CFG.alpha_min
             assert snap.train_nll >= 0.0 and snap.val_nll >= 0.0
 
     def test_later_snapshots_improve_on_first(self):
@@ -195,11 +216,11 @@ class TestCaptures:
 
 
 def snap_at(iteration, arch=ARCH, nll=0.5):
-    return Snapshot(init_params(arch, 0), iteration, 0.1, nll, 0.5, "min")
+    return Snapshot(init_params(arch, 0), iteration, nll, 0.5)
 
 
 def store_with(**changes):
-    fields = {"run_id": "r", "arch": ARCH, "cfg": CFG, "seed": 0, "train_fingerprint": "",
+    fields = {"arch": ARCH, "cfg": CFG, "seed": 0, "train_fingerprint": "",
               "val_fingerprint": "", "snapshots": [], **changes}
     return SnapshotStore(**fields)
 
@@ -215,18 +236,22 @@ class TestRecordChecks:
         pytest.param(lambda: snap_at(0, nll=-0.5), "NLLs must be non-negative", id="negative-nll"),
         pytest.param(lambda: snap_at(0, nll=10**400), "must be finite", id="huge-int-nll"),
         pytest.param(
-            lambda: SnapshotStore("r", ARCH, CFG, 0, "", "", [snap_at(5), snap_at(5)]),
+            lambda: SnapshotStore(ARCH, CFG, 0, "", "", [snap_at(5), snap_at(5)]),
             "strictly increasing", id="iteration-repeated",
         ),
         pytest.param(
-            lambda: SnapshotStore("r", ARCH, CFG, 0, "", "", [snap_at(5, MlpArchitecture((2, 3)))]),
+            lambda: SnapshotStore(ARCH, CFG, 0, "", "", [snap_at(5, MlpArchitecture((2, 3)))]),
             "differs from store architecture", id="other-architecture",
         ),
         pytest.param(
-            lambda: SnapshotStore("r", ARCH, CFG, -3, "", "", []),
+            lambda: SnapshotStore(ARCH, CFG, -3, "", "", []),
             "seed must be non-negative", id="negative-seed",
         ),
-        pytest.param(lambda: small_run({7: "peak"}), "unknown capture tag 'peak'", id="capture-tag"),
+        # a plan names iterations as integers; int() would truncate these to 7 and 1
+        pytest.param(lambda: small_run([7.9]), "capture iteration must be an integer",
+                     id="float-capture"),
+        pytest.param(lambda: small_run([True]), "capture iteration must be an integer",
+                     id="bool-capture"),
         # load_store refuses each of these in a header, so no store may hold one
         pytest.param(lambda: CycleConfig(True, 2.0, 20, 60), "alpha_min must be a number",
                      id="bool-alpha"),
@@ -253,8 +278,6 @@ class TestRecordChecks:
         pytest.param(lambda: store_with(seed=1.5), "seed must be an integer", id="float-seed"),
         pytest.param(lambda: store_with(seed="0"), "seed must be an integer", id="text-seed"),
         pytest.param(lambda: store_with(seed=None), "seed must be an integer", id="null-seed"),
-        pytest.param(lambda: store_with(run_id=5), "run_id must be a string", id="number-run-id"),
-        pytest.param(lambda: store_with(run_id=None), "run_id must be a string", id="null-run-id"),
         pytest.param(lambda: store_with(train_fingerprint=None),
                      "train_fingerprint must be a string", id="null-fingerprint"),
         pytest.param(lambda: store_with(val_fingerprint=True),
@@ -264,20 +287,19 @@ class TestRecordChecks:
         with pytest.raises(InputError, match=match):
             make()
 
-    @pytest.mark.parametrize("name", ["lr_at_capture", "train_nll", "val_nll"])
+    @pytest.mark.parametrize("name", ["train_nll", "val_nll"])
     @pytest.mark.parametrize("value", [True, np.True_, "0.5", None])
     def test_rejects_a_stat_that_is_no_number(self, name, value):
         # the store holds each stat as a JSON number, which load_store would refuse
-        stats = {"lr_at_capture": 0.1, "train_nll": 0.5, "val_nll": 0.5, name: value}
+        stats = {"train_nll": 0.5, "val_nll": 0.5, name: value}
         with pytest.raises(InputError, match=f"{name} must be a number"):
-            Snapshot(init_params(ARCH, 0), 1, tag="min", **stats)
+            Snapshot(init_params(ARCH, 0), 1, **stats)
 
     @pytest.mark.parametrize("value", [1, 0.25, np.float64(0.3), np.float32(0.3), np.int64(2)])
     def test_numeric_stats_round_trip(self, tmp_path, value):
-        snap = Snapshot(init_params(ARCH, 0), 1, value, value, value, "min")
-        assert all(type(v) is float and v == value
-                   for v in (snap.lr_at_capture, snap.train_nll, snap.val_nll))
-        store = SnapshotStore("r", ARCH, CFG, 0, "", "", [snap])
+        snap = Snapshot(init_params(ARCH, 0), 1, value, value)
+        assert all(type(v) is float and v == value for v in (snap.train_nll, snap.val_nll))
+        store = SnapshotStore(ARCH, CFG, 0, "", "", [snap])
         save_store(store, tmp_path / "run.snap")
         assert load_store(tmp_path / "run.snap") == store
 
@@ -292,12 +314,12 @@ class TestRecordChecks:
     def test_numpy_header_values_round_trip(self, tmp_path, integer, real):
         # each is kept as the plain int or float it equals, which JSON can write
         cfg = CycleConfig(real(0.02), real(0.3), integer(20), integer(60))
-        snap = Snapshot(init_params(ARCH, 0), integer(19), real(0.02), real(0.5), 0.5, "min")
-        store = SnapshotStore("r", ARCH, cfg, integer(3), "", "", [snap])
+        snap = Snapshot(init_params(ARCH, 0), integer(19), real(0.5), 0.5)
+        store = SnapshotStore(ARCH, cfg, integer(3), "", "", [snap])
         header = [cfg.alpha_min, cfg.alpha_max, cfg.cycle_len, cfg.total_iters, store.seed,
-                  snap.iteration, snap.lr_at_capture, snap.train_nll]
-        assert [type(v) for v in header] == [float, float, int, int, int, int, float, float]
-        assert header == [real(0.02), real(0.3), 20, 60, 3, 19, real(0.02), real(0.5)]
+                  snap.iteration, snap.train_nll]
+        assert [type(v) for v in header] == [float, float, int, int, int, int, float]
+        assert header == [real(0.02), real(0.3), 20, 60, 3, 19, real(0.5)]
         save_store(store, tmp_path / "run.snap")
         assert load_store(tmp_path / "run.snap") == store
 
@@ -307,7 +329,7 @@ class TestTrainRuns:
         # 96 training rows in batches of 20: every pass ends on a short minibatch
         train, val = quick_split()
         seeds = [5, 6, 7]
-        plans = [plan_captures(CFG, window_halfwidth=1), {59: "window"}, {7: "offset"}]
+        plans = [plan_captures(CFG, window_halfwidth=1), {59}, {7}]
         stores = train_runs(ARCH, train, val, CFG, seeds, plans, 20)
         for store, seed, plan in zip(stores, seeds, plans, strict=True):
             assert store == train_runs(ARCH, train, val, CFG, [seed], [plan], 20)[0]
@@ -318,7 +340,7 @@ class TestTrainRuns:
         arch = MlpArchitecture((784, 32, 10))
         train, val = split(make_blobs(10, 10, 784, 0.5, seed=3), SplitSpec(0.2, 3))
         seeds = [5, 6, 7]
-        plans = [plan_captures(CFG, window_halfwidth=1), {59: "window"}, {7: "offset"}]
+        plans = [plan_captures(CFG, window_halfwidth=1), {59}, {7}]
         stores = train_runs(arch, train, val, CFG, seeds, plans, 32)
         for store, seed, plan in zip(stores, seeds, plans, strict=True):
             assert store == train_runs(arch, train, val, CFG, [seed], [plan], 32)[0]
@@ -331,7 +353,7 @@ class TestTrainRuns:
         assert train.features.base is val.features.base
         apart = [Dataset(np.array(d.features), d.labels, d.num_classes) for d in (train, val)]
         assert not np.shares_memory(apart[0].features, apart[1].features)
-        plans = [plan_captures(CFG, window_halfwidth=1), {59: "window"}]
+        plans = [plan_captures(CFG, window_halfwidth=1), {59}]
         stores = train_runs(arch, train, val, CFG, [5, 6], plans, batch)
         assert stores == train_runs(arch, *apart, CFG, [5, 6], plans, batch)
 
@@ -341,7 +363,7 @@ class TestTrainRuns:
         arch = MlpArchitecture((784, 32, 10))
         train, val = split(make_blobs(10, 100, 784, 1.0, seed=2), SplitSpec(0.2, 2))
         joined = train.features.nbytes + val.features.nbytes
-        plan = {t: "window" for t in range(0, 60, 12)}
+        plan = range(0, 60, 12)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -357,13 +379,12 @@ class TestTrainRuns:
         arch = MlpArchitecture(sizes)
         train, val = reference_split(sizes, per_class)
         seeds = [5, 6, 7]
-        plans = [plan_captures(CFG, window_halfwidth=1), {59: "window"}, {7: "offset", 58: "min"}]
+        plans = [plan_captures(CFG, window_halfwidth=1), {59}, {7, 58}]
         stores = train_runs(arch, train, val, CFG, seeds, plans, batch)
         for store, seed, plan in zip(stores, seeds, plans, strict=True):
             steps = reference_steps(arch, train, CFG, seed, batch)
             expected = {t: p for t, p in steps if t in plan}
             assert {s.iteration: s.params for s in store.snapshots} == expected
-            assert [s.lr_at_capture for s in store.snapshots] == [lr_at(CFG, t) for t in expected]
 
     @pytest.mark.parametrize("sizes, per_class, batch", REFERENCE_CASES)
     def test_divergence_at_reference_iteration(self, sizes, per_class, batch):
@@ -377,7 +398,7 @@ class TestTrainRuns:
         t = min(diverged)
         seed = seeds[diverged.index(t)]
         with pytest.raises(TrainingError, match=rf"iteration {t} \(seed {seed}\)$"):
-            train_runs(arch, train, val, wild, seeds, [{}] * 3, batch)
+            train_runs(arch, train, val, wild, seeds, [()] * 3, batch)
 
     @pytest.mark.parametrize("alpha, total, batch, seeds, plans, where", BOUNDARY_CASES)
     def test_divergence_at_checkpoint_boundaries(
@@ -420,9 +441,9 @@ class TestTrainRuns:
         train, val = quick_split()
         wild = CycleConfig(1e7, 1e8, 20, 60)
         with pytest.raises(TrainingError, match=r"iteration \d+ \(seed 4\)"):
-            train_runs(ARCH, train, val, wild, [4, 9], [{}, {}], 16)
+            train_runs(ARCH, train, val, wild, [4, 9], [(), ()], 16)
 
-    @pytest.mark.parametrize("seeds, plans", [([1, 2, 3], [{}]), ([1], [{}, {}]), ([], [])])
+    @pytest.mark.parametrize("seeds, plans", [([1, 2, 3], [()]), ([1], [(), ()]), ([], [])])
     def test_run_lists_must_pair_up(self, seeds, plans):
         # one plan per seed and at least one run: a store per run, none dropped
         train, val = quick_split()
@@ -435,10 +456,10 @@ class TestSelectMin:
         store = small_run(plan_captures(CFG))
         chosen = select(store, "min")
         assert [s.iteration for s in chosen] == cycle_minima(CFG)
-        assert all(s.lr_at_capture == CFG.alpha_min for s in chosen)
+        assert all(lr_at(CFG, s.iteration) == CFG.alpha_min for s in chosen)
 
     def test_empty_selection_raises(self):
-        store = small_run({3: "window"})
+        store = small_run({3})
         with pytest.raises(SelectionError):
             select(store, "min")
 
@@ -446,8 +467,8 @@ class TestSelectMin:
 def huge_store(iterations) -> SnapshotStore:
     """Store whose header declares 2**70 iterations in cycles of 5 (minima 4, 9, 14, ...)."""
     zeros = ParamVector(np.zeros(ARCH.num_params), ARCH)
-    snaps = [Snapshot(zeros, t, 0.05, 0.5, 0.5 - 0.01 * t, "min") for t in iterations]
-    return SnapshotStore("huge", ARCH, CycleConfig(0.01, 0.1, 5, 2**70), 0, "", "", snaps)
+    snaps = [Snapshot(zeros, t, 0.5, 0.5 - 0.01 * t) for t in iterations]
+    return SnapshotStore(ARCH, CycleConfig(0.01, 0.1, 5, 2**70), 0, "", "", snaps)
 
 
 class TestSelectMid:
@@ -460,7 +481,7 @@ class TestSelectMid:
         half = (CFG.alpha_max + CFG.alpha_min) / 2.0
         for s in mids:
             step = lr_at(CFG, s.iteration - 1) - lr_at(CFG, s.iteration)
-            assert abs(s.lr_at_capture - half) <= step + 1e-12
+            assert abs(lr_at(CFG, s.iteration) - half) <= step + 1e-12
 
     def test_combined_min_mid_gives_two_per_cycle(self):
         store = small_run(plan_captures(CFG))
@@ -672,11 +693,10 @@ class TestStoreIO:
         arch = MlpArchitecture((784, 32, 10))
         rng = np.random.default_rng(0)
         snaps = tuple(
-            Snapshot(ParamVector(rng.normal(0.0, 0.1, arch.num_params), arch), t, 0.05, 0.3, 0.4,
-                     "window")
+            Snapshot(ParamVector(rng.normal(0.0, 0.1, arch.num_params), arch), t, 0.3, 0.4)
             for t in range(40)
         )
-        store = SnapshotStore(run_id="idx784-shaped", arch=arch, cfg=CycleConfig(0.01, 0.1, 100, 500),
+        store = SnapshotStore(arch=arch, cfg=CycleConfig(0.01, 0.1, 100, 500),
                               seed=0, train_fingerprint="", val_fingerprint="", snapshots=snaps)
         save_store(store, path)
         return store
@@ -821,6 +841,11 @@ class TestStoreIO:
         pytest.param(lambda h: h.update(cfg=list(h["cfg"].items())), id="cfg-pairs"),
         pytest.param(lambda h: h["snapshots"].append(list(h["snapshots"].pop().items())),
                      id="snapshot-pairs"),
+        # the keys that version 1 also wrote
+        pytest.param(lambda h: h.update(run_id=f"run-{h['seed']}"), id="run-id"),
+        pytest.param(lambda h: h["snapshots"][1].update(tag="min"), id="snapshot-tag"),
+        pytest.param(lambda h: h["snapshots"][1].update(lr_at_capture=CFG.alpha_min),
+                     id="snapshot-rate"),
     ])
     def test_header_takes_only_the_fields_of_its_dataclasses(self, tmp_path, edit):
         # a key that no field has, or a JSON array of [key, value] pairs, is refused
@@ -860,20 +885,21 @@ class TestStoreIO:
             load_store(tmp_path / "json.snap")
 
     def test_rejects_unknown_activation(self, tmp_path):
-        # the header names the MLP's one hidden activation; any other, or none, is malformed
+        # the MLP has one hidden activation, so the header names none; an architecture
+        # that names one, even that one, is malformed
         store = small_run(plan_captures(CFG))
         path = tmp_path / "run.snap"
         save_store(store, path)
         raw = path.read_bytes()
         (header_len,) = struct.unpack_from("<I", raw, 10)
         header = json.loads(raw[14 : 14 + header_len].decode())
-        assert header["arch"]["hidden_activation"] == "relu"
-        for arch in ({**header["arch"], "hidden_activation": "tanh"},
-                     {"layer_sizes": header["arch"]["layer_sizes"]}):
+        assert header["arch"] == {"layer_sizes": list(ARCH.layer_sizes)}
+        for activation in ("relu", "tanh"):
+            arch = {**header["arch"], "hidden_activation": activation}
             new_header = json.dumps({**header, "arch": arch}).encode()
             out = raw[:10] + struct.pack("<I", len(new_header)) + new_header + raw[14 + header_len :]
             (tmp_path / "act.snap").write_bytes(out)
-            with pytest.raises(FormatError, match="hidden_activation|tanh"):
+            with pytest.raises(FormatError, match="malformed store header.*hidden_activation"):
                 load_store(tmp_path / "act.snap")
 
     def test_rejects_negative_seed(self, tmp_path):

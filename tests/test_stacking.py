@@ -34,8 +34,7 @@ def snap_with_bias(bias0: float, bias1: float, train_nll=0.5, val_nll=0.6, it=0)
     """Bias-only [1 -> 2] member whose output is softmax((bias0, bias1))."""
     pv = ParamVector(np.array([0.0, 0.0, bias0, bias1]), ARCH_1D)
     return Snapshot(
-        params=pv, iteration=it, lr_at_capture=0.01,
-        train_nll=train_nll, val_nll=val_nll, tag="min",
+        params=pv, iteration=it, train_nll=train_nll, val_nll=val_nll,
     )
 
 
@@ -226,7 +225,7 @@ class TestEnsemblePredict:
         snaps = []
         for i in range(4):
             pv = ParamVector(rng.normal(0, 1, ARCH_1D.num_params), ARCH_1D)
-            snaps.append(Snapshot(pv, i, 0.01, 0.5, 0.5, "min"))
+            snaps.append(Snapshot(pv, i, 0.5, 0.5))
         w = np.ones(len(snaps))
         xs = rng.normal(0, 1, (10, 1))
         stacked = np.stack([np.vstack([forward_batch(s.params, x[None])[0] for x in xs]) for s in snaps])
@@ -240,7 +239,7 @@ class TestEnsemblePredict:
         snaps = []
         for i in range(5):
             pv = ParamVector(rng.normal(0, 1, arch.num_params), arch)
-            snaps.append(Snapshot(pv, i, 0.01, float(rng.uniform(0.1, 2)), 0.5, "min"))
+            snaps.append(Snapshot(pv, i, float(rng.uniform(0.1, 2)), 0.5))
         w = temperature_row(snaps, 0.3)
         out = weighted_mean(member_probs(snaps, rng.normal(0, 1, (20, 3))), w)
         assert np.all(out >= 0.0)
@@ -257,22 +256,22 @@ class TestSwaAverage:
 
     def test_equal_weight_hand_case(self):
         arch = MlpArchitecture((1, 1))
-        a = Snapshot(ParamVector(np.array([0.0, 2.0]), arch), 0, 0.1, 0.5, 0.5, "min")
-        b = Snapshot(ParamVector(np.array([2.0, 0.0]), arch), 1, 0.1, 0.5, 0.5, "min")
+        a = Snapshot(ParamVector(np.array([0.0, 2.0]), arch), 0, 0.5, 0.5)
+        b = Snapshot(ParamVector(np.array([2.0, 0.0]), arch), 1, 0.5, 0.5)
         avg = swa_params([a, b], [1.0, 1.0])
         np.testing.assert_allclose(avg.values, [1.0, 1.0], atol=1e-15)
 
     def test_weighted_hand_case(self):
         arch = MlpArchitecture((1, 1))
-        a = Snapshot(ParamVector(np.array([0.0, 2.0]), arch), 0, 0.1, 0.5, 0.5, "min")
-        b = Snapshot(ParamVector(np.array([2.0, 0.0]), arch), 1, 0.1, 0.5, 0.5, "min")
+        a = Snapshot(ParamVector(np.array([0.0, 2.0]), arch), 0, 0.5, 0.5)
+        b = Snapshot(ParamVector(np.array([2.0, 0.0]), arch), 1, 0.5, 0.5)
         avg = swa_params([a, b], [1.8, 0.2])
         np.testing.assert_allclose(avg.values, [0.2, 1.8], atol=1e-12)
 
     def test_arch_mismatch(self):
         a = snap_with_bias(0, 0)
         arch = MlpArchitecture((1, 3))
-        b = Snapshot(ParamVector(np.zeros(arch.num_params), arch), 1, 0.1, 0.5, 0.5, "min")
+        b = Snapshot(ParamVector(np.zeros(arch.num_params), arch), 1, 0.5, 0.5)
         with pytest.raises(InputError):
             swa_probs([a, b], np.ones((1, 2)), np.array([[0.5]]))
 
@@ -283,7 +282,7 @@ class TestSwaAverage:
     def test_overflowing_average_rejected(self):
         # each member is finite, their sum is not: the average fails the ParamVector check
         arch = MlpArchitecture((1, 1))
-        big = Snapshot(ParamVector(np.array([1.5e308, 0.0]), arch), 0, 0.1, 0.5, 0.5, "min")
+        big = Snapshot(ParamVector(np.array([1.5e308, 0.0]), arch), 0, 0.5, 0.5)
         with np.errstate(over="ignore"), pytest.raises(InputError, match="non-finite"):
             swa_probs([big, big], np.ones((1, 2)), np.array([[0.5]]))
 
@@ -293,8 +292,8 @@ def mixed_arch_pair() -> tuple[Snapshot, Snapshot]:
     and [1 -> 1 -> 1]."""
     a_arch, b_arch = MlpArchitecture((3, 1)), MlpArchitecture((1, 1, 1))
     assert a_arch.num_params == b_arch.num_params == 4
-    a = Snapshot(ParamVector(np.arange(4.0), a_arch), 0, 0.1, 0.5, 0.5, "min")
-    b = Snapshot(ParamVector(np.arange(4.0), b_arch), 1, 0.1, 0.5, 0.5, "min")
+    a = Snapshot(ParamVector(np.arange(4.0), a_arch), 0, 0.5, 0.5)
+    b = Snapshot(ParamVector(np.arange(4.0), b_arch), 1, 0.5, 0.5)
     return a, b
 
 
@@ -303,7 +302,7 @@ def random_members(seed: int) -> tuple[list[Snapshot], np.ndarray]:
     rng = np.random.default_rng(seed)
     arch = MlpArchitecture((3, 5, 4))
     snaps = [
-        Snapshot(random_params(arch, rng), i, 0.01, float(rng.uniform(0.2, 2.0)), 0.5, "min")
+        Snapshot(random_params(arch, rng), i, float(rng.uniform(0.2, 2.0)), 0.5)
         for i in range(5)
     ]
     return snaps, rng.normal(0, 1, (20, 3))
@@ -421,7 +420,7 @@ class TestBatchedScoring:
         snaps = [
             Snapshot(
                 ParamVector(np.append(rng.normal(0.0, 2.0, m * k), np.zeros(k)), arch),
-                i, 0.01, float(tr), float(va), "min",
+                i, float(tr), float(va),
             )
             for i, (tr, va) in enumerate(rng.uniform(0.2, 1.4, (members, 2)))
         ]
@@ -498,7 +497,7 @@ class TestBatchedSwa:
         snaps = [
             Snapshot(
                 ParamVector(base + rng.normal(0.0, 0.2, arch.num_params), arch),
-                i, 0.01, float(tr), float(va), "min",
+                i, float(tr), float(va),
             )
             for i, (tr, va) in enumerate(rng.uniform(0.2, 1.4, (20, 2)))
         ]
